@@ -30,15 +30,32 @@ class LabeledSample:
     label: str
 
     def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.float64)
+        vec = np.array(self.vector, dtype=np.float64)  # a copy: the caller's array stays writeable
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("vector must be non-empty and 1-D")
+        if not np.isfinite(vec).all():
+            raise ValueError("vector must be finite")
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
 
 
+def check_label(label: str) -> str:
+    """Return label, or raise ValueError if the model file cannot hold it:
+    a tab would split its record and a line break its line."""
+    if "\t" in label or "".join(label.splitlines()) != label:
+        raise ValueError(f"class label {label!r} contains a tab or line break")
+    return label
+
+
 def _as_vector(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).reshape(-1)
+
+
+def _as_query(a) -> np.ndarray:
+    query = _as_vector(a)
+    if not np.isfinite(query).all():
+        raise ValueError("query vector must be finite")
+    return query
 
 
 def distance_log(a, b) -> float:
@@ -98,7 +115,7 @@ def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
     the tied class with the smallest summed distance, then to the first
     tied class in sorted label order.
     """
-    query = _as_vector(query)
+    query = _as_query(query)
     matrix = np.stack([s.vector for s in model.training])
     if query.size != matrix.shape[1]:
         raise ValueError(f"length mismatch: {query.size} vs {matrix.shape[1]}")
@@ -266,8 +283,6 @@ def svm_train(
     if not data:
         raise ValueError("training set must be non-empty")
     stacked = np.stack([s.vector for s in data])
-    if not np.isfinite(stacked).all():
-        raise ValueError("training vectors must be finite")
     classes = tuple(sorted({s.label for s in data}))
     if len(classes) < 2:
         raise ValueError("need at least two classes to train")
@@ -299,6 +314,7 @@ def svm_predict(model: SvmModel, query) -> str:
     """
     if not model.machines:
         raise ValueError("model has no trained machines")
+    query = _as_query(query)
     votes = {label: 0 for label in model.classes}
     magnitude = {label: 0.0 for label in model.classes}
     for machine in model.machines:
@@ -325,13 +341,15 @@ def _fmt(x: float) -> str:
 
 
 def save_model(model: KnnModel | SvmModel, path) -> None:
+    """Write model as text; raises ValueError, writing nothing, on a label
+    that check_label refuses."""
     lines = [MODEL_FORMAT]
     if isinstance(model, KnnModel):
         lines.append("kind knn")
         lines.append(f"neighbors_k {model.neighbors_k}")
         lines.append(f"distance {model.distance}")
         for s in model.training:
-            lines.append("sample\t" + s.label + "\t" + "\t".join(_fmt(v) for v in s.vector))
+            lines.append("sample\t" + check_label(s.label) + "\t" + "\t".join(_fmt(v) for v in s.vector))
     elif isinstance(model, SvmModel):
         lines.append("kind svm")
         lines.append(f"degree {model.degree}")
@@ -340,7 +358,7 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
         lines.append(f"tol {_fmt(model.tol)}")
         lines.append(f"max_passes {model.max_passes}")
         lines.append(f"seed {model.seed}")
-        lines.append("classes\t" + "\t".join(model.classes))
+        lines.append("classes\t" + "\t".join(check_label(c) for c in model.classes))
         for mach in model.machines:
             lines.append(
                 "machine\t"

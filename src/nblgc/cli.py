@@ -2,21 +2,24 @@
 
 Subcommands: extract (feature CSV), evaluate (train/test accuracy
 report), kfold (cross-validation), roc (verification FAR/GAR sweep).
-Flag precedence: command-line flags override a --config JSON file,
-which overrides built-in defaults. Every run drops a config.json echo
-next to its CSV so it can be reproduced exactly. Exit codes: 0 success,
-1 usage error, 2 data error, 3 internal error.
+Every setting is one row of OPTIONS; its name is the config-file key,
+the echo key and, dashed, the flag. Precedence: command-line flags
+override a --config JSON file, which overrides the row's default, and
+all three go through the row's parse function. Every run drops a
+config.json echo next to its CSV so it can be reproduced exactly. Exit
+codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .classify import LabeledSample
 from .contours import ContourVariant
@@ -40,29 +43,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-DEFAULTS: dict[str, object] = {
-    "resize": "63x63",
-    "variant": "g1",
-    "ref": "avg",
-    "classifier": "knn",
-    "k": 1,
-    "distance": "log",
-    "degree": 1,
-    "C": 1.0,
-    "offset": 1.0,
-    "tol": 1e-3,
-    "max_passes": 100,
-    "train_per_class": 7,
-    "folds": 10,
-    "seed": 0,
-    "out": "out",
-    "workers": None,
-    "zscore": False,
-    "shuffle_split": False,
-    "skip_errors": False,
-    "thresholds": 200,
-}
-
 
 class UsageError(Exception):
     pass
@@ -77,305 +57,235 @@ class _ArgParser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    data: Path
-    resize: tuple[int, int]
-    variant: ContourVariant
-    ref: FuzzifierRef
-    classifier: str
-    k: int
-    distance: str
-    degree: int
-    c: float
-    offset: float
-    tol: float
-    max_passes: int
-    train_per_class: int
-    folds: int
-    seed: int
-    out: Path
-    workers: int
-    zscore: bool
-    shuffle_split: bool
-    skip_errors: bool
-    thresholds: int
+# --- parse functions -----------------------------------------------------
+#
+# Each takes a flag's text or a config file's JSON value and returns the
+# canonical value, or raises ValueError saying what it wants. A string is
+# read as flag text; JSON numbers and booleans count only as themselves,
+# so {"k": 1.7}, {"seed": true} and {"zscore": "false"} are all refused.
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", help="dataset root: one subdirectory per class, PGM images inside")
-    parser.add_argument("--config", help="JSON file with defaults for any flag (flags win)")
-    parser.add_argument("--resize", metavar="WxH", help="resize target, multiples of 3 (default 63x63)")
-    parser.add_argument("--variant", choices=["g1", "g2", "g3"], help="gradient contour variant (default g1)")
-    parser.add_argument("--ref", choices=["avg", "max", "min"], help="fuzzifier reference statistic (default avg)")
-    parser.add_argument("--seed", type=int, help="seed for shuffled splits and the SVM solver (default 0)")
-    parser.add_argument("--out", help="output directory (default ./out)")
-    parser.add_argument("--workers", type=int, help="parallel extraction processes; env NBLGC_WORKERS, else all cores")
-    parser.add_argument("--skip-errors", action="store_true", default=None, dest="skip_errors",
-                        help="warn and skip unreadable dataset files instead of aborting")
+def _number(kind: type, rule: str, ok: Callable[[float], bool] = lambda x: True):
+    def parse(value):
+        if isinstance(value, str):
+            try:
+                value = kind(value)
+            except ValueError:
+                pass
+        if type(value) not in (kind, int) or not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"wants {rule}")
+        return kind(value)
+
+    return parse
 
 
-def _add_classifier(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--classifier", choices=["knn", "svm"], help="classifier (default knn)")
-    parser.add_argument("--k", type=int, help="KNN neighbor count (default 1)")
-    parser.add_argument("--distance", choices=["log", "euclidean"], help="KNN/ROC distance (default log)")
-    parser.add_argument("--degree", type=int, choices=[1, 2], help="SVM polynomial degree (default 1)")
-    parser.add_argument("--C", type=float, dest="C", help="SVM regularization bound (default 1)")
-    parser.add_argument("--offset", type=float, help="SVM kernel offset (default 1)")
-    parser.add_argument("--tol", type=float, help="SVM KKT tolerance (default 1e-3)")
-    parser.add_argument("--max-passes", type=int, dest="max_passes",
-                        help="SVM sweeps without change before stopping (default 100)")
-    parser.add_argument("--zscore", action="store_true", default=None,
-                        help="standardize features using training statistics")
+def _count(low: int):
+    return _number(int, f"an integer >= {low}", lambda n: n >= low)
+
+
+def _choice(*names: str):
+    def parse(value):
+        if value not in names:
+            raise ValueError(f"wants one of {', '.join(names)}")
+        return value
+
+    return parse
+
+
+def _switch(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("wants true or false")
+    return value
+
+
+def _path(value) -> Path:
+    # a line break would split the "# key=value" echo lines in the CSVs
+    if not isinstance(value, str) or "\n" in value or "\r" in value:
+        raise ValueError("wants a path without line breaks")
+    return Path(value)
+
+
+def _resize(value) -> str:
+    try:
+        w, h = (int(n) for n in value.lower().split("x"))
+        ok = w >= 3 and h >= 3 and w % 3 == 0 and h % 3 == 0
+    except (AttributeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError("wants WxH, both positive multiples of 3")
+    return f"{w}x{h}"
+
+
+class Option(NamedTuple):
+    name: str  # config key and echo key; the flag is --name with dashes
+    parse: Callable[[object], object]
+    default: object  # None: unset unless given
+    commands: tuple[str, ...]
+    help: str
+
+
+_ALL = ("extract", "evaluate", "kfold", "roc")
+_FIT = ("evaluate", "kfold")
+_SPLIT = ("evaluate", "roc")
+
+OPTIONS = (
+    Option("data", _path, None, _ALL, "dataset root: one subdirectory per class, PGM images inside"),
+    Option("resize", _resize, "63x63", _ALL, "resize target WxH, multiples of 3"),
+    Option("variant", _choice("g1", "g2", "g3"), "g1", _ALL, "gradient contour variant: g1, g2 or g3"),
+    Option("ref", _choice("avg", "max", "min"), "avg", _ALL, "fuzzifier reference statistic: avg, max or min"),
+    Option("seed", _number(int, "an integer"), 0, _ALL, "seed for shuffled splits and the SVM solver"),
+    Option("out", _path, "out", _ALL, "output directory"),
+    Option("workers", _count(1), None, _ALL, "parallel extraction processes; env NBLGC_WORKERS, else all cores"),
+    Option("skip_errors", _switch, False, _ALL, "warn and skip unreadable dataset files instead of aborting"),
+    Option("classifier", _choice("knn", "svm"), "knn", _FIT, "classifier: knn or svm"),
+    Option("k", _count(1), 1, _FIT, "KNN neighbor count"),
+    Option("distance", _choice("log", "euclidean"), "log", _FIT + ("roc",),
+           "KNN and ROC trial distance: log or euclidean"),
+    Option("degree", _number(int, "1 or 2", lambda n: n in (1, 2)), 1, _FIT, "SVM polynomial degree: 1 or 2"),
+    Option("C", _number(float, "a finite number > 0", lambda x: x > 0), 1.0, _FIT, "SVM regularization bound"),
+    Option("offset", _number(float, "a finite number"), 1.0, _FIT, "SVM kernel offset"),
+    Option("tol", _number(float, "a finite number >= 0", lambda x: x >= 0), 1e-3, _FIT, "SVM KKT tolerance"),
+    Option("max_passes", _count(1), 100, _FIT, "SVM sweeps without change before stopping"),
+    Option("zscore", _switch, False, _FIT, "standardize features using training statistics"),
+    Option("train_per_class", _count(1), 7, _SPLIT, "training images per class"),
+    Option("shuffle_split", _switch, False, _SPLIT,
+           "pick training images per class with a seeded shuffle instead of load order"),
+    Option("folds", _count(2), 10, ("kfold",), "fold count"),
+    Option("thresholds", _count(2), 200, ("roc",), "evenly spaced thresholds in the sweep"),
+)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgParser(prog="nblgc", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_extract = sub.add_parser("extract", parents=[], help="write per-image feature vectors to features.csv")
-    _add_common(p_extract)
-
-    p_eval = sub.add_parser("evaluate", help="train/test split accuracy report")
-    _add_common(p_eval)
-    _add_classifier(p_eval)
-    p_eval.add_argument("--train-per-class", type=int, dest="train_per_class",
-                        help="training images per class (default 7)")
-    p_eval.add_argument("--shuffle-split", action="store_true", default=None, dest="shuffle_split",
-                        help="pick training images per class with a seeded shuffle instead of load order")
-
-    p_kfold = sub.add_parser("kfold", help="stratified k-fold cross-validation")
-    _add_common(p_kfold)
-    _add_classifier(p_kfold)
-    p_kfold.add_argument("--folds", type=int, help="fold count (default 10)")
-
-    p_roc = sub.add_parser("roc", help="verification FAR/GAR threshold sweep")
-    _add_common(p_roc)
-    p_roc.add_argument("--distance", choices=["log", "euclidean"], help="trial score distance (default log)")
-    p_roc.add_argument("--train-per-class", type=int, dest="train_per_class",
-                        help="training images per class (default 7)")
-    p_roc.add_argument("--shuffle-split", action="store_true", default=None, dest="shuffle_split",
-                        help="pick training images per class with a seeded shuffle instead of load order")
-    p_roc.add_argument("--thresholds", type=int, help="evenly spaced thresholds in the sweep (default 200)")
-
+    for command, run_command in _COMMANDS.items():
+        p = sub.add_parser(command, help=run_command.__doc__)
+        p.add_argument("--config", help="JSON file with a value for any option (flags win)")
+        for opt in OPTIONS:
+            if command not in opt.commands:
+                continue
+            if isinstance(opt.default, bool):
+                p.add_argument(_flag(opt.name), action="store_true", default=None, help=opt.help)
+            else:
+                shown = "" if opt.default is None else f" (default {opt.default})"
+                p.add_argument(_flag(opt.name), help=opt.help + shown)
     return parser
 
 
-def _parse_resize(text: str) -> tuple[int, int]:
-    parts = str(text).lower().split("x")
-    if len(parts) != 2:
-        raise UsageError(f"--resize wants WxH, got {text!r}")
+def _read_config(path: Path) -> dict:
+    if not path.is_file():
+        raise UsageError(f"config file {path} not found")
     try:
-        w, h = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"--resize wants integers, got {text!r}") from None
-    if w < 3 or h < 3 or w % 3 or h % 3:
-        raise UsageError(f"--resize {text!r}: dimensions must be positive multiples of 3")
-    return w, h
+        loaded = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise UsageError(f"config file {path} is not valid JSON: {err}") from None
+    if not isinstance(loaded, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    unknown = set(loaded) - {opt.name for opt in OPTIONS}
+    if unknown:
+        raise UsageError(f"config file {path} has unknown keys: {sorted(unknown)}")
+    return loaded
 
 
-def _resolve_workers(value) -> int:
-    if value is None:
-        env = os.environ.get("NBLGC_WORKERS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise UsageError(f"NBLGC_WORKERS must be an integer, got {env!r}") from None
-        else:
-            value = os.cpu_count() or 1
-    value = int(value)
-    if value < 1:
-        raise UsageError("worker count must be at least 1")
-    return value
-
-
-def _merge(args: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg_path = Path(args.config)
-        if not cfg_path.is_file():
-            raise UsageError(f"config file {cfg_path} not found")
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """Flag, else config value, else NBLGC_WORKERS for workers, else default."""
+    loaded = _read_config(Path(args.config)) if args.config else {}
+    cfg = argparse.Namespace(command=args.command)
+    for opt in OPTIONS:
+        value, source = getattr(args, opt.name, None), _flag(opt.name)
+        if value is None and loaded.get(opt.name) is not None:
+            value, source = loaded[opt.name], f"config key {opt.name!r}"
+        if value is None and opt.name == "workers" and "NBLGC_WORKERS" in os.environ:
+            value, source = os.environ["NBLGC_WORKERS"], "NBLGC_WORKERS"
+        if value is None:
+            value, source = opt.default, "default"
         try:
-            loaded = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as err:
-            raise UsageError(f"config file {cfg_path} is not valid JSON: {err}") from None
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config file {cfg_path} must hold a JSON object")
-        unknown = set(loaded) - set(DEFAULTS) - {"data"}
-        if unknown:
-            raise UsageError(f"config file {cfg_path} has unknown keys: {sorted(unknown)}")
-        merged.update(loaded)
-    for key in list(merged) + ["data"]:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if merged.get("data") is None:
+            setattr(cfg, opt.name, None if value is None else opt.parse(value))
+        except ValueError as err:
+            raise UsageError(f"{source} {value!r}: {err}") from None
+    if cfg.data is None:
         raise UsageError("--data is required (directly or via the config file)")
-
-    data = Path(str(merged["data"]))
-    if not data.is_dir():
-        raise DatasetError(f"dataset root {data} is not a directory")
-    try:
-        variant = ContourVariant.from_string(str(merged["variant"]))
-        ref = FuzzifierRef.from_string(str(merged["ref"]))
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-    for name in ("k", "degree", "max_passes", "train_per_class", "folds", "seed", "thresholds"):
-        merged[name] = int(merged[name])
-    if merged["degree"] not in (1, 2):
-        raise UsageError("--degree must be 1 or 2")
-    if merged["k"] < 1:
-        raise UsageError("--k must be at least 1")
-    if merged["folds"] < 2:
-        raise UsageError("--folds must be at least 2")
-    if merged["train_per_class"] < 1:
-        raise UsageError("--train-per-class must be at least 1")
-    if merged["thresholds"] < 2:
-        raise UsageError("--thresholds must be at least 2")
-    if str(merged["classifier"]) not in ("knn", "svm"):
-        raise UsageError(f"unknown classifier {merged['classifier']!r}")
-    if str(merged["distance"]) not in ("log", "euclidean"):
-        raise UsageError(f"unknown distance {merged['distance']!r}")
-
-    return RunConfig(
-        command=args.command,
-        data=data,
-        resize=_parse_resize(str(merged["resize"])),
-        variant=variant,
-        ref=ref,
-        classifier=str(merged["classifier"]),
-        k=merged["k"],
-        distance=str(merged["distance"]),
-        degree=merged["degree"],
-        c=float(merged["C"]),
-        offset=float(merged["offset"]),
-        tol=float(merged["tol"]),
-        max_passes=merged["max_passes"],
-        train_per_class=merged["train_per_class"],
-        folds=merged["folds"],
-        seed=merged["seed"],
-        out=Path(str(merged["out"])),
-        workers=_resolve_workers(merged["workers"]),
-        zscore=bool(merged["zscore"]),
-        shuffle_split=bool(merged["shuffle_split"]),
-        skip_errors=bool(merged["skip_errors"]),
-        thresholds=merged["thresholds"],
-    )
+    if not cfg.data.is_dir():
+        raise DatasetError(f"dataset root {cfg.data} is not a directory")
+    if cfg.workers is None:
+        cfg.workers = os.cpu_count() or 1
+    return cfg
 
 
-def _config_echo(cfg: RunConfig) -> dict[str, object]:
-    return {
-        "command": cfg.command,
-        "data": str(cfg.data),
-        "resize": f"{cfg.resize[0]}x{cfg.resize[1]}",
-        "variant": cfg.variant.value,
-        "ref": cfg.ref.value,
-        "classifier": cfg.classifier,
-        "k": cfg.k,
-        "distance": cfg.distance,
-        "degree": cfg.degree,
-        "C": cfg.c,
-        "offset": cfg.offset,
-        "tol": cfg.tol,
-        "max_passes": cfg.max_passes,
-        "train_per_class": cfg.train_per_class,
-        "folds": cfg.folds,
-        "seed": cfg.seed,
-        "zscore": cfg.zscore,
-        "shuffle_split": cfg.shuffle_split,
-        "skip_errors": cfg.skip_errors,
-        "thresholds": cfg.thresholds,
-    }
+def _config_echo(cfg: argparse.Namespace) -> dict[str, object]:
+    return {key: value for key, value in vars(cfg).items() if key not in ("out", "workers")}
 
 
-def _load_samples(cfg: RunConfig):
-    entries = load_dataset(cfg.data, cfg.resize, skip_errors=cfg.skip_errors)
-    vectors = extract_many([e.image for e in entries], cfg.variant, cfg.ref, cfg.workers)
+def _size(cfg: argparse.Namespace) -> tuple[int, int]:
+    w, h = cfg.resize.split("x")
+    return int(w), int(h)
+
+
+def _load_samples(cfg: argparse.Namespace):
+    entries = load_dataset(cfg.data, _size(cfg), skip_errors=cfg.skip_errors)
+    variant, ref = ContourVariant(cfg.variant), FuzzifierRef(cfg.ref)
+    vectors = extract_many([e.image for e in entries], variant, ref, cfg.workers)
     samples = [LabeledSample(fv.values, e.class_label) for e, fv in zip(entries, vectors)]
     return entries, vectors, samples
 
 
-def _write_echo_json(cfg: RunConfig) -> None:
-    path = cfg.out / "config.json"
-    path.write_text(json.dumps(_config_echo(cfg), indent=2, sort_keys=True) + "\n")
+def _classifier_config(cfg: argparse.Namespace) -> ClassifierConfig:
+    return ClassifierConfig(kind=cfg.classifier, neighbors_k=cfg.k, distance=cfg.distance,
+                            degree=cfg.degree, c=cfg.C, offset=cfg.offset, tol=cfg.tol,
+                            max_passes=cfg.max_passes, seed=cfg.seed, zscore=cfg.zscore)
 
 
-def _classifier_config(cfg: RunConfig) -> ClassifierConfig:
-    return ClassifierConfig(
-        kind=cfg.classifier,
-        neighbors_k=cfg.k,
-        distance=cfg.distance,
-        degree=cfg.degree,
-        c=cfg.c,
-        offset=cfg.offset,
-        tol=cfg.tol,
-        max_passes=cfg.max_passes,
-        seed=cfg.seed,
-        zscore=cfg.zscore,
-    )
-
-
-def _split_spec(cfg: RunConfig) -> SplitSpec:
+def _split_spec(cfg: argparse.Namespace) -> SplitSpec:
     return SplitSpec(cfg.train_per_class, cfg.seed if cfg.shuffle_split else None)
 
 
-def cmd_extract(cfg: RunConfig) -> int:
+def cmd_extract(cfg: argparse.Namespace) -> None:
+    """write per-image feature vectors to features.csv"""
     entries, vectors, _ = _load_samples(cfg)
-    n_features = (cfg.resize[0] // 3) * (cfg.resize[1] // 3)
+    w, h = _size(cfg)
     out_path = cfg.out / "features.csv"
-    write_features_csv(
-        out_path,
-        [(e.source_path, e.class_label, fv) for e, fv in zip(entries, vectors)],
-        n_features=n_features,
-    )
-    _write_echo_json(cfg)
+    rows = [(e.source_path, e.class_label, fv) for e, fv in zip(entries, vectors)]
+    write_features_csv(out_path, rows, n_features=(w // 3) * (h // 3))
     print(f"wrote {len(entries)} feature rows to {out_path}")
-    return EXIT_OK
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: argparse.Namespace) -> None:
+    """train/test split accuracy report"""
     _, _, samples = _load_samples(cfg)
     train, test = split_per_class(samples, _split_spec(cfg))
     report = evaluate(train, test, _classifier_config(cfg), _config_echo(cfg))
     out_path = cfg.out / "report.csv"
     write_report_csv(report, out_path)
-    _write_echo_json(cfg)
     correct = sum(c for c, _ in report.per_class.values())
     total = sum(t for _, t in report.per_class.values())
     print(f"accuracy {report.accuracy:.6g}% ({correct}/{total}) -> {out_path}")
-    return EXIT_OK
 
 
-def cmd_kfold(cfg: RunConfig) -> int:
+def cmd_kfold(cfg: argparse.Namespace) -> None:
+    """stratified k-fold cross-validation"""
     _, _, samples = _load_samples(cfg)
     report = kfold(samples, cfg.folds, _classifier_config(cfg), _config_echo(cfg))
     out_path = cfg.out / "folds.csv"
     write_folds_csv(report, out_path)
-    _write_echo_json(cfg)
     mean = sum(report.fold_accuracies) / len(report.fold_accuracies)
     print(f"kfold mean accuracy {mean:.6g}% over {cfg.folds} folds -> {out_path}")
-    return EXIT_OK
 
 
-def cmd_roc(cfg: RunConfig) -> int:
+def cmd_roc(cfg: argparse.Namespace) -> None:
+    """verification FAR/GAR threshold sweep"""
     _, _, samples = _load_samples(cfg)
     train, test = split_per_class(samples, _split_spec(cfg))
     points = roc_far_gar(train, test, cfg.distance, cfg.thresholds)
     out_path = cfg.out / "roc.csv"
     write_roc_csv(points, _config_echo(cfg), out_path)
-    _write_echo_json(cfg)
     print(f"wrote {len(points)} roc points to {out_path}")
-    return EXIT_OK
 
 
-_COMMANDS = {
-    "extract": cmd_extract,
-    "evaluate": cmd_evaluate,
-    "kfold": cmd_kfold,
-    "roc": cmd_roc,
-}
+_COMMANDS = {"extract": cmd_extract, "evaluate": cmd_evaluate, "kfold": cmd_kfold, "roc": cmd_roc}
 
 
 def main(argv=None) -> int:
@@ -384,7 +294,10 @@ def main(argv=None) -> int:
     try:
         cfg = _merge(args)
         cfg.out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[cfg.command](cfg)
+        _COMMANDS[cfg.command](cfg)
+        echo = json.dumps(_config_echo(cfg), indent=2, sort_keys=True, default=str)
+        (cfg.out / "config.json").write_text(echo + "\n")
+        return EXIT_OK
     except UsageError as err:
         print(f"nblgc: error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -33,7 +34,7 @@ class FeatureVector:
     block_grid: tuple[int, int]  # (rows, cols)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)  # a copy: the caller's array stays writeable
         rows, cols = self.block_grid
         if vals.ndim != 1 or vals.size != rows * cols:
             raise ValueError("value count does not match the block grid")
@@ -101,6 +102,11 @@ def _extract_task(args: tuple[GrayImage, ContourVariant, FuzzifierRef]) -> Featu
     return extract(image, variant, ref)
 
 
+def pool_size(workers: int, n_images: int) -> int:
+    """Processes extract_many starts: no more than the images or the cores."""
+    return min(workers, n_images, os.cpu_count() or 1)
+
+
 def extract_many(
     images: Sequence[GrayImage],
     variant: ContourVariant = ContourVariant.G1,
@@ -110,9 +116,10 @@ def extract_many(
     """Extract a batch of images, optionally across processes.
 
     Results always come back in input order; the worker count never
-    changes the values.
+    changes the values. The pool is clamped by pool_size.
     """
-    if workers <= 1 or len(images) < 2:
+    workers = pool_size(workers, len(images))
+    if workers <= 1:
         return [extract(img, variant, ref) for img in images]
     tasks = [(img, variant, ref) for img in images]
     chunk = max(1, len(tasks) // (workers * 4))

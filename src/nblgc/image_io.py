@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .classify import check_label
+
 MAX_GRAY_LIMIT = 65535
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -44,7 +46,7 @@ class RawImage:
             raise ValueError("image dimensions must be positive")
         if not 1 <= self.max_gray <= MAX_GRAY_LIMIT:
             raise ValueError(f"max_gray must be in [1, {MAX_GRAY_LIMIT}]")
-        px = np.asarray(self.pixels, dtype=np.uint16)
+        px = np.array(self.pixels, dtype=np.uint16)  # a copy: the caller's array stays writeable
         if px.ndim != 1 or px.size != self.width * self.height:
             raise ValueError("pixel count does not match width*height")
         if px.size and int(px.max()) > self.max_gray:
@@ -69,7 +71,7 @@ class GrayImage:
     pixels: np.ndarray  # shape (height, width)
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.array(self.pixels, dtype=np.float64)  # a copy: the caller's array stays writeable
         if px.ndim != 2 or px.size == 0:
             raise ValueError("pixels must be a non-empty 2-D array")
         if not np.isfinite(px).all():
@@ -202,10 +204,8 @@ def parse_pgm(data: bytes) -> RawImage:
     if len(data) - start < need:
         raise PgmParseError("truncated pixel data", len(data))
     raw = data[start : start + need]
-    if two_byte:
-        values = np.frombuffer(raw, dtype=">u2").astype(np.uint16)
-    else:
-        values = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)
+    # RawImage copies the raster to native uint16
+    values = np.frombuffer(raw, dtype=">u2" if two_byte else np.uint8)
     if int(values.max()) > max_gray:
         bad = int(np.argmax(values > max_gray))
         offset = start + bad * (2 if two_byte else 1)
@@ -280,7 +280,8 @@ def load_dataset(
     (class name, file name), so two calls on the same tree agree.
     Target dimensions must be positive multiples of 3 (the feature
     stage tiles images into 3x3 blocks). A bad file aborts the load
-    unless skip_errors is set, which downgrades it to a warning.
+    unless skip_errors is set, which downgrades it to a warning. A class
+    name that no model file could hold (see check_label) always aborts.
     """
     out_w, out_h = resize_to
     if out_w < 3 or out_h < 3 or out_w % 3 or out_h % 3:
@@ -294,6 +295,10 @@ def load_dataset(
         return []
     entries: list[DatasetEntry] = []
     for class_dir in class_dirs:
+        try:
+            check_label(class_dir.name)
+        except ValueError as err:
+            raise DatasetError(f"{class_dir}: {err}") from None
         files = sorted(
             (p for p in class_dir.iterdir() if p.is_file() and p.suffix.lower() == ".pgm"),
             key=lambda p: p.name,

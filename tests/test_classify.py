@@ -76,6 +76,17 @@ class TestKnn:
         assert len(dists) == 1
         assert dists[0] == pytest.approx(math.log(2.0))
 
+    def test_rejects_non_finite_query(self):
+        model = KnnModel(tuple(samples([([0.0], "a"), ([10.0], "b")])))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                knn_predict(model, [bad])
+
+    def test_samples_must_be_finite(self):
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                LabeledSample(np.array([0.0, bad]), "a")
+
     def test_exact_match_wins(self):
         rng = np.random.default_rng(23)
         train = samples([(rng.normal(size=5), f"c{i}") for i in range(10)])
@@ -255,6 +266,11 @@ class TestSvm:
         )
         assert svm_predict(flat, [0.0]) == "a"
 
+    def test_rejects_non_finite_query(self):
+        model = svm_train(samples([([0.0], "a"), ([1.0], "b")]))
+        with pytest.raises(ValueError, match="finite"):
+            svm_predict(model, [np.nan])
+
     def test_empty_model_rejected(self):
         model = SvmModel(("a", "b"), (), 1, 1.0, 1.0, 1e-3, 100, 0)
         with pytest.raises(ValueError, match="no trained machines"):
@@ -294,6 +310,17 @@ class TestModelSerialization:
         for _ in range(20):
             q = rng.normal(size=5)
             assert svm_predict(loaded, q) == svm_predict(model, q)
+
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\r", "a\x85b"])
+    def test_refuses_labels_that_would_not_load(self, tmp_path, label):
+        pairs = [([0.0], label), ([1.0], "b")]
+        knn = KnnModel(tuple(samples(pairs)))
+        svm = svm_train(samples(pairs))
+        for model in (knn, svm):
+            path = tmp_path / "bad.model"
+            with pytest.raises(ValueError, match="tab or line break"):
+                save_model(model, path)
+            assert not path.exists()
 
     def test_rejects_unknown_file(self, tmp_path):
         path = tmp_path / "junk.model"

@@ -212,6 +212,72 @@ class TestConfigFile:
         assert "--data is required" in capsys.readouterr().err
 
 
+class TestOptionValues:
+    """Flags and config-file values pass the same parse function per option."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"zscore": "false"}, {"k": "abc"}, {"C": "x"}, {"k": 1.7}, {"seed": True},
+         {"C": 0}, {"tol": float("nan")}, {"max_passes": 0}, {"skip_errors": 1}, {"variant": "G1"}],
+        ids=repr,
+    )
+    def test_bad_config_value_is_usage(self, small_tree, tmp_path, capsys, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert run_cli(eval_args(small_tree, out, "--config", str(cfg))) == 1
+        (key,) = values
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--C", "nan"), ("--C", "0"), ("--C", "-1"), ("--C", "inf"), ("--offset", "nan"),
+         ("--tol", "nan"), ("--tol", "-0.1"), ("--max-passes", "0"), ("--degree", "3"),
+         ("--k", "1.5"), ("--folds", "1")],
+    )
+    def test_bad_flag_value_is_usage(self, small_tree, tmp_path, capsys, flag, value):
+        command = "kfold" if flag == "--folds" else "evaluate"
+        args = ["--data", str(small_tree), "--resize", "9x9", "--classifier", "svm",
+                "--out", str(tmp_path / "out"), "--workers", "1", flag, value]
+        assert run_cli([command, *args]) == 1
+        assert f"{flag} {value!r}" in capsys.readouterr().err
+
+    def test_config_values_match_flag_text(self, small_tree, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"C": 2, "k": "3", "tol": 0, "zscore": True, "resize": "9X9"}))
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert run_cli(eval_args(small_tree, out1, "--config", str(cfg))) == 0
+        assert run_cli(eval_args(small_tree, out2, "--C", "2.0", "--k", "3", "--tol", "0", "--zscore")) == 0
+        echo = json.loads((out1 / "config.json").read_text())
+        assert (echo["C"], echo["k"], echo["tol"], echo["zscore"]) == (2.0, 3, 0.0, True)
+        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+    def test_null_config_value_means_unset(self, small_tree, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": None, "workers": None}))
+        out = tmp_path / "out"
+        assert run_cli(eval_args(small_tree, out, "--config", str(cfg))) == 0
+        assert json.loads((out / "config.json").read_text())["k"] == 1
+
+    def test_line_break_in_data_path_is_usage(self, small_tree, tmp_path, capsys):
+        assert run_cli(extract_args(f"{small_tree}\nx", tmp_path / "out")) == 1
+        assert "line breaks" in capsys.readouterr().err
+
+    def test_bad_class_label_is_data_error(self, small_tree, tmp_path, capsys):
+        (small_tree / "s01").rename(small_tree / "s\t01")
+        assert run_cli(extract_args(small_tree, tmp_path / "out")) == 2
+        assert "tab or line break" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["extract", "evaluate", "kfold", "roc"])
+    def test_help_lists_every_row_of_its_command(self, command, capsys):
+        assert run_cli([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        for opt in cli.OPTIONS:
+            flag = "--" + opt.name.replace("_", "-") + " "
+            assert (flag in text) == (command in opt.commands), (command, opt.name)
+
+
 class TestDeterminism:
     def test_rerun_into_fresh_dir_is_byte_identical(self, small_tree, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

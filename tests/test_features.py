@@ -16,6 +16,7 @@ from nblgc import (
     read_features_csv,
     write_features_csv,
 )
+from nblgc.features import pool_size
 from oracles import naive_feature_vector
 
 VARIANTS = list(ContourVariant)
@@ -153,6 +154,17 @@ class TestExtract:
         parallel = extract_many(images, workers=2)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.values, b.values)
+
+
+class TestPoolSize:
+    # arithmetic only: no pool is started here
+    @pytest.mark.parametrize(
+        "workers,images,cores,expected",
+        [(10**6, 400, 2, 2), (8, 3, 64, 3), (1, 400, 64, 1), (4, 1, 64, 1), (4, 0, 64, 0), (10**6, 400, None, 1)],
+    )
+    def test_clamps_to_images_and_cores(self, monkeypatch, workers, images, cores, expected):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        assert pool_size(workers, images) == expected
 
 
 class TestFeatureVectorType:

@@ -3,8 +3,12 @@ import pytest
 
 from conftest import make_pgm_tree, random_raw
 from nblgc import (
+    ContourVariant,
     DatasetError,
+    FeatureVector,
+    FuzzifierRef,
     GrayImage,
+    LabeledSample,
     PgmParseError,
     RawImage,
     load_dataset,
@@ -210,6 +214,14 @@ class TestLoadDataset:
         (root / "s01" / "notes.txt").write_text("not an image")
         assert len(load_dataset(root, resize_to=(9, 9))) == 1
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
+    def test_rejects_labels_a_model_file_cannot_hold(self, tmp_path, name):
+        root = tmp_path / "ds"
+        make_pgm_tree(root, n_classes=1, per_class=1, seed=6)
+        (root / "s01").rename(root / name)
+        with pytest.raises(DatasetError, match="tab or line break"):
+            load_dataset(root, resize_to=(9, 9))
+
     @pytest.mark.parametrize("target", [(10, 9), (9, 10), (0, 9), (2, 2)])
     def test_rejects_bad_resize_target(self, tmp_path, target):
         root = tmp_path / "ds"
@@ -242,3 +254,20 @@ class TestTypes:
         gray = GrayImage(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             gray.pixels[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "make,array",
+        [
+            (lambda a: RawImage(2, 1, 255, a), np.array([3, 4], dtype=np.uint16)),
+            (lambda a: GrayImage(a), np.zeros((2, 2))),
+            (lambda a: FeatureVector(a, ContourVariant.G1, FuzzifierRef.AVERAGE, (1, 2)), np.zeros(2)),
+            (lambda a: LabeledSample(a, "a"), np.zeros(2)),
+        ],
+        ids=["RawImage", "GrayImage", "FeatureVector", "LabeledSample"],
+    )
+    def test_constructors_leave_callers_array_writeable(self, make, array):
+        before = array.copy()
+        make(array)
+        assert array.flags.writeable
+        array.flat[0] = 1
+        assert not np.array_equal(array, before)
