@@ -23,13 +23,11 @@ from .classify import (
     svm_train,
 )
 from .contours import (
-    ContourValues,
     ContourVariant,
     contour_g1,
     contour_g2,
     contour_g3,
     contour_value,
-    contour_values,
 )
 from .evaluation import (
     ClassifierConfig,
@@ -71,8 +69,6 @@ from .infoset import (
     Window3x3,
     fuzzifier,
     membership_center,
-    membership_exponential,
-    membership_gaussian,
     reference_value,
 )
 

@@ -12,7 +12,7 @@ format without changing any prediction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -58,32 +58,32 @@ def _as_query(a) -> np.ndarray:
     return query
 
 
-def distance_log(a, b) -> float:
-    """Sum over coordinates of ln(1 + |a_i - b_i|)."""
-    a, b = _as_vector(a), _as_vector(b)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return float(np.log1p(np.abs(a - b)).sum())
-
-
-def distance_euclidean(a, b) -> float:
-    """Standard L2 distance, kept for comparison runs."""
-    a, b = _as_vector(a), _as_vector(b)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
-
-
-_DISTANCES = {"log": distance_log, "euclidean": distance_euclidean}
+_DISTANCES = ("log", "euclidean")
 
 
 def _distance_rows(matrix: np.ndarray, query: np.ndarray, distance: str) -> np.ndarray:
-    # vectorized row-wise distances; same reduction order as the scalar
-    # functions so both paths agree bit for bit
+    """Distance from the query to each row of matrix."""
     diff = np.abs(matrix - query)
     if distance == "log":
         return np.log1p(diff).sum(axis=1)
     return np.sqrt((diff**2).sum(axis=1))
+
+
+def _distance(a, b, distance: str) -> float:
+    a, b = _as_vector(a), _as_vector(b)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
+    return float(_distance_rows(a[None, :], b, distance)[0])
+
+
+def distance_log(a, b) -> float:
+    """Sum over coordinates of ln(1 + |a_i - b_i|)."""
+    return _distance(a, b, "log")
+
+
+def distance_euclidean(a, b) -> float:
+    """Standard L2 distance, kept for comparison runs."""
+    return _distance(a, b, "euclidean")
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,7 @@ class KnnModel:
     training: tuple[LabeledSample, ...]
     neighbors_k: int = 1
     distance: str = "log"
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)  # training vectors as rows
 
     def __post_init__(self):
         training = tuple(self.training)
@@ -105,7 +106,10 @@ class KnnModel:
             raise ValueError("neighbors_k must be in [1, number of training samples]")
         if self.distance not in _DISTANCES:
             raise ValueError(f"unknown distance {self.distance!r}")
+        matrix = np.stack([s.vector for s in training])
+        matrix.flags.writeable = False
         object.__setattr__(self, "training", training)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
@@ -116,10 +120,9 @@ def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
     tied class in sorted label order.
     """
     query = _as_query(query)
-    matrix = np.stack([s.vector for s in model.training])
-    if query.size != matrix.shape[1]:
-        raise ValueError(f"length mismatch: {query.size} vs {matrix.shape[1]}")
-    dists = _distance_rows(matrix, query, model.distance)
+    if query.size != model.matrix.shape[1]:
+        raise ValueError(f"length mismatch: {query.size} vs {model.matrix.shape[1]}")
+    dists = _distance_rows(model.matrix, query, model.distance)
     order = np.argsort(dists, kind="stable")[: model.neighbors_k]
     nearest = [(model.training[i].label, float(dists[i])) for i in order]
     votes: dict[str, int] = {}

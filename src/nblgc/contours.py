@@ -6,20 +6,32 @@ over the ring; the center pixel never participates. The single loop
 two interleaved stride-2 loops: g20 over the even ring positions (the
 corners) and g21 over the odd ones (the edge midpoints). The triple
 loop (g3) strides by 3 and visits every ring pixel exactly once.
+
+Contours are computed over an (n_blocks, 9) block array in
+Window3x3.values order, where ring index i is column i + 1; the
+Window3x3 functions run the same code on one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .infoset import Window3x3
+import numpy as np
 
-# (a, b) index pairs into the ring; each loop term is |ring[a] - ring[b]|
-_G1_PAIRS = ((7, 0), (6, 7), (5, 6), (4, 5), (3, 4), (2, 3), (1, 2), (0, 1))
-_G20_PAIRS = ((6, 0), (4, 6), (2, 4), (0, 2))
-_G21_PAIRS = ((7, 1), (5, 7), (3, 5), (1, 3))
-_G3_PAIRS = ((5, 0), (2, 5), (7, 2), (4, 7), (1, 4), (6, 1), (3, 6), (0, 3))
+from .infoset import Window3x3, row_sums
+
+
+def _columns(pairs):
+    # (a, b) ring index pairs as two column index arrays of a block array
+    a, b = np.moveaxis(np.array(pairs), -1, 0) + 1
+    return a, b
+
+
+# each loop term is |ring[a] - ring[b]|, added in pair order
+_G1 = _columns(((7, 0), (6, 7), (5, 6), (4, 5), (3, 4), (2, 3), (1, 2), (0, 1)))
+_G3 = _columns(((5, 0), (2, 5), (7, 2), (4, 7), (1, 4), (6, 1), (3, 6), (0, 3)))
+# one row per stride-2 loop: g20 over the corners, g21 over the edge midpoints
+_G2 = _columns((((6, 0), (4, 6), (2, 4), (0, 2)), ((7, 1), (5, 7), (3, 5), (1, 3))))
 
 
 class ContourVariant(Enum):
@@ -38,31 +50,33 @@ class ContourVariant(Enum):
             raise ValueError(f"unknown contour variant {name!r}; choose one of {choices}") from None
 
 
-@dataclass(frozen=True)
-class ContourValues:
-    """All contour values of one window; g2 is exactly g20 + g21."""
-
-    g1: float
-    g20: float
-    g21: float
-    g2: float
-    g3: float
-
-    def __post_init__(self):
-        if self.g2 != self.g20 + self.g21:
-            raise ValueError("g2 must equal g20 + g21 exactly")
+def _loop(blocks: np.ndarray, columns) -> np.ndarray:
+    a, b = columns
+    return row_sums(np.abs(blocks[:, a] - blocks[:, b]))
 
 
-def _loop_sum(ring: tuple[float, ...], pairs) -> float:
-    total = 0.0
-    for a, b in pairs:
-        total += abs(ring[a] - ring[b])
-    return total
+def _double_loop(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    halves = _loop(blocks, _G2)
+    return halves[:, 0], halves[:, 1], halves[:, 0] + halves[:, 1]
+
+
+def contours(blocks: np.ndarray, variant: ContourVariant) -> np.ndarray:
+    """The variant's contour value of each block row (g2 = g20 + g21)."""
+    if variant is ContourVariant.G1:
+        return _loop(blocks, _G1)
+    if variant is ContourVariant.G2:
+        return _double_loop(blocks)[2]
+    return _loop(blocks, _G3)
+
+
+def contour_value(window: Window3x3, variant: ContourVariant) -> float:
+    """The contour value selected by the variant (g2 = g20 + g21)."""
+    return float(contours(window.as_row(), variant)[0])
 
 
 def contour_g1(window: Window3x3) -> float:
     """Single loop: absolute differences of adjacent ring pixels."""
-    return _loop_sum(window.ring, _G1_PAIRS)
+    return contour_value(window, ContourVariant.G1)
 
 
 def contour_g2(window: Window3x3) -> tuple[float, float, float]:
@@ -70,25 +84,10 @@ def contour_g2(window: Window3x3) -> tuple[float, float, float]:
 
     g20 runs over ring positions 0,2,4,6; g21 over 1,3,5,7.
     """
-    g20 = _loop_sum(window.ring, _G20_PAIRS)
-    g21 = _loop_sum(window.ring, _G21_PAIRS)
-    return g20, g21, g20 + g21
+    g20, g21, g2 = _double_loop(window.as_row())
+    return float(g20[0]), float(g21[0]), float(g2[0])
 
 
 def contour_g3(window: Window3x3) -> float:
     """Triple loop: stride-3 walk visiting every ring pixel once."""
-    return _loop_sum(window.ring, _G3_PAIRS)
-
-
-def contour_values(window: Window3x3) -> ContourValues:
-    g20, g21, g2 = contour_g2(window)
-    return ContourValues(contour_g1(window), g20, g21, g2, contour_g3(window))
-
-
-def contour_value(window: Window3x3, variant: ContourVariant) -> float:
-    """The contour value selected by the variant (g2 = g20 + g21)."""
-    if variant is ContourVariant.G1:
-        return contour_g1(window)
-    if variant is ContourVariant.G2:
-        return contour_g2(window)[2]
-    return contour_g3(window)
+    return contour_value(window, ContourVariant.G3)

@@ -149,7 +149,7 @@ def _count(test: Sequence[LabeledSample], predicted: Sequence[str]):
 def _echo(cfg: ClassifierConfig, extra: dict | None) -> dict[str, object]:
     echo: dict[str, object] = {
         "classifier": cfg.kind,
-        "neighbors_k": cfg.neighbors_k,
+        "k": cfg.neighbors_k,
         "distance": cfg.distance,
         "degree": cfg.degree,
         "C": cfg.c,

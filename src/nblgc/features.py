@@ -3,13 +3,14 @@
 An image whose sides are multiples of 3 tiles exactly into non-overlapping
 3x3 blocks, row-major. Each block contributes one feature: the center
 membership weight times the -G*ln(G) entropy term of the selected gradient
-contour. A 63x63 image yields a 441-dimensional vector.
+contour. A 63x63 image yields a 441-dimensional vector, computed as
+arrays over the image's (n_blocks, 9) block array; no window object is
+built per block.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,9 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .contours import ContourVariant, contour_value
+from .contours import ContourVariant, contours
 from .image_io import GrayImage
-from .infoset import FuzzifierRef, Window3x3, membership_center
+from .infoset import FuzzifierRef, Window3x3, center_memberships
 
 FLOAT_DIGITS = 12  # significant digits in the feature CSV
 
@@ -47,30 +48,43 @@ class FeatureVector:
         return int(self.values.size)
 
 
-def partition_blocks(image: GrayImage) -> list[Window3x3]:
-    """Split the image into 3x3 windows, row-major over the block grid."""
+def block_values(image: GrayImage) -> np.ndarray:
+    """The image's 3x3 blocks as an (n_blocks, 9) array, row-major over
+    the block grid, columns in Window3x3.values order."""
     h, w = image.height, image.width
     if h % 3 or w % 3:
         raise ValueError(f"image dimensions {w}x{h} are not multiples of 3")
-    cells = (
-        image.pixels.reshape(h // 3, 3, w // 3, 3)
-        .transpose(0, 2, 1, 3)
-        .reshape(-1, 9)
-        .tolist()
-    )
+    cells = image.pixels.reshape(h // 3, 3, w // 3, 3).transpose(0, 2, 1, 3).reshape(-1, 9)
     # flat cell layout per block: v0 v1 v2 / v3 v4 v5 / v6 v7 v8
-    return [
-        Window3x3(c[4], (c[0], c[1], c[2], c[5], c[8], c[7], c[6], c[3]))
-        for c in cells
-    ]
+    return cells[:, [4, 0, 1, 2, 5, 8, 7, 6, 3]]
+
+
+def partition_blocks(image: GrayImage) -> list[Window3x3]:
+    """Split the image into 3x3 windows, row-major over the block grid."""
+    return [Window3x3(row[0], tuple(row[1:])) for row in block_values(image).tolist()]
+
+
+def entropy_features(membership: np.ndarray, contour: np.ndarray) -> np.ndarray:
+    """-membership * contour * ln(contour) elementwise; +0.0 where either
+    input degenerates (contour 0 or 1, membership 0)."""
+    degenerate = (membership == 0.0) | (contour == 0.0) | (contour == 1.0)
+    log = np.log(np.where(degenerate, 1.0, contour))
+    return np.where(degenerate, 0.0, -membership * contour * log)
 
 
 def entropy_feature(membership: float, contour: float) -> float:
     """-membership * contour * ln(contour); zero when either input
     degenerates (contour 0 or 1, membership 0)."""
-    if membership == 0.0 or contour == 0.0 or contour == 1.0:
-        return 0.0
-    return -membership * contour * math.log(contour)
+    return float(entropy_features(np.float64(membership), np.float64(contour)))
+
+
+def block_features(
+    blocks: np.ndarray,
+    variant: ContourVariant = ContourVariant.G1,
+    ref: FuzzifierRef = FuzzifierRef.AVERAGE,
+) -> np.ndarray:
+    """The feature value of each row of an (n_blocks, 9) block array."""
+    return entropy_features(center_memberships(blocks, ref), contours(blocks, variant))
 
 
 def block_feature(
@@ -79,7 +93,7 @@ def block_feature(
     ref: FuzzifierRef = FuzzifierRef.AVERAGE,
 ) -> float:
     """The single feature value of one 3x3 window."""
-    return entropy_feature(membership_center(window, ref), contour_value(window, variant))
+    return float(block_features(window.as_row(), variant, ref)[0])
 
 
 def extract(
@@ -88,12 +102,7 @@ def extract(
     ref: FuzzifierRef = FuzzifierRef.AVERAGE,
 ) -> FeatureVector:
     """Feature vector of a whole image, one value per 3x3 block."""
-    windows = partition_blocks(image)
-    values = np.fromiter(
-        (block_feature(win, variant, ref) for win in windows),
-        dtype=np.float64,
-        count=len(windows),
-    )
+    values = block_features(block_values(image), variant, ref)
     return FeatureVector(values, variant, ref, (image.height // 3, image.width // 3))
 
 

@@ -1,20 +1,22 @@
-"""Fuzzifier and membership functions over 3x3 pixel windows.
+"""Fuzzifier and center membership over 3x3 pixel windows.
 
 The fuzzifier measures a window's spread around a reference value (the
 window average, maximum, or minimum): the square root of the ratio of
 summed fourth-power deviations to summed squared deviations, over all
-nine values. Memberships map each value's deviation into (0, 1]; the
-center membership divides the center pixel by the fuzzifier and is the
-weight the feature stage applies per block.
+nine values. The center membership divides the center pixel by the
+fuzzifier and is the weight the feature stage applies per block.
+
+Each step is computed over a block array of shape (n_blocks, 9) whose
+columns follow Window3x3.values (center, then the ring clockwise from
+the top-left); the Window3x3 functions run the same code on one row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-_SQRT2 = math.sqrt(2.0)
+import numpy as np
 
 
 class FuzzifierRef(Enum):
@@ -62,83 +64,61 @@ class Window3x3:
         """All nine values, center first, then the ring in its fixed order."""
         return (self.center, *self.ring)
 
+    def as_row(self) -> np.ndarray:
+        """The nine values as a (1, 9) block array, columns in values order."""
+        return np.array([self.values])
+
+
+def row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, adding terms left to right one at a time:
+    the order a loop over Window3x3.values adds them (np.sum pairs them)."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def reference_values(blocks: np.ndarray, ref: FuzzifierRef = FuzzifierRef.AVERAGE) -> np.ndarray:
+    """Reference gray level of each row of an (n_blocks, 9) block array."""
+    if ref is FuzzifierRef.AVERAGE:
+        return row_sums(blocks) / 9.0
+    if ref is FuzzifierRef.MAXIMUM:
+        return blocks.max(axis=1)
+    return blocks.min(axis=1)
+
+
+def fuzzifiers(blocks: np.ndarray, ref: FuzzifierRef = FuzzifierRef.AVERAGE) -> np.ndarray:
+    """Spread of each block's nine values around its reference.
+
+    sqrt(sum(d^4) / sum(d^2)) over deviations d = reference - value.
+    Zero for a constant block (every deviation vanishes).
+    """
+    d2 = np.square(reference_values(blocks, ref)[:, None] - blocks)
+    sum_sq = row_sums(d2)
+    sum_quad = row_sums(d2 * d2)
+    # the averaging reference is not exact in floating point, so a
+    # constant block needs catching apart from its deviations
+    spread = (blocks.max(axis=1) > blocks.min(axis=1)) & (sum_sq != 0.0)
+    return np.sqrt(np.divide(sum_quad, sum_sq, out=np.zeros(len(blocks)), where=spread))
+
+
+def center_memberships(blocks: np.ndarray, ref: FuzzifierRef = FuzzifierRef.AVERAGE) -> np.ndarray:
+    """Center value over the fuzzifier per block; zero for a constant block.
+
+    Invariant under uniform scaling of the whole block when the
+    reference is the block average (both scale linearly).
+    """
+    fh = fuzzifiers(blocks, ref)
+    return np.divide(blocks[:, 0], fh, out=np.zeros(len(fh)), where=fh != 0.0)
+
 
 def reference_value(window: Window3x3, ref: FuzzifierRef = FuzzifierRef.AVERAGE) -> float:
     """The reference gray level deviations are measured against."""
-    vals = window.values
-    if ref is FuzzifierRef.AVERAGE:
-        return sum(vals) / 9.0
-    if ref is FuzzifierRef.MAXIMUM:
-        return max(vals)
-    return min(vals)
+    return float(reference_values(window.as_row(), ref)[0])
 
 
 def fuzzifier(window: Window3x3, ref: FuzzifierRef = FuzzifierRef.AVERAGE) -> float:
-    """Spread of the nine window values around the reference.
-
-    sqrt(sum(d^4) / sum(d^2)) over deviations d = reference - value.
-    Zero for a constant window (every deviation vanishes).
-    """
-    vals = window.values
-    if min(vals) == max(vals):
-        # the averaging reference is not exact in floating point, so a
-        # constant window needs catching before the deviations
-        return 0.0
-    r = reference_value(window, ref)
-    sum_sq = 0.0
-    sum_quad = 0.0
-    for v in vals:
-        d = r - v
-        d2 = d * d
-        sum_sq += d2
-        sum_quad += d2 * d2
-    if sum_sq == 0.0:
-        return 0.0
-    return math.sqrt(sum_quad / sum_sq)
-
-
-def membership_exponential(
-    window: Window3x3, ref: FuzzifierRef = FuzzifierRef.AVERAGE
-) -> tuple[float, ...]:
-    """exp(-|value - reference| / fuzzifier^2) for each of the nine values.
-
-    Order follows Window3x3.values (center first). All ones for a
-    constant window, where the fuzzifier degenerates to zero.
-    """
-    fh = fuzzifier(window, ref)
-    if fh == 0.0:
-        return (1.0,) * 9
-    r = reference_value(window, ref)
-    fh2 = fh * fh
-    return tuple(math.exp(-abs(v - r) / fh2) for v in window.values)
-
-
-def membership_gaussian(
-    window: Window3x3, ref: FuzzifierRef = FuzzifierRef.AVERAGE
-) -> tuple[float, ...]:
-    """exp(-((value - reference) / (sqrt(2) * fuzzifier))^2) per value.
-
-    Same ordering and constant-window convention as the exponential form.
-    """
-    fh = fuzzifier(window, ref)
-    if fh == 0.0:
-        return (1.0,) * 9
-    r = reference_value(window, ref)
-    scale = _SQRT2 * fh
-    out = []
-    for v in window.values:
-        z = (v - r) / scale
-        out.append(math.exp(-(z * z)))
-    return tuple(out)
+    """Spread of the nine window values around the reference (see fuzzifiers)."""
+    return float(fuzzifiers(window.as_row(), ref)[0])
 
 
 def membership_center(window: Window3x3, ref: FuzzifierRef = FuzzifierRef.AVERAGE) -> float:
-    """Center pixel divided by the fuzzifier; zero for a constant window.
-
-    Invariant under uniform scaling of the whole window when the
-    reference is the window average (both scale linearly).
-    """
-    fh = fuzzifier(window, ref)
-    if fh == 0.0:
-        return 0.0
-    return window.center / fh
+    """Center pixel divided by the fuzzifier; zero for a constant window."""
+    return float(center_memberships(window.as_row(), ref)[0])

@@ -72,6 +72,16 @@ class TestHappyPaths:
         assert lines[-1].startswith("# mean_accuracy=")
         assert "3 folds" in capsys.readouterr().out
 
+    def test_reports_echo_k_once(self, small_tree, tmp_path):
+        kfold = ["kfold", "--data", str(small_tree), "--resize", "9x9", "--folds", "3",
+                 "--k", "2", "--out", str(tmp_path / "kfold"), "--workers", "1"]
+        assert run_cli(eval_args(small_tree, tmp_path / "evaluate", "--k", "2")) == 0
+        assert run_cli(kfold) == 0
+        for report in (tmp_path / "evaluate" / "report.csv", tmp_path / "kfold" / "folds.csv"):
+            lines = report.read_text().splitlines()
+            assert [l for l in lines if l.startswith("# k=")] == ["# k=2"]
+            assert not [l for l in lines if l.startswith("# neighbors_k=")]
+
     def test_roc(self, small_tree, tmp_path, capsys):
         out = tmp_path / "out"
         args = ["roc", "--data", str(small_tree), "--resize", "9x9",

@@ -3,14 +3,12 @@ import pytest
 
 from conftest import random_window
 from nblgc import (
-    ContourValues,
     ContourVariant,
     Window3x3,
     contour_g1,
     contour_g2,
     contour_g3,
     contour_value,
-    contour_values,
 )
 from oracles import naive_contour
 
@@ -92,7 +90,9 @@ class TestProperties:
         for _ in range(50):
             w = random_window(rng)
             other = Window3x3(1.0 - w.center, w.ring)
-            assert contour_values(other) == contour_values(w)
+            assert contour_g1(other) == contour_g1(w)
+            assert contour_g2(other) == contour_g2(w)
+            assert contour_g3(other) == contour_g3(w)
 
     def test_rotation_swaps_double_loop_halves(self):
         rng = np.random.default_rng(37)
@@ -120,15 +120,6 @@ class TestDispatch:
         assert contour_value(STAIR, ContourVariant.G1) == contour_g1(STAIR)
         assert contour_value(STAIR, ContourVariant.G2) == contour_g2(STAIR)[2]
         assert contour_value(STAIR, ContourVariant.G3) == contour_g3(STAIR)
-
-    def test_contour_values_bundle(self):
-        cv = contour_values(STAIR)
-        assert cv.g2 == cv.g20 + cv.g21
-        assert cv.g1 == contour_g1(STAIR)
-
-    def test_bundle_rejects_inconsistent_sum(self):
-        with pytest.raises(ValueError, match="g20"):
-            ContourValues(1.0, 0.5, 0.5, 1.1, 2.0)
 
     def test_variant_from_string(self):
         assert ContourVariant.from_string("G2") is ContourVariant.G2

@@ -117,7 +117,7 @@ class TestEvaluate:
         test = [LabeledSample(np.array([0.5]), "a")]
         report = evaluate(train, test, extra_config={"note": "x"})
         assert report.config["classifier"] == "knn"
-        assert report.config["neighbors_k"] == 1
+        assert report.config["k"] == 1
         assert report.config["note"] == "x"
 
     def test_zscore_rebalances_feature_scales(self):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_raw
 from nblgc import (
     ContourVariant,
     FeatureVector,
     FuzzifierRef,
     GrayImage,
+    RawImage,
     block_feature,
     entropy_feature,
     extract,
@@ -21,6 +23,24 @@ from oracles import naive_feature_vector
 
 VARIANTS = list(ContourVariant)
 REFS = list(FuzzifierRef)
+
+
+@st.composite
+def raw_images(draw):
+    """Up to 9x9 PGM rasters at any depth: arbitrary, constant or two-level."""
+    max_gray = draw(st.integers(1, 65535))
+    width, height = 3 * draw(st.integers(1, 3)), 3 * draw(st.integers(1, 3))
+    n = width * height
+    gray = st.integers(0, max_gray)
+    kind = draw(st.sampled_from(["any", "constant", "two-level"]))
+    if kind == "constant":
+        pixels = [draw(gray)] * n
+    elif kind == "two-level":
+        levels = draw(st.tuples(gray, gray))
+        pixels = [levels[b] for b in draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))]
+    else:
+        pixels = draw(st.lists(gray, min_size=n, max_size=n))
+    return RawImage(width, height, max_gray, np.array(pixels, dtype=np.uint16))
 
 
 class TestPartition:
@@ -118,18 +138,19 @@ class TestExtract:
         img = GrayImage(np.full((9, 9), 0.25))
         assert extract(img).values.tolist() == [0.0] * 9
 
-    def test_matches_naive_end_to_end(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            raw = random_raw(rng, width=9, height=9)
-            gray = normalize_unit(raw)
-            for variant in VARIANTS:
-                for ref in REFS:
-                    got = extract(gray, variant, ref).values
-                    want = naive_feature_vector(
-                        raw.pixels.tolist(), 9, 9, variant.value, ref.value
-                    )
-                    assert np.max(np.abs(got - np.array(want))) < 1e-10
+    @settings(max_examples=150, deadline=None)
+    @given(raw=raw_images())
+    def test_matches_naive_end_to_end(self, raw):
+        gray = normalize_unit(raw)
+        for variant in VARIANTS:
+            for ref in REFS:
+                got = extract(gray, variant, ref).values
+                want = np.array(naive_feature_vector(
+                    raw.pixels.tolist(), raw.width, raw.height, variant.value, ref.value
+                ))
+                assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+                # CSVs must never print -0
+                assert not np.any((got == 0.0) & np.signbit(got))
 
     def test_single_pixel_changes_at_most_one_feature(self):
         rng = np.random.default_rng(8)

@@ -9,8 +9,6 @@ from nblgc import (
     Window3x3,
     fuzzifier,
     membership_center,
-    membership_exponential,
-    membership_gaussian,
     reference_value,
 )
 
@@ -60,8 +58,6 @@ class TestFuzzifier:
         for ref in REFS:
             assert fuzzifier(w, ref) == 0.0
             assert membership_center(w, ref) == 0.0
-            assert membership_exponential(w, ref) == (1.0,) * 9
-            assert membership_gaussian(w, ref) == (1.0,) * 9
 
     def test_symmetric_window_hand_value(self):
         # four values 0.1 below the mean, four 0.1 above, center on it:
@@ -110,53 +106,6 @@ class TestFuzzifier:
                 assert fuzzifier(scaled(w, s), ref) == pytest.approx(
                     s * fuzzifier(w, ref), rel=1e-12
                 )
-
-
-class TestMemberships:
-    def test_exponential_unit_cases(self):
-        # center 0, ring all 1, min ref: spread is exactly 1, so the ring
-        # deviation hits the unit exponent
-        w = Window3x3(0.0, (1.0,) * 8)
-        assert fuzzifier(w, FuzzifierRef.MINIMUM) == 1.0
-        mus = membership_exponential(w, FuzzifierRef.MINIMUM)
-        assert mus[0] == 1.0
-        assert mus[1:] == (math.exp(-1.0),) * 8
-
-    def test_gaussian_half_exponent(self):
-        w = Window3x3(0.0, (1.0,) * 8)
-        mus = membership_gaussian(w, FuzzifierRef.MINIMUM)
-        assert mus[0] == 1.0
-        for m in mus[1:]:
-            assert m == pytest.approx(math.exp(-0.5), rel=1e-15)
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(77)
-        for _ in range(200):
-            w = random_window(rng)
-            for ref in REFS:
-                fh = fuzzifier(w, ref)
-                if fh == 0.0:
-                    continue
-                r = reference_value(w, ref)
-                exp_e = tuple(math.exp(-abs(v - r) / fh**2) for v in w.values)
-                exp_g = tuple(math.exp(-(((v - r) / (math.sqrt(2) * fh)) ** 2)) for v in w.values)
-                got_e = membership_exponential(w, ref)
-                got_g = membership_gaussian(w, ref)
-                for got, want in zip(got_e + got_g, exp_e + exp_g):
-                    assert got == pytest.approx(want, rel=1e-12)
-
-    def test_in_unit_interval_and_one_at_reference(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            w = random_window(rng)
-            for ref in (FuzzifierRef.MAXIMUM, FuzzifierRef.MINIMUM):
-                r = reference_value(w, ref)
-                for fn in (membership_exponential, membership_gaussian):
-                    mus = fn(w, ref)
-                    assert all(0.0 < m <= 1.0 for m in mus)
-                    for v, m in zip(w.values, mus):
-                        if v == r:
-                            assert m == 1.0
 
 
 class TestCenterMembership:
