@@ -12,13 +12,13 @@ format without changing any prediction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-MODEL_FORMAT = "nblgc-model 1"
+MODEL_FORMAT = "nblgc-model 2"
 _REAL = "{:.17g}"  # 17 significant digits: exact float round-trip
 
 
@@ -58,7 +58,7 @@ def _as_query(a) -> np.ndarray:
     return query
 
 
-_DISTANCES = ("log", "euclidean")
+DISTANCES = ("log", "euclidean")
 
 
 def _distance_rows(matrix: np.ndarray, query: np.ndarray, distance: str) -> np.ndarray:
@@ -104,7 +104,7 @@ class KnnModel:
             raise ValueError("training vectors must share one dimension")
         if not 1 <= self.neighbors_k <= len(training):
             raise ValueError("neighbors_k must be in [1, number of training samples]")
-        if self.distance not in _DISTANCES:
+        if self.distance not in DISTANCES:
             raise ValueError(f"unknown distance {self.distance!r}")
         matrix = np.stack([s.vector for s in training])
         matrix.flags.writeable = False
@@ -134,51 +134,60 @@ def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
     return best, [d for _, d in nearest]
 
 
+def _kernel(rows: np.ndarray, other: np.ndarray, offset: float, degree: int) -> np.ndarray:
+    """Polynomial kernel (rows @ other + offset) ** degree."""
+    return (rows @ other + offset) ** degree
+
+
 def kernel_poly(a, b, degree: int = 1, offset: float = 1.0) -> float:
     """(a . b + offset) ** degree."""
     a, b = _as_vector(a), _as_vector(b)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return float((np.dot(a, b) + offset) ** degree)
+    return float(_kernel(a, b, offset, degree))
 
 
 @dataclass(frozen=True)
 class BinaryMachine:
-    """One trained pair machine: positive label vs negative label."""
+    """One trained pair machine: positive label vs negative label. Its support
+    vectors are rows ``indices`` of the model's ``vectors``, which the model
+    binds to ``store`` (not a copy) when it is built."""
 
     pos_label: str
     neg_label: str
-    support_vectors: np.ndarray  # (n_sv, dim)
+    indices: np.ndarray  # (n_sv,) rows of SvmModel.vectors
     coefficients: np.ndarray  # (n_sv,), multiplier * label sign
     bias: float
-    degree: int
-    offset: float
+    store: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=np.float64).reshape(-1)
-        sv = np.asarray(self.support_vectors, dtype=np.float64)
-        if coef.size:
-            sv = sv.reshape(coef.size, -1)
-        elif sv.ndim != 2:
-            sv = sv.reshape(0, 0)
-        sv.flags.writeable = False
+        idx = np.array(self.indices, dtype=np.intp).reshape(-1)
+        coef = np.array(self.coefficients, dtype=np.float64).reshape(-1)
+        if idx.size != coef.size:
+            raise ValueError("a machine needs one coefficient per support vector")
+        if not (np.isfinite(coef).all() and np.isfinite(self.bias)):
+            raise ValueError("machine coefficients and bias must be finite")
+        idx.flags.writeable = False
         coef.flags.writeable = False
-        object.__setattr__(self, "support_vectors", sv)
+        object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "coefficients", coef)
 
-    def decision(self, query) -> float:
-        query = _as_vector(query)
-        if len(self.coefficients) == 0:
-            return self.bias
-        k = (self.support_vectors @ query + self.offset) ** self.degree
-        return float(self.coefficients @ k + self.bias)
+    @property
+    def support_vectors(self) -> np.ndarray:
+        """(n_sv, dim), gathered from the model's vectors on each call."""
+        return self.store[self.indices]
 
 
 @dataclass(frozen=True)
 class SvmModel:
-    """One-vs-one ensemble over the sorted class list."""
+    """One-vs-one ensemble over the sorted class list.
+
+    ``vectors`` holds each training vector once, in training order; each
+    machine keeps indices into it and one coefficient per index.
+    """
 
     classes: tuple[str, ...]
+    vectors: np.ndarray  # (n_train, dim)
     machines: tuple[BinaryMachine, ...]
     degree: int
     c: float
@@ -188,8 +197,19 @@ class SvmModel:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "machines", tuple(self.machines))
+        classes = tuple(self.classes)
+        vectors = np.array(self.vectors, dtype=np.float64)  # a copy: the caller's array stays writeable
+        if vectors.ndim != 2 or vectors.size == 0 or not np.isfinite(vectors).all():
+            raise ValueError("vectors must be a finite, non-empty 2-D array")
+        vectors.flags.writeable = False
+        for m in self.machines:
+            if m.pos_label not in classes or m.neg_label not in classes:
+                raise ValueError(f"machine {m.pos_label!r}/{m.neg_label!r} names a label not in classes")
+            if m.indices.size and not (0 <= m.indices.min() and m.indices.max() < len(vectors)):
+                raise ValueError("support vector index outside vectors")
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "machines", tuple(replace(m, store=vectors) for m in self.machines))
 
 
 def _smo_pair(
@@ -285,26 +305,23 @@ def svm_train(
     data = list(data)
     if not data:
         raise ValueError("training set must be non-empty")
-    stacked = np.stack([s.vector for s in data])
+    vectors = np.stack([s.vector for s in data])
     classes = tuple(sorted({s.label for s in data}))
     if len(classes) < 2:
         raise ValueError("need at least two classes to train")
-    by_class = {label: stacked[[i for i, s in enumerate(data) if s.label == label]]
-                for label in classes}
+    rows = {label: np.array([i for i, s in enumerate(data) if s.label == label]) for label in classes}
     machines = []
     for index, (pos, neg) in enumerate(combinations(classes, 2)):
-        x = np.vstack([by_class[pos], by_class[neg]])
-        y = np.concatenate(
-            [np.ones(len(by_class[pos])), -np.ones(len(by_class[neg]))]
-        )
-        kmat = (x @ x.T + offset) ** degree
+        idx = np.concatenate([rows[pos], rows[neg]])
+        x = vectors[idx]
+        y = np.concatenate([np.ones(len(rows[pos])), -np.ones(len(rows[neg]))])
+        # one product per pair: slicing a full Gram matrix rounds differently
+        kmat = _kernel(x, x.T, offset, degree)
         rng = random.Random(seed * 1_000_003 + index)
         alphas, bias = _smo_pair(kmat, y, c, tol, max_passes, rng)
         keep = alphas > 0.0
-        machines.append(
-            BinaryMachine(pos, neg, x[keep], alphas[keep] * y[keep], bias, degree, offset)
-        )
-    return SvmModel(classes, tuple(machines), degree, c, offset, tol, max_passes, seed)
+        machines.append(BinaryMachine(pos, neg, idx[keep], alphas[keep] * y[keep], bias))
+    return SvmModel(classes, vectors, tuple(machines), degree, c, offset, tol, max_passes, seed)
 
 
 def svm_predict(model: SvmModel, query) -> str:
@@ -318,10 +335,13 @@ def svm_predict(model: SvmModel, query) -> str:
     if not model.machines:
         raise ValueError("model has no trained machines")
     query = _as_query(query)
+    if query.size != model.vectors.shape[1]:
+        raise ValueError(f"length mismatch: {query.size} vs {model.vectors.shape[1]}")
+    row = _kernel(model.vectors, query, model.offset, model.degree)
     votes = {label: 0 for label in model.classes}
     magnitude = {label: 0.0 for label in model.classes}
     for machine in model.machines:
-        d = machine.decision(query)
+        d = float(machine.coefficients @ row[machine.indices] + machine.bias)
         winner = machine.pos_label if d >= 0.0 else machine.neg_label
         votes[winner] += 1
         magnitude[winner] += abs(d)
@@ -336,7 +356,9 @@ def svm_predict(model: SvmModel, query) -> str:
 #
 # Line 1 is the format tag, line 2 the model kind. Hyperparameters are
 # "name value" lines; vectors are tab-separated records. 17 significant
-# digits reproduce every float exactly.
+# digits reproduce every float exactly. An SVM file holds its classes,
+# one "vector" record per training row, then each machine's record
+# followed by one "sv <index> <coefficient>" record per support vector.
 
 
 def _fmt(x: float) -> str:
@@ -362,15 +384,10 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
         lines.append(f"max_passes {model.max_passes}")
         lines.append(f"seed {model.seed}")
         lines.append("classes\t" + "\t".join(check_label(c) for c in model.classes))
+        lines += ["vector\t" + "\t".join(_fmt(v) for v in row) for row in model.vectors]
         for mach in model.machines:
-            lines.append(
-                "machine\t"
-                + "\t".join(
-                    [mach.pos_label, mach.neg_label, _fmt(mach.bias), str(len(mach.coefficients))]
-                )
-            )
-            for coef, sv in zip(mach.coefficients, mach.support_vectors):
-                lines.append("sv\t" + _fmt(coef) + "\t" + "\t".join(_fmt(v) for v in sv))
+            lines.append(f"machine\t{mach.pos_label}\t{mach.neg_label}\t{_fmt(mach.bias)}\t{mach.indices.size}")
+            lines += [f"sv\t{i}\t{_fmt(c)}" for i, c in zip(mach.indices, mach.coefficients)]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     with open(path, "w", newline="") as fh:
@@ -378,67 +395,56 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
 
 
 def load_model(path) -> KnnModel | SvmModel:
+    """Read a model that save_model wrote; raises ValueError on any malformed file."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_FORMAT:
         raise ValueError(f"{path} is not a recognized model file")
-    fields: dict[str, str] = {}
     pos = 1
     while pos < len(lines) and "\t" not in lines[pos]:
-        name, _, value = lines[pos].partition(" ")
-        fields[name] = value
         pos += 1
+    fields = dict(line.partition(" ")[::2] for line in lines[1:pos])  # "name value" lines
+    records = [line.split("\t") for line in lines[pos:]]
+    try:
+        return _parse_model(fields, records)
+    except (KeyError, IndexError) as err:
+        raise ValueError(f"{path}: missing field or value {err}") from None
+
+
+def _parse_model(fields: dict[str, str], records: list[list[str]]) -> KnnModel | SvmModel:
     kind = fields.get("kind")
     if kind == "knn":
         training = []
-        for line in lines[pos:]:
-            parts = line.split("\t")
+        for parts in records:
             if parts[0] != "sample":
                 raise ValueError(f"unexpected record {parts[0]!r} in knn model")
             training.append(LabeledSample(np.array([float(v) for v in parts[2:]]), parts[1]))
         return KnnModel(tuple(training), int(fields["neighbors_k"]), fields["distance"])
-    if kind == "svm":
-        degree = int(fields["degree"])
-        offset = float(fields["offset"])
-        machines = []
-        classes: tuple[str, ...] = ()
-        while pos < len(lines):
-            parts = lines[pos].split("\t")
-            if parts[0] == "classes":
-                classes = tuple(parts[1:])
-                pos += 1
-            elif parts[0] == "machine":
-                pos_label, neg_label, bias, n_sv = parts[1], parts[2], float(parts[3]), int(parts[4])
-                coefs, svs = [], []
-                for rec in lines[pos + 1 : pos + 1 + n_sv]:
-                    sv_parts = rec.split("\t")
-                    if sv_parts[0] != "sv":
-                        raise ValueError("support vector record missing")
-                    coefs.append(float(sv_parts[1]))
-                    svs.append([float(v) for v in sv_parts[2:]])
-                dim = len(svs[0]) if svs else 0
-                machines.append(
-                    BinaryMachine(
-                        pos_label,
-                        neg_label,
-                        np.array(svs, dtype=np.float64).reshape(n_sv, dim),
-                        np.array(coefs, dtype=np.float64),
-                        bias,
-                        degree,
-                        offset,
-                    )
-                )
-                pos += 1 + n_sv
-            else:
-                raise ValueError(f"unexpected record {parts[0]!r} in svm model")
-        return SvmModel(
-            classes,
-            tuple(machines),
-            degree,
-            float(fields["C"]),
-            offset,
-            float(fields["tol"]),
-            int(fields["max_passes"]),
-            int(fields["seed"]),
+    if kind != "svm":
+        raise ValueError(f"unknown model kind {kind!r}")
+    if not records or records[0][0] != "classes":
+        raise ValueError("svm model has no classes record")
+    classes = tuple(records[0][1:])
+    vectors = []
+    pos = 1
+    while pos < len(records) and records[pos][0] == "vector":
+        vectors.append([float(v) for v in records[pos][1:]])
+        pos += 1
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("vector records differ in length")
+    machines = []
+    while pos < len(records):
+        if records[pos][0] != "machine" or len(records[pos]) != 5:
+            raise ValueError(f"unexpected record {records[pos][0]!r} in svm model")
+        _, pos_label, neg_label, bias, n_sv = records[pos]
+        svs = records[pos + 1 : pos + 1 + int(n_sv)]
+        if len(svs) != int(n_sv) or any(r[0] != "sv" or len(r) != 3 for r in svs):
+            raise ValueError(f"machine {pos_label}/{neg_label} is not followed by {n_sv} sv records")
+        machines.append(
+            BinaryMachine(pos_label, neg_label, [int(r[1]) for r in svs], [float(r[2]) for r in svs], float(bias))
         )
-    raise ValueError(f"unknown model kind {kind!r}")
+        pos += 1 + len(svs)
+    if len(machines) != len(classes) * (len(classes) - 1) // 2:
+        raise ValueError(f"{len(machines)} machines for {len(classes)} classes")
+    return SvmModel(classes, vectors, tuple(machines), int(fields["degree"]), float(fields["C"]),
+                    float(fields["offset"]), float(fields["tol"]), int(fields["max_passes"]), int(fields["seed"]))

@@ -21,7 +21,7 @@ import traceback
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .classify import LabeledSample
+from .classify import DISTANCES, LabeledSample
 from .contours import ContourVariant
 from .evaluation import (
     ClassifierConfig,
@@ -139,7 +139,7 @@ OPTIONS = (
     Option("skip_errors", _switch, False, _ALL, "warn and skip unreadable dataset files instead of aborting"),
     Option("classifier", _choice("knn", "svm"), "knn", _FIT, "classifier: knn or svm"),
     Option("k", _count(1), 1, _FIT, "KNN neighbor count"),
-    Option("distance", _choice("log", "euclidean"), "log", _FIT + ("roc",),
+    Option("distance", _choice(*DISTANCES), "log", _FIT + ("roc",),
            "KNN and ROC trial distance: log or euclidean"),
     Option("degree", _number(int, "1 or 2", lambda n: n in (1, 2)), 1, _FIT, "SVM polynomial degree: 1 or 2"),
     Option("C", _number(float, "a finite number > 0", lambda x: x > 0), 1.0, _FIT, "SVM regularization bound"),

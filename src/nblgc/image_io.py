@@ -175,8 +175,8 @@ def parse_pgm(data: bytes) -> RawImage:
 
     count = width * height
     if magic == b"P2":
-        values = np.empty(count, dtype=np.uint16)
-        for i in range(count):
+        values = []  # grows with the input: a huge header on a short file allocates nothing
+        for _ in range(count):
             try:
                 value, offset = cur.read_uint("raster value")
             except PgmParseError as err:
@@ -185,18 +185,11 @@ def parse_pgm(data: bytes) -> RawImage:
                 raise
             if value > max_gray:
                 raise PgmParseError(f"pixel value {value} exceeds max_gray {max_gray}", offset)
-            values[i] = value
+            values.append(value)
         return RawImage(width, height, max_gray, values)
 
     # P5: exactly one separator byte after max_gray, then the raster
-    if cur.pos >= len(data) or data[cur.pos : cur.pos + 1] not in (
-        b" ",
-        b"\t",
-        b"\n",
-        b"\r",
-        b"\x0b",
-        b"\x0c",
-    ):
+    if cur.pos >= len(data) or data[cur.pos : cur.pos + 1] not in _WHITESPACE:
         raise PgmParseError("truncated pixel data", cur.pos)
     start = cur.pos + 1
     two_byte = max_gray > 255

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nblgc import (
     BinaryMachine,
@@ -243,10 +246,11 @@ class TestSvm:
     def test_vote_tie_magnitude_then_order(self):
         # hand-built machines force a 1-1-1 vote; summed magnitude decides
         def const_machine(pos, neg, bias):
-            return BinaryMachine(pos, neg, np.zeros((0, 0)), np.zeros(0), bias, 1, 1.0)
+            return BinaryMachine(pos, neg, [], [], bias)
 
         model = SvmModel(
             ("a", "b", "c"),
+            np.zeros((1, 1)),
             (
                 const_machine("a", "b", 1.0),   # votes a, magnitude 1
                 const_machine("c", "a", 2.0),   # votes c, magnitude 2
@@ -257,6 +261,7 @@ class TestSvm:
         assert svm_predict(model, [0.0]) == "c"
         flat = SvmModel(
             ("a", "b", "c"),
+            np.zeros((1, 1)),
             (
                 const_machine("a", "b", 1.0),
                 const_machine("c", "a", 1.0),
@@ -271,8 +276,16 @@ class TestSvm:
         with pytest.raises(ValueError, match="finite"):
             svm_predict(model, [np.nan])
 
+    def test_rejects_query_of_wrong_length(self):
+        trained = svm_train(samples([([0.0, 1.0], "a"), ([1.0, 0.0], "b")]))
+        no_sv = SvmModel(("a", "b"), np.zeros((1, 2)), (BinaryMachine("a", "b", [], [], 0.5),),
+                         1, 1.0, 1.0, 1e-3, 100, 0)
+        for model in (trained, no_sv):
+            with pytest.raises(ValueError, match="length mismatch"):
+                svm_predict(model, [0.0, 1.0, 2.0])
+
     def test_empty_model_rejected(self):
-        model = SvmModel(("a", "b"), (), 1, 1.0, 1.0, 1e-3, 100, 0)
+        model = SvmModel(("a", "b"), np.zeros((1, 1)), (), 1, 1.0, 1.0, 1e-3, 100, 0)
         with pytest.raises(ValueError, match="no trained machines"):
             svm_predict(model, [0.0])
 
@@ -303,9 +316,11 @@ class TestModelSerialization:
         assert isinstance(loaded, SvmModel)
         assert loaded.classes == model.classes
         assert (loaded.degree, loaded.c, loaded.offset) == (2, 1.5, 0.5)
+        assert np.array_equal(loaded.vectors, model.vectors)
+        assert path.read_text().count("\nvector\t") == len(train)
         for ma, mb in zip(model.machines, loaded.machines):
             assert np.array_equal(ma.coefficients, mb.coefficients)
-            assert np.array_equal(ma.support_vectors, mb.support_vectors)
+            assert np.array_equal(ma.indices, mb.indices)
             assert ma.bias == mb.bias
         for _ in range(20):
             q = rng.normal(size=5)
@@ -331,7 +346,8 @@ class TestModelSerialization:
     def test_zero_sv_machine_survives(self, tmp_path):
         model = SvmModel(
             ("a", "b"),
-            (BinaryMachine("a", "b", np.zeros((0, 0)), np.zeros(0), -0.75, 1, 1.0),),
+            np.zeros((1, 1)),
+            (BinaryMachine("a", "b", [], [], -0.75),),
             1, 1.0, 1.0, 1e-3, 100, 0,
         )
         path = tmp_path / "deg.model"
@@ -339,3 +355,93 @@ class TestModelSerialization:
         loaded = load_model(path)
         assert loaded.machines[0].bias == -0.75
         assert svm_predict(loaded, [5.0]) == "b"
+
+
+def _svm_model_lines(tmp_path):
+    rng = np.random.default_rng(14)
+    train = samples([(rng.normal(i % 3, 0.8, size=3), f"c{i % 3}") for i in range(18)])
+    path = tmp_path / "svm.model"
+    save_model(svm_train(train), path)
+    assert isinstance(load_model(path), SvmModel)
+    return path.read_text().splitlines()
+
+
+def _edit(lines, tag, field, value):
+    """Set parts[field] of the first record tagged tag to value(parts[field]),
+    dropping it when that is None. Tag 'owner' picks the machine record that
+    owns the first support vector."""
+    first_sv = next(i for i, line in enumerate(lines) if line.startswith("sv\t"))
+    if tag == "owner":
+        at = max(i for i in range(first_sv) if lines[i].startswith("machine\t"))
+    else:
+        at = next(i for i, line in enumerate(lines) if line.startswith(tag + "\t"))
+    parts = lines[at].split("\t")
+    parts[field] = value(parts[field])
+    parts = [part for part in parts if part is not None]
+    return lines[:at] + ["\t".join(parts)] + lines[at + 1 :]
+
+
+_CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
+    "missing header field": (lambda ls: [line for line in ls if not line.startswith("tol ")],
+                             "missing field or value 'tol'"),
+    "sv index past vectors": (lambda ls: _edit(ls, "sv", 1, lambda v: "18"), "index outside vectors"),
+    "negative sv index": (lambda ls: _edit(ls, "sv", 1, lambda v: "-1"), "index outside vectors"),
+    "bad coefficient": (lambda ls: _edit(ls, "sv", 2, lambda v: "x"), "could not convert"),
+    "count above records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) + 1)), "not followed by"),
+    "count below records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) - 1)), "unexpected record 'sv'"),
+    "short vector": (lambda ls: _edit(ls, "vector", -1, lambda v: None), "differ in length"),
+    "label not in classes": (lambda ls: _edit(ls, "machine", 1, lambda v: "c9"), "not in classes"),
+    "cut at a machine boundary": (
+        lambda ls: ls[: max(i for i, line in enumerate(ls) if line.startswith("machine\t"))],
+        "2 machines for 3 classes"),
+    "no classes record": (lambda ls: [line for line in ls if not line.startswith("classes\t")], "no classes record"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_malformed_svm_model_is_a_value_error(tmp_path, corruption):
+    edit, message = _CORRUPTIONS[corruption]
+    path = tmp_path / "bad.model"
+    path.write_text("\n".join(edit(_svm_model_lines(tmp_path))) + "\n")
+    with pytest.raises(ValueError, match=message) as err:
+        load_model(path)
+    assert type(err.value) is ValueError
+
+
+_VALUES = st.floats(-3.0, 3.0, allow_nan=False, width=64)
+
+
+@st.composite
+def problems(draw):
+    """A small labeled training set, and queries of the same length."""
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(_VALUES, min_size=dim, max_size=dim)
+    n_classes, per_class = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    train = samples([(draw(vec), f"c{k}") for k in range(n_classes) for _ in range(per_class)])
+    return train, draw(st.lists(vec, min_size=1, max_size=5))
+
+
+class TestModelRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=problems(), degree=st.sampled_from([1, 2]), emptied=st.sets(st.integers(0, 5)))
+    def test_svm_predicts_the_same_after_loading(self, tmp_path_factory, problem, degree, emptied):
+        train, queries = problem
+        model = svm_train(train, degree=degree)
+        # machines listed in emptied keep their bias and lose every support vector
+        machines = [replace(m, indices=[], coefficients=[]) if i in emptied else m
+                    for i, m in enumerate(model.machines)]
+        model = replace(model, machines=tuple(machines))
+        path = tmp_path_factory.mktemp("svm") / "m.model"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert [svm_predict(loaded, q) for q in queries] == [svm_predict(model, q) for q in queries]
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=problems(), k=st.integers(1, 8), distance=st.sampled_from(["log", "euclidean"]))
+    def test_knn_predicts_the_same_after_loading(self, tmp_path_factory, problem, k, distance):
+        train, queries = problem
+        model = KnnModel(tuple(train), min(k, len(train)), distance)
+        path = tmp_path_factory.mktemp("knn") / "m.model"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert [knn_predict(loaded, q) for q in queries] == [knn_predict(model, q) for q in queries]

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import nblgc.cli as cli
+from nblgc.classify import DISTANCES
 from nblgc.cli import main
 
 
@@ -252,6 +253,12 @@ class TestOptionValues:
                 "--out", str(tmp_path / "out"), "--workers", "1", flag, value]
         assert run_cli([command, *args]) == 1
         assert f"{flag} {value!r}" in capsys.readouterr().err
+
+    def test_distance_choices_are_the_classifier_distances(self):
+        (row,) = [o for o in cli.OPTIONS if o.name == "distance"]
+        assert [row.parse(name) for name in DISTANCES] == list(DISTANCES)
+        with pytest.raises(ValueError, match="wants one of log, euclidean"):
+            row.parse("manhattan")
 
     def test_config_values_match_flag_text(self, small_tree, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pgm_tree, random_raw
 from nblgc import (
@@ -88,6 +92,47 @@ class TestParsePgm:
     def test_p5_trailing_bytes_tolerated(self):
         raw = parse_pgm(b"P5\n1 1\n255\n" + bytes([9]) + b"\n")
         assert raw.pixels.tolist() == [9]
+
+    def test_p2_huge_header_is_a_parse_error(self):
+        with pytest.raises(PgmParseError, match="truncated pixel data"):
+            parse_pgm(b"P2 99999999999 99999999999 255 1")
+
+    def test_p2_memory_bounded_by_input(self):
+        # the header promises 10**10 pixels; the input holds three
+        tracemalloc.start()
+        try:
+            with pytest.raises(PgmParseError, match="truncated pixel data"):
+                parse_pgm(b"P2 100000 100000 255\n1 2 3\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@st.composite
+def raw_images(draw):
+    max_gray = draw(st.one_of(st.integers(1, 255), st.integers(256, 65535)))
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pixels = draw(st.lists(st.integers(0, max_gray), min_size=width * height, max_size=width * height))
+    return RawImage(width, height, max_gray, np.array(pixels, dtype=np.uint16))
+
+
+_PREFIXES = [b"", b"P2", b"P5", b"P2 ", b"P5\n", b"P2 2 2 255\n", b"P5 2 1 255\n", b"P5 2 1 65535\n", b"P2 3 1 9 #c\n"]
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=raw_images(), binary=st.booleans())
+    def test_write_then_parse_is_identity(self, raw, binary):
+        assert parse_pgm(write_pgm(raw, binary=binary)) == raw
+
+    @settings(max_examples=500, deadline=None)
+    @given(prefix=st.sampled_from(_PREFIXES), tail=st.binary(max_size=40))
+    def test_arbitrary_bytes_raise_only_parse_errors(self, prefix, tail):
+        try:
+            parse_pgm(prefix + tail)
+        except PgmParseError:
+            pass
 
 
 class TestRoundTrip:
