@@ -3,15 +3,15 @@
 The KNN path uses a logarithmic distance, sum of ln(1 + |a_i - b_i|)
 over coordinates: a true metric, but deliberately nonlinear, so globally
 rescaling all features can reorder neighbors. The SVM path trains
-one-vs-one binary machines with a polynomial kernel, solving each dual
-with simplified sequential minimal optimization (coordinate ascent on
-multiplier pairs). Both models round-trip through a line-oriented text
-format without changing any prediction.
+one-vs-one binary machines with a polynomial kernel over one training
+Gram matrix, solving each dual by deterministic sequential minimal
+optimization with second-order working-set selection. Both models
+round-trip through a line-oriented text format without changing any
+prediction.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Sequence
@@ -193,8 +193,6 @@ class SvmModel:
     c: float
     offset: float
     tol: float
-    max_passes: int
-    seed: int
 
     def __post_init__(self):
         classes = tuple(self.classes)
@@ -212,76 +210,52 @@ class SvmModel:
         object.__setattr__(self, "machines", tuple(replace(m, store=vectors) for m in self.machines))
 
 
-def _smo_pair(
-    kmat: np.ndarray,
-    y: np.ndarray,
-    c: float,
-    tol: float,
-    max_passes: int,
-    rng: random.Random,
-) -> tuple[np.ndarray, float]:
-    """Simplified SMO on one binary dual. Returns (alphas, bias).
+def _smo_pair(kmat: np.ndarray, y: np.ndarray, c: float, tol: float) -> tuple[np.ndarray, float, int]:
+    """SMO with second-order working-set selection on one binary dual.
 
-    Stops after max_passes consecutive full sweeps with no multiplier
-    update; every update keeps alphas inside [0, C] and preserves the
-    label-signed sum. The second working index comes from rng, which is
-    the only randomness, so a fixed seed fixes the result.
+    Minimizes 0.5 * a.Q.a - sum(a) with Q = (y y^T) * kmat, 0 <= a <= c
+    and y.a = 0 (Fan, Chen & Lin, JMLR 2005, as in LIBSVM). Each step
+    takes the maximal violator i, the partner j that gains most by a
+    second-order estimate, and the exact clipped optimum along that
+    pair. It stops when the violation gap m(a) - M(a) is at most tol,
+    when a step moves nothing, or after 1000 * m steps for m samples,
+    so tol=0 ends too. Ties go to the lowest index: no randomness.
+    Returns (alphas, bias, steps); the bias is the mean over free
+    multipliers, else the midpoint of the bounds.
     """
     m = len(y)
+    pos = y > 0
+    diag = np.diag(kmat)
     alphas = np.zeros(m)
-    bias = 0.0
-    passes = 0
-    while passes < max_passes:
-        changed = 0
-        for i in range(m):
-            coef = alphas * y
-            err_i = float(coef @ kmat[:, i]) + bias - y[i]
-            r_i = y[i] * err_i
-            if not ((r_i < -tol and alphas[i] < c) or (r_i > tol and alphas[i] > 0)):
-                continue
-            j = rng.randrange(m - 1)
-            if j >= i:
-                j += 1
-            err_j = float(coef @ kmat[:, j]) + bias - y[j]
-            alpha_i, alpha_j = alphas[i], alphas[j]
-            if y[i] != y[j]:
-                low = max(0.0, alpha_j - alpha_i)
-                high = min(c, c + alpha_j - alpha_i)
-            else:
-                low = max(0.0, alpha_i + alpha_j - c)
-                high = min(c, alpha_i + alpha_j)
-            if low == high:
-                continue
-            eta = 2.0 * kmat[i, j] - kmat[i, i] - kmat[j, j]
-            if eta >= 0.0:
-                continue
-            new_j = alpha_j - y[j] * (err_i - err_j) / eta
-            new_j = min(high, max(low, new_j))
-            if abs(new_j - alpha_j) < 1e-5:
-                continue
-            new_i = alpha_i + y[i] * y[j] * (alpha_j - new_j)
-            b1 = (
-                bias
-                - err_i
-                - y[i] * (new_i - alpha_i) * kmat[i, i]
-                - y[j] * (new_j - alpha_j) * kmat[i, j]
-            )
-            b2 = (
-                bias
-                - err_j
-                - y[i] * (new_i - alpha_i) * kmat[i, j]
-                - y[j] * (new_j - alpha_j) * kmat[j, j]
-            )
-            alphas[i], alphas[j] = new_i, new_j
-            if 0.0 < new_i < c:
-                bias = b1
-            elif 0.0 < new_j < c:
-                bias = b2
-            else:
-                bias = (b1 + b2) / 2.0
-            changed += 1
-        passes = passes + 1 if changed == 0 else 0
-    return alphas, bias
+    grad = -np.ones(m)  # gradient Q.a - 1
+    steps = 0
+    while steps < 1000 * m:
+        score = -y * grad
+        up = np.where(pos, alphas < c, alphas > 0.0)
+        low = np.where(pos, alphas > 0.0, alphas < c)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        gain = score[i] - score  # > 0 where t violates with i
+        if gain[low].max() <= tol:
+            break
+        curve = np.maximum(diag[i] + diag - 2.0 * kmat[i], 1e-12)
+        j = int(np.argmax(np.where(low & (gain > 0.0), gain * gain / curve, -np.inf)))
+        room_i = c - alphas[i] if pos[i] else alphas[i]
+        room_j = alphas[j] if pos[j] else c - alphas[j]
+        step = min(gain[j] / curve[j], room_i, room_j)
+        new_i = (c if pos[i] else 0.0) if step == room_i else alphas[i] + y[i] * step
+        new_j = (0.0 if pos[j] else c) if step == room_j else alphas[j] - y[j] * step
+        if new_i == alphas[i] and new_j == alphas[j]:
+            break
+        grad += y * (y[i] * (new_i - alphas[i]) * kmat[i] + y[j] * (new_j - alphas[j]) * kmat[j])
+        alphas[i], alphas[j] = new_i, new_j
+        steps += 1
+    signed = y * grad
+    free = (alphas > 0.0) & (alphas < c)
+    if free.any():
+        return alphas, -float(signed[free].mean()), steps
+    # no free multiplier: the bias lies between these bounds (LIBSVM's rho)
+    only_up = np.where(pos, alphas == 0.0, alphas == c)
+    return alphas, -0.5 * float(signed[only_up].min() + signed[~only_up].max()), steps
 
 
 def svm_train(
@@ -290,18 +264,20 @@ def svm_train(
     c: float = 1.0,
     offset: float = 1.0,
     tol: float = 1e-3,
-    max_passes: int = 100,
-    seed: int = 0,
 ) -> SvmModel:
     """Train a one-vs-one polynomial-kernel SVM.
 
-    degree must be 1 or 2; C bounds every multiplier. Each pair machine
-    gets its own deterministic RNG stream derived from seed.
+    degree must be 1 or 2; C bounds every multiplier; tol is the
+    violation gap at which each pair's solver stops (see _smo_pair).
+    The training Gram matrix is formed once and each pair machine
+    solves its dual over its own rows of it. Training is deterministic.
     """
     if degree not in (1, 2):
         raise ValueError("kernel degree must be 1 or 2")
     if c <= 0:
         raise ValueError("C must be positive")
+    if not tol >= 0:
+        raise ValueError("tol must be a number >= 0")
     data = list(data)
     if not data:
         raise ValueError("training set must be non-empty")
@@ -309,19 +285,16 @@ def svm_train(
     classes = tuple(sorted({s.label for s in data}))
     if len(classes) < 2:
         raise ValueError("need at least two classes to train")
+    gram = _kernel(vectors, vectors.T, offset, degree)
     rows = {label: np.array([i for i, s in enumerate(data) if s.label == label]) for label in classes}
     machines = []
-    for index, (pos, neg) in enumerate(combinations(classes, 2)):
+    for pos, neg in combinations(classes, 2):
         idx = np.concatenate([rows[pos], rows[neg]])
-        x = vectors[idx]
         y = np.concatenate([np.ones(len(rows[pos])), -np.ones(len(rows[neg]))])
-        # one product per pair: slicing a full Gram matrix rounds differently
-        kmat = _kernel(x, x.T, offset, degree)
-        rng = random.Random(seed * 1_000_003 + index)
-        alphas, bias = _smo_pair(kmat, y, c, tol, max_passes, rng)
+        alphas, bias, _ = _smo_pair(gram[np.ix_(idx, idx)], y, c, tol)
         keep = alphas > 0.0
         machines.append(BinaryMachine(pos, neg, idx[keep], alphas[keep] * y[keep], bias))
-    return SvmModel(classes, vectors, tuple(machines), degree, c, offset, tol, max_passes, seed)
+    return SvmModel(classes, vectors, tuple(machines), degree, c, offset, tol)
 
 
 def svm_predict(model: SvmModel, query) -> str:
@@ -381,8 +354,6 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
         lines.append(f"C {_fmt(model.c)}")
         lines.append(f"offset {_fmt(model.offset)}")
         lines.append(f"tol {_fmt(model.tol)}")
-        lines.append(f"max_passes {model.max_passes}")
-        lines.append(f"seed {model.seed}")
         lines.append("classes\t" + "\t".join(check_label(c) for c in model.classes))
         lines += ["vector\t" + "\t".join(_fmt(v) for v in row) for row in model.vectors]
         for mach in model.machines:
@@ -447,4 +418,4 @@ def _parse_model(fields: dict[str, str], records: list[list[str]]) -> KnnModel |
     if len(machines) != len(classes) * (len(classes) - 1) // 2:
         raise ValueError(f"{len(machines)} machines for {len(classes)} classes")
     return SvmModel(classes, vectors, tuple(machines), int(fields["degree"]), float(fields["C"]),
-                    float(fields["offset"]), float(fields["tol"]), int(fields["max_passes"]), int(fields["seed"]))
+                    float(fields["offset"]), float(fields["tol"]))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -133,9 +132,9 @@ OPTIONS = (
     Option("resize", _resize, "63x63", _ALL, "resize target WxH, multiples of 3"),
     Option("variant", _choice("g1", "g2", "g3"), "g1", _ALL, "gradient contour variant: g1, g2 or g3"),
     Option("ref", _choice("avg", "max", "min"), "avg", _ALL, "fuzzifier reference statistic: avg, max or min"),
-    Option("seed", _number(int, "an integer"), 0, _ALL, "seed for shuffled splits and the SVM solver"),
+    Option("seed", _number(int, "an integer"), 0, _ALL, "seed for shuffled splits"),
     Option("out", _path, "out", _ALL, "output directory"),
-    Option("workers", _count(1), None, _ALL, "parallel extraction processes; env NBLGC_WORKERS, else all cores"),
+    Option("workers", _count(1), 1, _ALL, "parallel extraction processes"),
     Option("skip_errors", _switch, False, _ALL, "warn and skip unreadable dataset files instead of aborting"),
     Option("classifier", _choice("knn", "svm"), "knn", _FIT, "classifier: knn or svm"),
     Option("k", _count(1), 1, _FIT, "KNN neighbor count"),
@@ -144,8 +143,8 @@ OPTIONS = (
     Option("degree", _number(int, "1 or 2", lambda n: n in (1, 2)), 1, _FIT, "SVM polynomial degree: 1 or 2"),
     Option("C", _number(float, "a finite number > 0", lambda x: x > 0), 1.0, _FIT, "SVM regularization bound"),
     Option("offset", _number(float, "a finite number"), 1.0, _FIT, "SVM kernel offset"),
-    Option("tol", _number(float, "a finite number >= 0", lambda x: x >= 0), 1e-3, _FIT, "SVM KKT tolerance"),
-    Option("max_passes", _count(1), 100, _FIT, "SVM sweeps without change before stopping"),
+    Option("tol", _number(float, "a finite number >= 0", lambda x: x >= 0), 1e-3, _FIT,
+           "SVM solver stops at a KKT violation gap of at most this"),
     Option("zscore", _switch, False, _FIT, "standardize features using training statistics"),
     Option("train_per_class", _count(1), 7, _SPLIT, "training images per class"),
     Option("shuffle_split", _switch, False, _SPLIT,
@@ -192,15 +191,13 @@ def _read_config(path: Path) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
-    """Flag, else config value, else NBLGC_WORKERS for workers, else default."""
+    """Flag, else config value, else default."""
     loaded = _read_config(Path(args.config)) if args.config else {}
     cfg = argparse.Namespace(command=args.command)
     for opt in OPTIONS:
         value, source = getattr(args, opt.name, None), _flag(opt.name)
         if value is None and loaded.get(opt.name) is not None:
             value, source = loaded[opt.name], f"config key {opt.name!r}"
-        if value is None and opt.name == "workers" and "NBLGC_WORKERS" in os.environ:
-            value, source = os.environ["NBLGC_WORKERS"], "NBLGC_WORKERS"
         if value is None:
             value, source = opt.default, "default"
         try:
@@ -211,8 +208,6 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         raise UsageError("--data is required (directly or via the config file)")
     if not cfg.data.is_dir():
         raise DatasetError(f"dataset root {cfg.data} is not a directory")
-    if cfg.workers is None:
-        cfg.workers = os.cpu_count() or 1
     return cfg
 
 
@@ -235,8 +230,7 @@ def _load_samples(cfg: argparse.Namespace):
 
 def _classifier_config(cfg: argparse.Namespace) -> ClassifierConfig:
     return ClassifierConfig(kind=cfg.classifier, neighbors_k=cfg.k, distance=cfg.distance,
-                            degree=cfg.degree, c=cfg.C, offset=cfg.offset, tol=cfg.tol,
-                            max_passes=cfg.max_passes, seed=cfg.seed, zscore=cfg.zscore)
+                            degree=cfg.degree, c=cfg.C, offset=cfg.offset, tol=cfg.tol, zscore=cfg.zscore)
 
 
 def _split_spec(cfg: argparse.Namespace) -> SplitSpec:

@@ -49,8 +49,6 @@ class ClassifierConfig:
     c: float = 1.0
     offset: float = 1.0
     tol: float = 1e-3
-    max_passes: int = 100
-    seed: int = 0
     zscore: bool = False
 
 
@@ -127,9 +125,7 @@ def _predict_all(
         model = KnnModel(tuple(train), cfg.neighbors_k, cfg.distance)
         return [knn_predict(model, s.vector)[0] for s in test]
     if cfg.kind == "svm":
-        model = svm_train(
-            train, cfg.degree, cfg.c, cfg.offset, cfg.tol, cfg.max_passes, cfg.seed
-        )
+        model = svm_train(train, cfg.degree, cfg.c, cfg.offset, cfg.tol)
         return [svm_predict(model, s.vector) for s in test]
     raise ValueError(f"unknown classifier kind {cfg.kind!r}")
 
@@ -155,8 +151,6 @@ def _echo(cfg: ClassifierConfig, extra: dict | None) -> dict[str, object]:
         "C": cfg.c,
         "offset": cfg.offset,
         "tol": cfg.tol,
-        "max_passes": cfg.max_passes,
-        "seed": cfg.seed,
         "zscore": cfg.zscore,
     }
     if extra:

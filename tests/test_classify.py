@@ -20,6 +20,7 @@ from nblgc import (
     svm_predict,
     svm_train,
 )
+from nblgc.classify import _smo_pair
 
 
 def samples(pairs):
@@ -150,22 +151,30 @@ class TestKernel:
         assert kernel_poly(a, b, 2, 1.0) == kernel_poly(b, a, 2, 1.0)
 
 
-def _dual_oracle_solves_xor(c):
+def _dual_oracle(kmat, y, c):
     """Independent route: box-constrained dual optimum via SLSQP."""
     from scipy.optimize import minimize
 
+    res = minimize(
+        lambda a: -_dual_objective(a, kmat, y),
+        np.full(len(y), c / 2.0),
+        bounds=[(0.0, c)] * len(y),
+        constraints={"type": "eq", "fun": lambda a: a @ y},
+        method="SLSQP",
+        options={"ftol": 1e-14, "maxiter": 2000},
+    )
+    return res.x
+
+
+def _dual_objective(alphas, kmat, y):
+    return alphas.sum() - 0.5 * (alphas * y) @ kmat @ (alphas * y)
+
+
+def _dual_oracle_solves_xor(c):
     pts = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)
     y = np.array([1.0, 1.0, -1.0, -1.0])
     kmat = (pts @ pts.T + 1.0) ** 2
-
-    res = minimize(
-        lambda a: -(a.sum() - 0.5 * (a * y) @ kmat @ (a * y)),
-        np.full(4, c / 2.0),
-        bounds=[(0.0, c)] * 4,
-        constraints={"type": "eq", "fun": lambda a: a @ y},
-        method="SLSQP",
-    )
-    alphas = res.x
+    alphas = _dual_oracle(kmat, y, c)
     scores = (alphas * y) @ kmat
     interior = (alphas > 1e-6) & (alphas < c - 1e-6)
     if not interior.any():
@@ -173,6 +182,18 @@ def _dual_oracle_solves_xor(c):
     i = int(np.argmax(interior))
     bias = y[i] - scores[i]
     return bool((np.sign(scores + bias) == y).all())
+
+
+def _random_dual_problems():
+    """About 30 seeded two-class problems: m 4-16, degree 1 and 2, C 0.5, 1, 10."""
+    rng = np.random.default_rng(40)
+    for index in range(30):
+        m = int(rng.integers(4, 17))
+        n_pos = int(rng.integers(1, m))
+        x = rng.normal(size=(m, int(rng.integers(1, 6))))
+        x[:n_pos] += rng.normal(0.0, 1.0, size=x.shape[1])  # partly overlapping classes
+        degree, c = 1 + index % 2, (0.5, 1.0, 10.0)[index % 3]
+        yield pytest.param(x, n_pos, degree, c, id=f"{index}-m{m}-deg{degree}-C{c}")
 
 
 class TestSvm:
@@ -189,7 +210,7 @@ class TestSvm:
         rng = np.random.default_rng(6)
         c = 2.5
         train = samples([(rng.normal(size=3), f"c{i % 3}") for i in range(24)])
-        model = svm_train(train, degree=1, c=c, seed=3)
+        model = svm_train(train, degree=1, c=c)
         assert len(model.machines) == 3
         for mach in model.machines:
             mags = np.abs(mach.coefficients)
@@ -216,20 +237,55 @@ class TestSvm:
                 for _ in range(10)
             ]
         )
-        model = svm_train(train, degree=1, seed=1)
+        model = svm_train(train, degree=1)
         assert model.classes == ("a", "b", "c")
         assert len(model.machines) == 3
         correct = sum(svm_predict(model, s.vector) == s.label for s in train)
         assert correct == len(train)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(8)
         train = samples([(rng.normal(size=4), f"c{i % 2}") for i in range(16)])
-        a = svm_train(train, degree=1, seed=42)
-        b = svm_train(train, degree=1, seed=42)
+        a = svm_train(train, degree=1)
+        b = svm_train(train, degree=1)
         for ma, mb in zip(a.machines, b.machines):
             assert np.array_equal(ma.coefficients, mb.coefficients)
             assert ma.bias == mb.bias
+
+    def test_tol_zero_ends_within_the_cap_and_repeats(self):
+        rng = np.random.default_rng(12)
+        train = samples([(rng.normal(i % 3, 1.5, size=3), f"c{i % 3}") for i in range(30)])
+        x = np.stack([s.vector for s in train[:20]])
+        y = np.where(np.arange(20) % 3 == 0, 1.0, -1.0)
+        _, _, steps = _smo_pair((x @ x.T + 1.0) ** 2, y, 1.0, 0.0)
+        assert steps < 1000 * len(y)
+        a, b = svm_train(train, degree=2, tol=0.0), svm_train(train, degree=2, tol=0.0)
+        for ma, mb in zip(a.machines, b.machines):
+            assert np.array_equal(ma.indices, mb.indices)
+            assert ma.coefficients.tobytes() == mb.coefficients.tobytes()
+            assert ma.bias == mb.bias
+
+    @pytest.mark.parametrize("x,n_pos,degree,c", _random_dual_problems())
+    def test_dual_objective_matches_oracle(self, x, n_pos, degree, c):
+        y = np.where(np.arange(len(x)) < n_pos, 1.0, -1.0)
+        model = svm_train(samples([(row, "a" if t > 0 else "b") for row, t in zip(x, y)]), degree=degree, c=c)
+        (machine,) = model.machines
+        alphas = np.zeros(len(x))
+        alphas[machine.indices] = machine.coefficients * y[machine.indices]
+        kmat = (x @ x.T + 1.0) ** degree
+        best = _dual_objective(_dual_oracle(kmat, y, c), kmat, y)
+        assert abs(_dual_objective(alphas, kmat, y) - best) <= 1e-5 * max(1.0, abs(best))
+
+    def test_large_kernel_values_still_train(self):
+        # degree-2 kernel values near 1e7: every multiplier of the optimum
+        # is below 1e-5, yet the machines must still train
+        rng = np.random.default_rng(13)
+        shifts = {"a": [0, 0, 0, 0], "b": [8, 0, 0, 0], "c": [0, 8, 0, 0]}
+        train = samples([(rng.normal(28.0, 1.0, size=4) + shift, k) for k, shift in shifts.items() for _ in range(6)])
+        model = svm_train(train, degree=2)
+        assert model.vectors[0] @ model.vectors[0] > 3000.0
+        assert any(m.indices.size for m in model.machines)
+        assert [svm_predict(model, s.vector) for s in train] == [s.label for s in train]
 
     def test_rejects_bad_input(self):
         one_class = samples([([1.0], "a"), ([2.0], "a")])
@@ -242,6 +298,9 @@ class TestSvm:
             svm_train(two, degree=3)
         with pytest.raises(ValueError, match="C must be positive"):
             svm_train(two, c=0.0)
+        for tol in (-1e-3, float("nan")):
+            with pytest.raises(ValueError, match="tol must be"):
+                svm_train(two, tol=tol)
 
     def test_vote_tie_magnitude_then_order(self):
         # hand-built machines force a 1-1-1 vote; summed magnitude decides
@@ -256,7 +315,7 @@ class TestSvm:
                 const_machine("c", "a", 2.0),   # votes c, magnitude 2
                 const_machine("b", "c", 1.0),   # votes b, magnitude 1
             ),
-            1, 1.0, 1.0, 1e-3, 100, 0,
+            1, 1.0, 1.0, 1e-3,
         )
         assert svm_predict(model, [0.0]) == "c"
         flat = SvmModel(
@@ -267,7 +326,7 @@ class TestSvm:
                 const_machine("c", "a", 1.0),
                 const_machine("b", "c", 1.0),
             ),
-            1, 1.0, 1.0, 1e-3, 100, 0,
+            1, 1.0, 1.0, 1e-3,
         )
         assert svm_predict(flat, [0.0]) == "a"
 
@@ -279,13 +338,13 @@ class TestSvm:
     def test_rejects_query_of_wrong_length(self):
         trained = svm_train(samples([([0.0, 1.0], "a"), ([1.0, 0.0], "b")]))
         no_sv = SvmModel(("a", "b"), np.zeros((1, 2)), (BinaryMachine("a", "b", [], [], 0.5),),
-                         1, 1.0, 1.0, 1e-3, 100, 0)
+                         1, 1.0, 1.0, 1e-3)
         for model in (trained, no_sv):
             with pytest.raises(ValueError, match="length mismatch"):
                 svm_predict(model, [0.0, 1.0, 2.0])
 
     def test_empty_model_rejected(self):
-        model = SvmModel(("a", "b"), np.zeros((1, 1)), (), 1, 1.0, 1.0, 1e-3, 100, 0)
+        model = SvmModel(("a", "b"), np.zeros((1, 1)), (), 1, 1.0, 1.0, 1e-3)
         with pytest.raises(ValueError, match="no trained machines"):
             svm_predict(model, [0.0])
 
@@ -309,7 +368,7 @@ class TestModelSerialization:
     def test_svm_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(10)
         train = samples([(rng.normal(i % 3, 0.5, size=5), f"c{i % 3}") for i in range(24)])
-        model = svm_train(train, degree=2, c=1.5, offset=0.5, seed=4)
+        model = svm_train(train, degree=2, c=1.5, offset=0.5)
         path = tmp_path / "svm.model"
         save_model(model, path)
         loaded = load_model(path)
@@ -325,6 +384,17 @@ class TestModelSerialization:
         for _ in range(20):
             q = rng.normal(size=5)
             assert svm_predict(loaded, q) == svm_predict(model, q)
+
+    def test_ignores_former_solver_settings(self, tmp_path):
+        model = svm_train(samples([([0.0, 1.0], "a"), ([1.0, 0.0], "b"), ([2.0, 2.0], "b")]))
+        path = tmp_path / "svm.model"
+        save_model(model, path)
+        text = path.read_text()
+        assert "max_passes" not in text and "\nseed " not in text
+        path.write_text(text.replace("\ntol ", "\nmax_passes 100\nseed 7\ntol "))
+        loaded = load_model(path)
+        assert (loaded.degree, loaded.c, loaded.offset, loaded.tol) == (model.degree, model.c, model.offset, model.tol)
+        assert svm_predict(loaded, [0.5, 0.5]) == svm_predict(model, [0.5, 0.5])
 
     @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\r", "a\x85b"])
     def test_refuses_labels_that_would_not_load(self, tmp_path, label):
@@ -348,7 +418,7 @@ class TestModelSerialization:
             ("a", "b"),
             np.zeros((1, 1)),
             (BinaryMachine("a", "b", [], [], -0.75),),
-            1, 1.0, 1.0, 1e-3, 100, 0,
+            1, 1.0, 1.0, 1e-3,
         )
         path = tmp_path / "deg.model"
         save_model(model, path)

@@ -169,7 +169,7 @@ class TestHelp:
             ("extract", ["--data", "--config", "--resize", "--variant", "--ref",
                          "--seed", "--out", "--workers", "--skip-errors"]),
             ("evaluate", ["--classifier", "--k", "--distance", "--degree", "--C",
-                          "--offset", "--tol", "--max-passes", "--zscore",
+                          "--offset", "--tol", "--zscore",
                           "--train-per-class", "--shuffle-split"]),
             ("kfold", ["--folds", "--classifier", "--zscore"]),
             ("roc", ["--distance", "--thresholds", "--train-per-class", "--shuffle-split"]),
@@ -229,7 +229,7 @@ class TestOptionValues:
     @pytest.mark.parametrize(
         "values",
         [{"zscore": "false"}, {"k": "abc"}, {"C": "x"}, {"k": 1.7}, {"seed": True},
-         {"C": 0}, {"tol": float("nan")}, {"max_passes": 0}, {"skip_errors": 1}, {"variant": "G1"}],
+         {"C": 0}, {"tol": float("nan")}, {"skip_errors": 1}, {"variant": "G1"}],
         ids=repr,
     )
     def test_bad_config_value_is_usage(self, small_tree, tmp_path, capsys, values):
@@ -244,7 +244,7 @@ class TestOptionValues:
     @pytest.mark.parametrize(
         "flag,value",
         [("--C", "nan"), ("--C", "0"), ("--C", "-1"), ("--C", "inf"), ("--offset", "nan"),
-         ("--tol", "nan"), ("--tol", "-0.1"), ("--max-passes", "0"), ("--degree", "3"),
+         ("--tol", "nan"), ("--tol", "-0.1"), ("--degree", "3"),
          ("--k", "1.5"), ("--folds", "1")],
     )
     def test_bad_flag_value_is_usage(self, small_tree, tmp_path, capsys, flag, value):
@@ -310,21 +310,6 @@ class TestDeterminism:
                 "--out", str(out2), "--workers", "2"]
         assert run_cli(args) == 0
         assert (out1 / "features.csv").read_bytes() == (out2 / "features.csv").read_bytes()
-
-    def test_workers_env_fallback(self, small_tree, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert run_cli(extract_args(small_tree, out1)) == 0
-        monkeypatch.setenv("NBLGC_WORKERS", "1")
-        args = ["extract", "--data", str(small_tree), "--resize", "9x9", "--out", str(out2)]
-        assert run_cli(args) == 0
-        assert (out1 / "features.csv").read_bytes() == (out2 / "features.csv").read_bytes()
-
-    def test_workers_env_must_be_integer(self, small_tree, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NBLGC_WORKERS", "plenty")
-        args = ["extract", "--data", str(small_tree), "--resize", "9x9",
-                "--out", str(tmp_path / "out")]
-        assert run_cli(args) == 1
-        assert "NBLGC_WORKERS" in capsys.readouterr().err
 
     def test_shuffled_split_reruns_agree(self, small_tree, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
