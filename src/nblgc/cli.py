@@ -78,8 +78,9 @@ def _number(kind: type, rule: str, ok: Callable[[float], bool] = lambda x: True)
     return parse
 
 
-def _count(low: int):
-    return _number(int, f"an integer >= {low}", lambda n: n >= low)
+def _count(low: int, high: float = math.inf):
+    rule = f"an integer >= {low}" if high == math.inf else f"an integer from {low} to {high}"
+    return _number(int, rule, lambda n: low <= n <= high)
 
 
 def _choice(*names: str):
@@ -150,7 +151,7 @@ OPTIONS = (
     Option("shuffle_split", _switch, False, _SPLIT,
            "pick training images per class with a seeded shuffle instead of load order"),
     Option("folds", _count(2), 10, ("kfold",), "fold count"),
-    Option("thresholds", _count(2), 200, ("roc",), "evenly spaced thresholds in the sweep"),
+    Option("thresholds", _count(2, 100_000), 200, ("roc",), "evenly spaced thresholds in the sweep"),
 )
 
 

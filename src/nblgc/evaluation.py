@@ -58,7 +58,6 @@ class EvalReport:
     per_class: dict[str, tuple[int, int]]  # label -> (correct, total)
     config: dict[str, object]
     fold_accuracies: tuple[float, ...] | None = None
-    roc_points: tuple[RocPoint, ...] | None = None
 
     def __post_init__(self):
         correct = sum(c for c, _ in self.per_class.values())

@@ -7,9 +7,11 @@ and assembles labeled datasets from a ``root/<class>/<image>.pgm`` tree.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -18,6 +20,9 @@ from .classify import check_label
 MAX_GRAY_LIMIT = 65535
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\r\n]*")
+# a comment, or a token: a run of bytes that are neither whitespace nor #
+_TOKEN = re.compile(_COMMENT.pattern + rb"|([^ \t\n\r\x0b\x0c#]+)")
 
 
 class PgmParseError(ValueError):
@@ -105,93 +110,75 @@ class DatasetEntry:
     source_path: str
 
 
-class _Cursor:
-    """Byte cursor over PGM data; skips whitespace and # comments."""
+def _tokens(data: bytes, pos: int) -> Iterator[re.Match]:
+    """Tokens of data from pos on, found lazily; comments are skipped."""
+    return (m for m in _TOKEN.finditer(data, pos) if m[1])
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_separators(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = data[self.pos : self.pos + 1]
-            if b in (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"):
-                self.pos += 1
-            elif b == b"#":
-                # comment runs to end of line
-                while self.pos < n and data[self.pos : self.pos + 1] not in (b"\n", b"\r"):
-                    self.pos += 1
-            else:
-                return
-
-    def next_token(self, what: str) -> tuple[bytes, int]:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise PgmParseError(f"truncated input, missing {what}", self.pos)
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = data[self.pos : self.pos + 1]
-            if b in (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#"):
-                break
-            self.pos += 1
-        return data[start : self.pos], start
-
-    def read_uint(self, what: str) -> tuple[int, int]:
-        token, offset = self.next_token(what)
-        if not token.isdigit():
-            raise PgmParseError(f"non-numeric {what} token {token!r}", offset)
-        return int(token), offset
+def _uint(token: re.Match, what: str) -> int:
+    text = token[1]
+    if not text.isdigit():
+        raise PgmParseError(f"non-numeric {what} token {text!r}", token.start())
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts (4300 by default)
+        raise PgmParseError(f"{what} token of {len(text)} digits is too long", token.start()) from None
 
 
 def parse_pgm(data: bytes) -> RawImage:
     """Decode P2 (ASCII) or P5 (binary) PGM bytes into a RawImage.
 
-    Comments (# to end of line) may appear anywhere whitespace may.
+    Comments (# to end of line) may appear anywhere whitespace may, and
+    a # ends a token. A P5 raster follows exactly one whitespace byte.
     Raises PgmParseError naming the byte offset for malformed magic,
-    non-numeric header tokens, truncated pixel data, out-of-range
+    non-numeric or overlong tokens, truncated pixel data, out-of-range
     max_gray, and pixel values exceeding the declared maximum.
     """
-    if len(data) < 2 or data[:1] != b"P":
-        raise PgmParseError(f"malformed magic number {data[:2]!r}", 0)
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"malformed magic number {magic!r}", 0)
-    if len(data) > 2 and data[2:3] not in (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#"):
+    if data[2:3] not in _WHITESPACE + b"#":
         raise PgmParseError(f"malformed magic number {data[:3]!r}", 0)
+    tokens = _tokens(data, 2)
 
-    cur = _Cursor(data)
-    cur.pos = 2
-    width, w_off = cur.read_uint("width")
-    height, h_off = cur.read_uint("height")
+    def header(what: str) -> tuple[int, re.Match]:
+        token = next(tokens, None)
+        if token is None:
+            raise PgmParseError(f"truncated input, missing {what}", len(data))
+        return _uint(token, what), token
+
+    width, w_tok = header("width")
+    height, h_tok = header("height")
     if width < 1:
-        raise PgmParseError("width must be at least 1", w_off)
+        raise PgmParseError("width must be at least 1", w_tok.start())
     if height < 1:
-        raise PgmParseError("height must be at least 1", h_off)
-    max_gray, mg_off = cur.read_uint("max_gray")
+        raise PgmParseError("height must be at least 1", h_tok.start())
+    max_gray, mg_tok = header("max_gray")
     if not 1 <= max_gray <= MAX_GRAY_LIMIT:
-        raise PgmParseError(f"max_gray {max_gray} outside [1, {MAX_GRAY_LIMIT}]", mg_off)
+        raise PgmParseError(f"max_gray {max_gray} outside [1, {MAX_GRAY_LIMIT}]", mg_tok.start())
 
+    end = mg_tok.end()
     count = width * height
     if magic == b"P2":
-        values = []  # grows with the input: a huge header on a short file allocates nothing
-        for _ in range(count):
-            try:
-                value, offset = cur.read_uint("raster value")
-            except PgmParseError as err:
-                if "truncated" in str(err):
-                    raise PgmParseError("truncated pixel data", err.offset) from None
-                raise
+        # maxsplit clamped: a huge header on a short file allocates nothing
+        raster = _COMMENT.sub(b" ", data[end:]).split(None, min(count, len(data)))[:count]
+        try:
+            values = list(map(int, raster)) if b"".join(raster).isdigit() else []
+        except ValueError:  # a token of more digits than int() converts
+            values = []
+        if len(values) == count and max(values) <= max_gray:
+            return RawImage(width, height, max_gray, values)
+        # the raster is bad: walk it again to name the first bad token
+        for _, token in zip(range(count), _tokens(data, end)):
+            value = _uint(token, "raster value")
             if value > max_gray:
-                raise PgmParseError(f"pixel value {value} exceeds max_gray {max_gray}", offset)
-            values.append(value)
-        return RawImage(width, height, max_gray, values)
+                raise PgmParseError(f"pixel value {value} exceeds max_gray {max_gray}", token.start())
+        raise PgmParseError("truncated pixel data", len(data))
 
-    # P5: exactly one separator byte after max_gray, then the raster
-    if cur.pos >= len(data) or data[cur.pos : cur.pos + 1] not in _WHITESPACE:
-        raise PgmParseError("truncated pixel data", cur.pos)
-    start = cur.pos + 1
+    # P5: exactly one separator byte after max_gray (a # there is an error), then the raster
+    if end >= len(data) or data[end] not in _WHITESPACE:
+        raise PgmParseError("truncated pixel data", end)
+    start = end + 1
     two_byte = max_gray > 255
     need = count * (2 if two_byte else 1)
     if len(data) - start < need:

@@ -229,7 +229,7 @@ class TestOptionValues:
     @pytest.mark.parametrize(
         "values",
         [{"zscore": "false"}, {"k": "abc"}, {"C": "x"}, {"k": 1.7}, {"seed": True},
-         {"C": 0}, {"tol": float("nan")}, {"skip_errors": 1}, {"variant": "G1"}],
+         {"C": 0}, {"tol": float("nan")}, {"skip_errors": 1}, {"variant": "G1"}, {"thresholds": 100001}],
         ids=repr,
     )
     def test_bad_config_value_is_usage(self, small_tree, tmp_path, capsys, values):
@@ -245,11 +245,14 @@ class TestOptionValues:
         "flag,value",
         [("--C", "nan"), ("--C", "0"), ("--C", "-1"), ("--C", "inf"), ("--offset", "nan"),
          ("--tol", "nan"), ("--tol", "-0.1"), ("--degree", "3"),
-         ("--k", "1.5"), ("--folds", "1")],
+         ("--k", "1.5"), ("--folds", "1"), ("--thresholds", "1000000000")],
     )
-    def test_bad_flag_value_is_usage(self, small_tree, tmp_path, capsys, flag, value):
-        command = "kfold" if flag == "--folds" else "evaluate"
-        args = ["--data", str(small_tree), "--resize", "9x9", "--classifier", "svm",
+    def test_bad_flag_value_is_usage(self, small_tree, tmp_path, capsys, monkeypatch, flag, value):
+        # refused before any data is loaded, so a huge value allocates nothing
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("data was loaded"))
+        command = {"--folds": "kfold", "--thresholds": "roc"}.get(flag, "evaluate")
+        svm = [] if command == "roc" else ["--classifier", "svm"]
+        args = ["--data", str(small_tree), "--resize", "9x9", *svm,
                 "--out", str(tmp_path / "out"), "--workers", "1", flag, value]
         assert run_cli([command, *args]) == 1
         assert f"{flag} {value!r}" in capsys.readouterr().err

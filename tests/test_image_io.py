@@ -97,6 +97,37 @@ class TestParsePgm:
         with pytest.raises(PgmParseError, match="truncated pixel data"):
             parse_pgm(b"P2 99999999999 99999999999 255 1")
 
+    @pytest.mark.parametrize(
+        "data,pixels",
+        [
+            (b"P2\x0b2\x0c1\r\n9\r\n3\x0b4\x0c", [3, 4]),
+            (b"P2 2 1 9\n3#c\n4\n", [3, 4]),
+            (b"P2 2 1 9\n3 4 #no newline", [3, 4]),
+            (b"P2 2 1 9\n" + b"0" * 24 + b"1 4\n", [1, 4]),
+        ],
+        ids=["vt-ff-crlf", "comment-glued", "comment-at-eof", "leading-zeros"],
+    )
+    def test_p2_noncanonical_layouts(self, data, pixels):
+        assert parse_pgm(data).pixels.tolist() == pixels
+
+    @pytest.mark.parametrize("head,offset", [(b"P2 ", 3), (b"P2 1 1 9\n", 9)], ids=["header", "raster"])
+    def test_token_past_int_digit_limit(self, head, offset):
+        with pytest.raises(PgmParseError, match="token of 4400 digits") as err:
+            parse_pgm(head + b"1" * 4400 + b"\n")
+        assert err.value.offset == offset
+
+    def test_non_numeric_raster_token(self):
+        # a token spelling "truncated" is non-numeric, not a truncated raster
+        with pytest.raises(PgmParseError, match="non-numeric raster value token b'truncated'") as err:
+            parse_pgm(b"P2 2 1 9\n1 truncated\n")
+        assert err.value.offset == 11
+
+    def test_p5_raster_follows_one_separator(self):
+        assert parse_pgm(b"P5 1 1 255\n#").pixels.tolist() == [ord("#")]
+        with pytest.raises(PgmParseError, match="truncated pixel data") as err:
+            parse_pgm(b"P5 1 1 255#c\n\x07")
+        assert err.value.offset == 10
+
     def test_p2_memory_bounded_by_input(self):
         # the header promises 10**10 pixels; the input holds three
         tracemalloc.start()
@@ -117,7 +148,8 @@ def raw_images(draw):
     return RawImage(width, height, max_gray, np.array(pixels, dtype=np.uint16))
 
 
-_PREFIXES = [b"", b"P2", b"P5", b"P2 ", b"P5\n", b"P2 2 2 255\n", b"P5 2 1 255\n", b"P5 2 1 65535\n", b"P2 3 1 9 #c\n"]
+_PREFIXES = [b"", b"P2", b"P5", b"P2 ", b"P5\n", b"P2 2 2 255\n", b"P5 2 1 255\n", b"P5 2 1 65535\n", b"P2 3 1 9 #c\n",
+             b"P2 2 1 9\n" + b"7" * 4400]
 
 
 class TestProperties:
