@@ -4,10 +4,14 @@ The KNN path uses a logarithmic distance, sum of ln(1 + |a_i - b_i|)
 over coordinates: a true metric, but deliberately nonlinear, so globally
 rescaling all features can reorder neighbors. The SVM path trains
 one-vs-one binary machines with a polynomial kernel over one training
-Gram matrix, solving each dual by deterministic sequential minimal
-optimization with second-order working-set selection. Both models
-round-trip through a line-oriented text format without changing any
-prediction.
+Gram matrix. One deterministic sequential minimal optimization with
+second-order working-set selection solves every pair's dual in
+lockstep: each step advances all unfinished pairs at once, reading
+kernel rows straight from the Gram matrix. Prediction reads a flat
+store of every machine's support entries (owner machine, row,
+coefficient), so one kernel row and one weighted bincount give all
+decision values, and bincounts tally the vote. Both models round-trip
+through a line-oriented text format without changing any prediction.
 """
 
 from __future__ import annotations
@@ -150,8 +154,10 @@ def kernel_poly(a, b, degree: int = 1, offset: float = 1.0) -> float:
 @dataclass(frozen=True)
 class BinaryMachine:
     """One trained pair machine: positive label vs negative label. Its support
-    vectors are rows ``indices`` of the model's ``vectors``, which the model
-    binds to ``store`` (not a copy) when it is built."""
+    vectors are rows ``indices`` of the model's ``vectors``. The model binds
+    those to ``store`` (not a copy) when it is built; ``store`` and
+    ``support_vectors`` serve only the benchmark's span counters, as
+    prediction reads the model's flat store."""
 
     pos_label: str
     neg_label: str
@@ -183,7 +189,10 @@ class SvmModel:
     """One-vs-one ensemble over the sorted class list.
 
     ``vectors`` holds each training vector once, in training order; each
-    machine keeps indices into it and one coefficient per index.
+    machine keeps indices into it and one coefficient per index. Either
+    there are no machines or there is one per pair of classes. The
+    derived ``sv_*`` arrays flatten every machine's support entries, in
+    machine order, for prediction.
     """
 
     classes: tuple[str, ...]
@@ -193,6 +202,12 @@ class SvmModel:
     c: float
     offset: float
     tol: float
+    sv_owner: np.ndarray = field(init=False, compare=False, repr=False)  # machine of each support entry
+    sv_index: np.ndarray = field(init=False, compare=False, repr=False)  # its row of vectors
+    sv_coef: np.ndarray = field(init=False, compare=False, repr=False)  # its coefficient
+    biases: np.ndarray = field(init=False, compare=False, repr=False)  # one per machine
+    pos_class: np.ndarray = field(init=False, compare=False, repr=False)  # index in classes, per machine
+    neg_class: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         classes = tuple(self.classes)
@@ -200,62 +215,101 @@ class SvmModel:
         if vectors.ndim != 2 or vectors.size == 0 or not np.isfinite(vectors).all():
             raise ValueError("vectors must be a finite, non-empty 2-D array")
         vectors.flags.writeable = False
+        if len(set(classes)) != len(classes):
+            raise ValueError("class labels must be distinct")
         for m in self.machines:
             if m.pos_label not in classes or m.neg_label not in classes:
                 raise ValueError(f"machine {m.pos_label!r}/{m.neg_label!r} names a label not in classes")
+            if m.pos_label == m.neg_label:
+                raise ValueError(f"machine {m.pos_label!r}/{m.neg_label!r} names one label twice")
             if m.indices.size and not (0 <= m.indices.min() and m.indices.max() < len(vectors)):
                 raise ValueError("support vector index outside vectors")
+        pairs = {frozenset((m.pos_label, m.neg_label)) for m in self.machines}
+        if self.machines and not len(pairs) == len(self.machines) == len(classes) * (len(classes) - 1) // 2:
+            raise ValueError("machines must cover each pair of classes exactly once")
+        machines = tuple(replace(m, store=vectors) for m in self.machines)
+        position = {label: k for k, label in enumerate(classes)}
+        flat = {
+            "sv_owner": np.repeat(np.arange(len(machines)), [m.indices.size for m in machines]),
+            "sv_index": np.concatenate([np.empty(0, np.intp), *(m.indices for m in machines)]),
+            "sv_coef": np.concatenate([np.empty(0), *(m.coefficients for m in machines)]),
+            "biases": np.array([m.bias for m in machines], dtype=np.float64),
+            "pos_class": np.array([position[m.pos_label] for m in machines], dtype=np.intp),
+            "neg_class": np.array([position[m.neg_label] for m in machines], dtype=np.intp),
+        }
+        for name, array in flat.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "machines", tuple(replace(m, store=vectors) for m in self.machines))
+        object.__setattr__(self, "machines", machines)
 
 
-def _smo_pair(kmat: np.ndarray, y: np.ndarray, c: float, tol: float) -> tuple[np.ndarray, float, int]:
-    """SMO with second-order working-set selection on one binary dual.
+def _smo_lockstep(
+    gram: np.ndarray, idx: np.ndarray, y: np.ndarray, c: float, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SMO with second-order working-set selection on every pair's binary dual at once.
 
-    Minimizes 0.5 * a.Q.a - sum(a) with Q = (y y^T) * kmat, 0 <= a <= c
-    and y.a = 0 (Fan, Chen & Lin, JMLR 2005, as in LIBSVM). Each step
-    takes the maximal violator i, the partner j that gains most by a
-    second-order estimate, and the exact clipped optimum along that
-    pair. It stops when the violation gap m(a) - M(a) is at most tol,
-    when a step moves nothing, or after 1000 * m steps for m samples,
-    so tol=0 ends too. Ties go to the lowest index: no randomness.
-    Returns (alphas, bias, steps); the bias is the mean over free
-    multipliers, else the midpoint of the bounds.
+    Row b of idx names pair b's rows of gram and row b of y their labels,
+    +1 or -1, padded at the end with label 0 to the longest pair. Pair b
+    minimizes 0.5 * a.Q.a - sum(a) with Q = (y y^T) * gram[idx, idx],
+    0 <= a <= c and y.a = 0 (Fan, Chen & Lin, JMLR 2005, as in LIBSVM).
+    In each step every running pair takes its maximal violator i, the
+    partner j that gains most by a second-order estimate, and the exact
+    clipped optimum along that pair. Kernel rows are read from gram, so
+    memory stays O(pairs * m). A pair stops when its violation gap
+    m(a) - M(a) is at most tol, when a step moves nothing, or after
+    1000 * m steps for its m samples, so tol=0 ends too. Padding is in
+    neither the up nor the low set, so each pair takes exactly the steps
+    it would take alone. Ties go to the lowest index: no randomness.
+    Returns (alphas, biases, steps) per pair.
     """
-    m = len(y)
-    pos = y > 0
-    diag = np.diag(kmat)
-    alphas = np.zeros(m)
-    grad = -np.ones(m)  # gradient Q.a - 1
-    steps = 0
-    while steps < 1000 * m:
-        score = -y * grad
-        up = np.where(pos, alphas < c, alphas > 0.0)
-        low = np.where(pos, alphas > 0.0, alphas < c)
-        i = int(np.argmax(np.where(up, score, -np.inf)))
-        gain = score[i] - score  # > 0 where t violates with i
-        if gain[low].max() <= tol:
-            break
-        curve = np.maximum(diag[i] + diag - 2.0 * kmat[i], 1e-12)
-        j = int(np.argmax(np.where(low & (gain > 0.0), gain * gain / curve, -np.inf)))
-        room_i = c - alphas[i] if pos[i] else alphas[i]
-        room_j = alphas[j] if pos[j] else c - alphas[j]
-        step = min(gain[j] / curve[j], room_i, room_j)
-        new_i = (c if pos[i] else 0.0) if step == room_i else alphas[i] + y[i] * step
-        new_j = (0.0 if pos[j] else c) if step == room_j else alphas[j] - y[j] * step
-        if new_i == alphas[i] and new_j == alphas[j]:
-            break
-        grad += y * (y[i] * (new_i - alphas[i]) * kmat[i] + y[j] * (new_j - alphas[j]) * kmat[j])
-        alphas[i], alphas[j] = new_i, new_j
-        steps += 1
+    valid, pos = y != 0.0, y > 0.0
+    cap = 1000 * valid.sum(axis=1)
+    diag = gram.diagonal()[idx]
+    alphas = np.zeros(y.shape)
+    grad = np.where(valid, -1.0, 0.0)  # gradient Q.a - 1
+    steps = np.zeros(len(y), dtype=np.intp)
+    run = np.arange(len(y))  # pairs still running
+    while run.size:
+        a, g, yr, ok, p, kr, dr = alphas[run], grad[run], y[run], valid[run], pos[run], idx[run], diag[run]
+        rows = np.arange(run.size)
+        score = -yr * g
+        up = ok & np.where(p, a < c, a > 0.0)
+        low = ok & np.where(p, a > 0.0, a < c)
+        i = np.argmax(np.where(up, score, -np.inf), axis=1)
+        gain = score[rows, i][:, None] - score  # > 0 where t violates with i
+        kern_i = gram[kr[rows, i][:, None], kr]
+        curve = np.maximum(dr[rows, i][:, None] + dr - 2.0 * kern_i, 1e-12)
+        j = np.argmax(np.where(low & (gain > 0.0), gain * gain / curve, -np.inf), axis=1)
+        a_i, a_j, y_i, y_j = a[rows, i], a[rows, j], yr[rows, i], yr[rows, j]
+        room_i = np.where(y_i > 0.0, c - a_i, a_i)
+        room_j = np.where(y_j > 0.0, a_j, c - a_j)
+        step = np.minimum(np.minimum(gain[rows, j] / curve[rows, j], room_i), room_j)
+        new_i = np.where(step == room_i, np.where(y_i > 0.0, c, 0.0), a_i + y_i * step)
+        new_j = np.where(step == room_j, np.where(y_j > 0.0, 0.0, c), a_j - y_j * step)
+        go = (np.where(low, gain, -np.inf).max(axis=1) > tol) & ((new_i != a_i) | (new_j != a_j))
+        kern_j = gram[kr[rows, j][:, None], kr]
+        g += yr * ((y_i * (new_i - a_i))[:, None] * kern_i + (y_j * (new_j - a_j))[:, None] * kern_j)
+        # a pair that stops keeps its state from before this step
+        run = run[go]
+        grad[run] = g[go]
+        alphas[run, i[go]], alphas[run, j[go]] = new_i[go], new_j[go]
+        steps[run] += 1
+        run = run[steps[run] < cap[run]]
+    biases = np.array([_bias(a[ok], yb[ok], gb[ok], c) for a, yb, gb, ok in zip(alphas, y, grad, valid)])
+    return alphas, biases, steps
+
+
+def _bias(alphas: np.ndarray, y: np.ndarray, grad: np.ndarray, c: float) -> float:
+    """The mean of -y * grad over free multipliers, else the midpoint of its bounds."""
     signed = y * grad
     free = (alphas > 0.0) & (alphas < c)
     if free.any():
-        return alphas, -float(signed[free].mean()), steps
+        return -float(signed[free].mean())
     # no free multiplier: the bias lies between these bounds (LIBSVM's rho)
-    only_up = np.where(pos, alphas == 0.0, alphas == c)
-    return alphas, -0.5 * float(signed[only_up].min() + signed[~only_up].max()), steps
+    only_up = np.where(y > 0.0, alphas == 0.0, alphas == c)
+    return -0.5 * float(signed[only_up].min() + signed[~only_up].max())
 
 
 def svm_train(
@@ -268,9 +322,10 @@ def svm_train(
     """Train a one-vs-one polynomial-kernel SVM.
 
     degree must be 1 or 2; C bounds every multiplier; tol is the
-    violation gap at which each pair's solver stops (see _smo_pair).
-    The training Gram matrix is formed once and each pair machine
-    solves its dual over its own rows of it. Training is deterministic.
+    violation gap at which each pair's solver stops (see _smo_lockstep).
+    The training Gram matrix is formed once and every pair machine
+    solves its dual over its own rows of it, all pairs in lockstep.
+    Training is deterministic.
     """
     if degree not in (1, 2):
         raise ValueError("kernel degree must be 1 or 2")
@@ -286,15 +341,32 @@ def svm_train(
     if len(classes) < 2:
         raise ValueError("need at least two classes to train")
     gram = _kernel(vectors, vectors.T, offset, degree)
-    rows = {label: np.array([i for i, s in enumerate(data) if s.label == label]) for label in classes}
-    machines = []
-    for pos, neg in combinations(classes, 2):
-        idx = np.concatenate([rows[pos], rows[neg]])
-        y = np.concatenate([np.ones(len(rows[pos])), -np.ones(len(rows[neg]))])
-        alphas, bias, _ = _smo_pair(gram[np.ix_(idx, idx)], y, c, tol)
-        keep = alphas > 0.0
-        machines.append(BinaryMachine(pos, neg, idx[keep], alphas[keep] * y[keep], bias))
-    return SvmModel(classes, vectors, tuple(machines), degree, c, offset, tol)
+    rows = {label: [i for i, s in enumerate(data) if s.label == label] for label in classes}
+    pairs = list(combinations(classes, 2))
+    width = max(len(rows[pos]) + len(rows[neg]) for pos, neg in pairs)
+    idx = np.zeros((len(pairs), width), dtype=np.intp)
+    y = np.zeros((len(pairs), width))
+    for b, (pos, neg) in enumerate(pairs):
+        n_pos, m = len(rows[pos]), len(rows[pos]) + len(rows[neg])
+        idx[b, :m] = rows[pos] + rows[neg]
+        y[b, :n_pos], y[b, n_pos:m] = 1.0, -1.0
+    alphas, biases, _ = _smo_lockstep(gram, idx, y, c, tol)
+    keep = alphas > 0.0
+    machines = tuple(
+        BinaryMachine(pos, neg, idx[b, keep[b]], alphas[b, keep[b]] * y[b, keep[b]], float(biases[b]))
+        for b, (pos, neg) in enumerate(pairs)
+    )
+    return SvmModel(classes, vectors, machines, degree, c, offset, tol)
+
+
+def _decision_values(model: SvmModel, query) -> np.ndarray:
+    """Every machine's decision value for one query, in machine order."""
+    query = _as_query(query)
+    if query.size != model.vectors.shape[1]:
+        raise ValueError(f"length mismatch: {query.size} vs {model.vectors.shape[1]}")
+    row = _kernel(model.vectors, query, model.offset, model.degree)
+    sums = np.bincount(model.sv_owner, model.sv_coef * row[model.sv_index], minlength=len(model.machines))
+    return sums + model.biases
 
 
 def svm_predict(model: SvmModel, query) -> str:
@@ -307,22 +379,11 @@ def svm_predict(model: SvmModel, query) -> str:
     """
     if not model.machines:
         raise ValueError("model has no trained machines")
-    query = _as_query(query)
-    if query.size != model.vectors.shape[1]:
-        raise ValueError(f"length mismatch: {query.size} vs {model.vectors.shape[1]}")
-    row = _kernel(model.vectors, query, model.offset, model.degree)
-    votes = {label: 0 for label in model.classes}
-    magnitude = {label: 0.0 for label in model.classes}
-    for machine in model.machines:
-        d = float(machine.coefficients @ row[machine.indices] + machine.bias)
-        winner = machine.pos_label if d >= 0.0 else machine.neg_label
-        votes[winner] += 1
-        magnitude[winner] += abs(d)
-    ranked = sorted(
-        model.classes,
-        key=lambda lab: (-votes[lab], -magnitude[lab], model.classes.index(lab)),
-    )
-    return ranked[0]
+    d = _decision_values(model, query)
+    winner = np.where(d >= 0.0, model.pos_class, model.neg_class)
+    votes = np.bincount(winner, minlength=len(model.classes))
+    magnitude = np.bincount(winner, np.abs(d), minlength=len(model.classes))
+    return model.classes[np.lexsort((-magnitude, -votes))[0]]  # stable: class order breaks ties
 
 
 # --- model text format -------------------------------------------------

@@ -122,6 +122,7 @@ class Option(NamedTuple):
     default: object  # None: unset unless given
     commands: tuple[str, ...]
     help: str
+    classifier: str = ""  # in evaluate and kfold, read only with this --classifier
 
 
 _ALL = ("extract", "evaluate", "kfold", "roc")
@@ -138,14 +139,16 @@ OPTIONS = (
     Option("workers", _count(1), 1, _ALL, "parallel extraction processes"),
     Option("skip_errors", _switch, False, _ALL, "warn and skip unreadable dataset files instead of aborting"),
     Option("classifier", _choice("knn", "svm"), "knn", _FIT, "classifier: knn or svm"),
-    Option("k", _count(1), 1, _FIT, "KNN neighbor count"),
+    Option("k", _count(1), 1, _FIT, "KNN neighbor count", "knn"),
     Option("distance", _choice(*DISTANCES), "log", _FIT + ("roc",),
-           "KNN and ROC trial distance: log or euclidean"),
-    Option("degree", _number(int, "1 or 2", lambda n: n in (1, 2)), 1, _FIT, "SVM polynomial degree: 1 or 2"),
-    Option("C", _number(float, "a finite number > 0", lambda x: x > 0), 1.0, _FIT, "SVM regularization bound"),
-    Option("offset", _number(float, "a finite number"), 1.0, _FIT, "SVM kernel offset"),
+           "KNN and ROC trial distance: log or euclidean", "knn"),
+    Option("degree", _number(int, "1 or 2", lambda n: n in (1, 2)), 1, _FIT,
+           "SVM polynomial degree: 1 or 2", "svm"),
+    Option("C", _number(float, "a finite number > 0", lambda x: x > 0), 1.0, _FIT,
+           "SVM regularization bound", "svm"),
+    Option("offset", _number(float, "a finite number"), 1.0, _FIT, "SVM kernel offset", "svm"),
     Option("tol", _number(float, "a finite number >= 0", lambda x: x >= 0), 1e-3, _FIT,
-           "SVM solver stops at a KKT violation gap of at most this"),
+           "SVM solver stops at a KKT violation gap of at most this", "svm"),
     Option("zscore", _switch, False, _FIT, "standardize features using training statistics"),
     Option("train_per_class", _count(1), 7, _SPLIT, "training images per class"),
     Option("shuffle_split", _switch, False, _SPLIT,
@@ -213,7 +216,15 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _config_echo(cfg: argparse.Namespace) -> dict[str, object]:
-    return {key: value for key, value in vars(cfg).items() if key not in ("out", "workers")}
+    """The settings the running command reads, less the output directory
+    and the worker count, which do not change its results."""
+    fit = cfg.command in _FIT
+    return {"command": cfg.command} | {
+        opt.name: getattr(cfg, opt.name)
+        for opt in OPTIONS
+        if cfg.command in opt.commands and opt.name not in ("out", "workers")
+        and (not fit or opt.classifier in ("", cfg.classifier))
+    }
 
 
 def _size(cfg: argparse.Namespace) -> tuple[int, int]:

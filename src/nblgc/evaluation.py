@@ -142,16 +142,12 @@ def _count(test: Sequence[LabeledSample], predicted: Sequence[str]):
 
 
 def _echo(cfg: ClassifierConfig, extra: dict | None) -> dict[str, object]:
-    echo: dict[str, object] = {
-        "classifier": cfg.kind,
-        "k": cfg.neighbors_k,
-        "distance": cfg.distance,
-        "degree": cfg.degree,
-        "C": cfg.c,
-        "offset": cfg.offset,
-        "tol": cfg.tol,
-        "zscore": cfg.zscore,
-    }
+    """The settings the chosen classifier reads, then extra."""
+    echo: dict[str, object] = {"classifier": cfg.kind, "zscore": cfg.zscore}
+    if cfg.kind == "svm":
+        echo.update({"degree": cfg.degree, "C": cfg.c, "offset": cfg.offset, "tol": cfg.tol})
+    else:
+        echo.update({"k": cfg.neighbors_k, "distance": cfg.distance})
     if extra:
         echo.update(extra)
     return echo

@@ -3,10 +3,14 @@
 Everything here is spelled out with basic loops straight from the
 definitions (normalize by the max, 3x3 blocks, spread ratio, center
 weight, loop contours, -mu*G*ln G), deliberately sharing no code with
-the package.
+the package. _smo_pair is the SVM's per-pair solver as it stood before
+the package solved every pair in lockstep, kept verbatim as the
+reference the lockstep solver must match bit for bit.
 """
 
 import math
+
+import numpy as np
 
 
 def naive_normalize(pixels):
@@ -70,3 +74,51 @@ def naive_feature_vector(raw_pixels, width, height, variant, ref):
                 rows.append(grid[base : base + 3])
             feats.append(naive_window_feature(rows, variant, ref))
     return feats
+
+
+def _smo_pair(kmat: np.ndarray, y: np.ndarray, c: float, tol: float) -> tuple[np.ndarray, float, int]:
+    """SMO with second-order working-set selection on one binary dual.
+
+    Minimizes 0.5 * a.Q.a - sum(a) with Q = (y y^T) * kmat, 0 <= a <= c
+    and y.a = 0 (Fan, Chen & Lin, JMLR 2005, as in LIBSVM). Each step
+    takes the maximal violator i, the partner j that gains most by a
+    second-order estimate, and the exact clipped optimum along that
+    pair. It stops when the violation gap m(a) - M(a) is at most tol,
+    when a step moves nothing, or after 1000 * m steps for m samples,
+    so tol=0 ends too. Ties go to the lowest index: no randomness.
+    Returns (alphas, bias, steps); the bias is the mean over free
+    multipliers, else the midpoint of the bounds.
+    """
+    m = len(y)
+    pos = y > 0
+    diag = np.diag(kmat)
+    alphas = np.zeros(m)
+    grad = -np.ones(m)  # gradient Q.a - 1
+    steps = 0
+    while steps < 1000 * m:
+        score = -y * grad
+        up = np.where(pos, alphas < c, alphas > 0.0)
+        low = np.where(pos, alphas > 0.0, alphas < c)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        gain = score[i] - score  # > 0 where t violates with i
+        if gain[low].max() <= tol:
+            break
+        curve = np.maximum(diag[i] + diag - 2.0 * kmat[i], 1e-12)
+        j = int(np.argmax(np.where(low & (gain > 0.0), gain * gain / curve, -np.inf)))
+        room_i = c - alphas[i] if pos[i] else alphas[i]
+        room_j = alphas[j] if pos[j] else c - alphas[j]
+        step = min(gain[j] / curve[j], room_i, room_j)
+        new_i = (c if pos[i] else 0.0) if step == room_i else alphas[i] + y[i] * step
+        new_j = (0.0 if pos[j] else c) if step == room_j else alphas[j] - y[j] * step
+        if new_i == alphas[i] and new_j == alphas[j]:
+            break
+        grad += y * (y[i] * (new_i - alphas[i]) * kmat[i] + y[j] * (new_j - alphas[j]) * kmat[j])
+        alphas[i], alphas[j] = new_i, new_j
+        steps += 1
+    signed = y * grad
+    free = (alphas > 0.0) & (alphas < c)
+    if free.any():
+        return alphas, -float(signed[free].mean()), steps
+    # no free multiplier: the bias lies between these bounds (LIBSVM's rho)
+    only_up = np.where(pos, alphas == 0.0, alphas == c)
+    return alphas, -0.5 * float(signed[only_up].min() + signed[~only_up].max()), steps

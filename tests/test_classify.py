@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from nblgc import (
     svm_predict,
     svm_train,
 )
-from nblgc.classify import _smo_pair
+from nblgc.classify import _decision_values, _smo_lockstep
+from oracles import _smo_pair
 
 
 def samples(pairs):
@@ -196,6 +198,38 @@ def _random_dual_problems():
         yield pytest.param(x, n_pos, degree, c, id=f"{index}-m{m}-deg{degree}-C{c}")
 
 
+def _reference_cases():
+    """Training sets for the lockstep solver against the per-pair reference."""
+    rng = np.random.default_rng(41)
+    balanced = [(rng.normal(k % 40, 6.0, size=20), f"c{k % 40:02d}") for k in range(280)]
+    sizes = rng.integers(1, 10, size=12)
+    unequal = [(rng.normal(k, 3.0, size=6), f"c{k:02d}") for k, size in enumerate(sizes) for _ in range(size)]
+    rng = np.random.default_rng(12)
+    tol_zero = [(rng.normal(i % 3, 1.5, size=3), f"c{i % 3}") for i in range(30)]
+    rng = np.random.default_rng(13)  # as in test_large_kernel_values_still_train
+    shifts = {"a": [0, 0, 0, 0], "b": [8, 0, 0, 0], "c": [0, 8, 0, 0]}
+    large = [(rng.normal(28.0, 1.0, size=4) + shift, k) for k, shift in shifts.items() for _ in range(6)]
+    yield pytest.param(balanced, 1, 1e-3, id="balanced-40x7")
+    yield pytest.param(unequal, 1, 1e-3, id="unequal-class-sizes")
+    yield pytest.param(tol_zero, 2, 0.0, id="tol-zero")
+    yield pytest.param(balanced[:70], 2, 1e-3, id="degree-2")
+    yield pytest.param(large, 2, 1e-3, id="large-kernel-values")
+
+
+def _positive_definite_problems():
+    """30 seeded two-class problems with at least as many dimensions as
+    points, so the Gram matrix is positive definite and the optimum unique."""
+    rng = np.random.default_rng(43)
+    for index in range(30):
+        m = int(rng.integers(4, 13))
+        n_pos = int(rng.integers(1, m))
+        x = rng.normal(size=(m, m + int(rng.integers(0, 3))))
+        x[:n_pos] += rng.normal(0.0, 1.0, size=x.shape[1])
+        queries = rng.normal(size=(5, x.shape[1]))
+        degree, c = 1 + index % 2, (0.5, 1.0, 10.0)[index % 3]
+        yield pytest.param(x, n_pos, queries, degree, c, id=f"{index}-m{m}-deg{degree}-C{c}")
+
+
 class TestSvm:
     def test_separable_two_class_degree_one(self):
         rng = np.random.default_rng(5)
@@ -257,13 +291,40 @@ class TestSvm:
         train = samples([(rng.normal(i % 3, 1.5, size=3), f"c{i % 3}") for i in range(30)])
         x = np.stack([s.vector for s in train[:20]])
         y = np.where(np.arange(20) % 3 == 0, 1.0, -1.0)
-        _, _, steps = _smo_pair((x @ x.T + 1.0) ** 2, y, 1.0, 0.0)
-        assert steps < 1000 * len(y)
+        _, _, steps = _smo_lockstep((x @ x.T + 1.0) ** 2, np.arange(20)[None, :], y[None, :], 1.0, 0.0)
+        assert steps[0] < 1000 * len(y)
         a, b = svm_train(train, degree=2, tol=0.0), svm_train(train, degree=2, tol=0.0)
         for ma, mb in zip(a.machines, b.machines):
             assert np.array_equal(ma.indices, mb.indices)
             assert ma.coefficients.tobytes() == mb.coefficients.tobytes()
             assert ma.bias == mb.bias
+
+    @pytest.mark.parametrize("pairs,degree,tol", _reference_cases())
+    def test_lockstep_matches_the_per_pair_reference(self, pairs, degree, tol):
+        train = samples(pairs)
+        labels = [s.label for s in train]
+        members = {c: [i for i, lab in enumerate(labels) if lab == c] for c in sorted(set(labels))}
+        pair_rows = [(members[pos], members[neg]) for pos, neg in combinations(sorted(members), 2)]
+        width = max(len(pos) + len(neg) for pos, neg in pair_rows)
+        idx, y = np.zeros((len(pair_rows), width), dtype=np.intp), np.zeros((len(pair_rows), width))
+        for b, (pos, neg) in enumerate(pair_rows):
+            idx[b, : len(pos) + len(neg)] = pos + neg
+            y[b, : len(pos) + len(neg)] = [1.0] * len(pos) + [-1.0] * len(neg)
+        x = np.stack([s.vector for s in train])
+        gram = (x @ x.T + 1.0) ** degree
+        alphas, biases, steps = _smo_lockstep(gram, idx, y, 1.0, tol)
+        model = svm_train(train, degree=degree, tol=tol)
+        for b, machine in enumerate(model.machines):
+            m = np.count_nonzero(y[b])
+            rows, y_b = idx[b, :m], y[b, :m]
+            ref_alphas, ref_bias, ref_steps = _smo_pair(gram[np.ix_(rows, rows)], y_b, 1.0, tol)
+            assert alphas[b, :m].tobytes() == ref_alphas.tobytes() and not alphas[b, m:].any()
+            assert steps[b] == ref_steps
+            keep = ref_alphas > 0.0
+            assert machine.indices.tobytes() == rows[keep].tobytes()
+            assert machine.coefficients.tobytes() == (ref_alphas[keep] * y_b[keep]).tobytes()
+            for bias in (biases[b], machine.bias):
+                assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
 
     @pytest.mark.parametrize("x,n_pos,degree,c", _random_dual_problems())
     def test_dual_objective_matches_oracle(self, x, n_pos, degree, c):
@@ -275,6 +336,46 @@ class TestSvm:
         kmat = (x @ x.T + 1.0) ** degree
         best = _dual_objective(_dual_oracle(kmat, y, c), kmat, y)
         assert abs(_dual_objective(alphas, kmat, y) - best) <= 1e-5 * max(1.0, abs(best))
+
+    @pytest.mark.parametrize("x,n_pos,queries,degree,c", _positive_definite_problems())
+    def test_held_out_decisions_match_oracle(self, x, n_pos, queries, degree, c):
+        y = np.where(np.arange(len(x)) < n_pos, 1.0, -1.0)
+        kmat = (x @ x.T + 1.0) ** degree
+        eigenvalues = np.linalg.eigvalsh(kmat)
+        assert eigenvalues[0] > 1e-4 * eigenvalues[-1]
+        alphas = _dual_oracle(kmat, y, c)
+        free = (alphas > 1e-6 * c) & (alphas < c - 1e-6 * c)
+        bias = np.mean(y[free] - (alphas * y) @ kmat[:, free])  # the unique optimum has free multipliers here
+        expected = (alphas * y) @ ((x @ queries.T + 1.0) ** degree) + bias
+        # measured worst over these 30 problems: 8.0e-4 at the default tol
+        # (the solver's own stopping gap) and 4.4e-6 at tol 1e-9 (SLSQP's accuracy)
+        for tol, bound in ((1e-3, 1e-3), (1e-9, 1e-5)):
+            model = svm_train(samples([(row, "a" if t > 0 else "b") for row, t in zip(x, y)]),
+                              degree=degree, c=c, tol=tol)
+            got = np.array([_decision_values(model, q)[0] for q in queries])
+            assert (np.abs(got - expected) <= bound * np.maximum(1.0, np.abs(expected))).all()
+
+    def test_flat_decision_values_match_each_machine(self):
+        # the flat store sums each machine's terms in index order; a per-machine
+        # dot product may sum them in another order. Measured worst relative to
+        # max(1, |d|): 3.6e-15 over these models, 2.9e-14 over three more seeds
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            classes = tuple(f"c{k}" for k in range(rng.integers(2, 7)))
+            n_train, dim = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            machines = []
+            for pos, neg in combinations(classes, 2):
+                n_sv = int(rng.integers(0, n_train + 1))
+                coefficients = rng.normal(size=n_sv) * 10.0 ** rng.uniform(-3, 1)
+                machines.append(BinaryMachine(pos, neg, rng.choice(n_train, n_sv, replace=False), coefficients,
+                                              float(rng.normal())))
+            model = SvmModel(classes, rng.normal(size=(n_train, dim)), tuple(machines),
+                             int(rng.integers(1, 3)), 1.0, float(rng.uniform(0, 2)), 1e-3)
+            for query in rng.normal(size=(5, dim)):
+                row = (model.vectors @ query + model.offset) ** model.degree
+                expected = np.array([m.coefficients @ row[m.indices] + m.bias for m in model.machines])
+                got = _decision_values(model, query)
+                assert (np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected))).all()
 
     def test_large_kernel_values_still_train(self):
         # degree-2 kernel values near 1e7: every multiplier of the optimum
@@ -329,6 +430,21 @@ class TestSvm:
             1, 1.0, 1.0, 1e-3,
         )
         assert svm_predict(flat, [0.0]) == "a"
+
+    @pytest.mark.parametrize(
+        "classes,pairs,message",
+        [
+            (("a", "a"), [("a", "a")], "class labels must be distinct"),
+            (("a", "b"), [("a", "a")], "names one label twice"),
+            (("a", "b", "c"), [("a", "b")] * 3, "each pair of classes exactly once"),
+            (("a", "b", "c"), [("a", "b"), ("b", "a"), ("c", "a")], "each pair of classes exactly once"),
+            (("a", "b", "c"), [("a", "b"), ("c", "a")], "each pair of classes exactly once"),
+        ],
+    )
+    def test_malformed_machine_set_rejected(self, classes, pairs, message):
+        machines = tuple(BinaryMachine(pos, neg, [], [], 0.0) for pos, neg in pairs)
+        with pytest.raises(ValueError, match=message):
+            SvmModel(classes, np.zeros((1, 1)), machines, 1, 1.0, 1.0, 1e-3)
 
     def test_rejects_non_finite_query(self):
         model = svm_train(samples([([0.0], "a"), ([1.0], "b")]))
@@ -465,6 +581,9 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
         lambda ls: ls[: max(i for i, line in enumerate(ls) if line.startswith("machine\t"))],
         "2 machines for 3 classes"),
     "no classes record": (lambda ls: [line for line in ls if not line.startswith("classes\t")], "no classes record"),
+    "class label twice": (lambda ls: _edit(ls, "classes", 2, lambda v: "c0"), "class labels must be distinct"),
+    "machine label twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c0"), "names one label twice"),
+    "class pair twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c2"), "each pair of classes exactly once"),
 }
 
 

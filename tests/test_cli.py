@@ -99,6 +99,26 @@ class TestHappyPaths:
         echo = json.loads((out / "config.json").read_text())
         assert echo["classifier"] == "svm"
 
+    def test_echo_holds_only_the_settings_the_run_reads(self, small_tree, tmp_path):
+        svm_only, knn_only = {"degree", "C", "offset", "tol"}, {"k", "distance"}
+        runs = {"knn": svm_only, "svm": knn_only}
+        for classifier, unread in runs.items():
+            out = tmp_path / classifier
+            assert run_cli(eval_args(small_tree, out, "--classifier", classifier)) == 0
+            echo = json.loads((out / "config.json").read_text())
+            report = {line[2:].partition("=")[0] for line in (out / "report.csv").read_text().splitlines()
+                      if line.startswith("# ")}
+            for keys in (set(echo), report):
+                assert not keys & (unread | {"folds", "thresholds", "out", "workers"})
+                assert {"classifier", "zscore", "train_per_class"} <= keys
+            assert echo["classifier"] == classifier
+        roc = ["roc", "--data", str(small_tree), "--resize", "9x9", "--train-per-class", "4",
+               "--out", str(tmp_path / "roc"), "--workers", "1"]
+        assert run_cli(roc) == 0
+        echo = json.loads((tmp_path / "roc" / "config.json").read_text())
+        assert "distance" in echo and "thresholds" in echo
+        assert not set(echo) & (svm_only | {"k", "classifier", "zscore", "folds"})
+
     def test_dataset_files_untouched(self, small_tree, tmp_path):
         before = tree_digest(small_tree)
         assert run_cli(extract_args(small_tree, tmp_path / "out")) == 0
@@ -266,12 +286,16 @@ class TestOptionValues:
     def test_config_values_match_flag_text(self, small_tree, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"C": 2, "k": "3", "tol": 0, "zscore": True, "resize": "9X9"}))
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert run_cli(eval_args(small_tree, out1, "--config", str(cfg))) == 0
-        assert run_cli(eval_args(small_tree, out2, "--C", "2.0", "--k", "3", "--tol", "0", "--zscore")) == 0
-        echo = json.loads((out1 / "config.json").read_text())
-        assert (echo["C"], echo["k"], echo["tol"], echo["zscore"]) == (2.0, 3, 0.0, True)
-        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+        flags = ["--C", "2.0", "--k", "3", "--tol", "0", "--zscore"]
+        values = {"C": 2.0, "k": 3, "tol": 0.0, "zscore": True}
+        echoed = {"knn": ("k", "zscore"), "svm": ("C", "tol", "zscore")}  # each run echoes what it reads
+        for classifier, keys in echoed.items():
+            out1, out2 = tmp_path / classifier / "o1", tmp_path / classifier / "o2"
+            assert run_cli(eval_args(small_tree, out1, "--config", str(cfg), "--classifier", classifier)) == 0
+            assert run_cli(eval_args(small_tree, out2, *flags, "--classifier", classifier)) == 0
+            echo = json.loads((out1 / "config.json").read_text())
+            assert [echo[key] for key in keys] == [values[key] for key in keys]
+            assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
     def test_null_config_value_means_unset(self, small_tree, tmp_path):
         cfg = tmp_path / "cfg.json"
