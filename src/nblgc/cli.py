@@ -134,7 +134,7 @@ OPTIONS = (
     Option("resize", _resize, "63x63", _ALL, "resize target WxH, multiples of 3"),
     Option("variant", _choice("g1", "g2", "g3"), "g1", _ALL, "gradient contour variant: g1, g2 or g3"),
     Option("ref", _choice("avg", "max", "min"), "avg", _ALL, "fuzzifier reference statistic: avg, max or min"),
-    Option("seed", _number(int, "an integer"), 0, _ALL, "seed for shuffled splits"),
+    Option("seed", _number(int, "an integer"), 0, _SPLIT, "seed for shuffled splits"),
     Option("out", _path, "out", _ALL, "output directory"),
     Option("workers", _count(1), 1, _ALL, "parallel extraction processes"),
     Option("skip_errors", _switch, False, _ALL, "warn and skip unreadable dataset files instead of aborting"),

@@ -8,6 +8,7 @@ and assembles labeled datasets from a ``root/<class>/<image>.pgm`` tree.
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,11 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\r\n]*")
 # a comment, or a token: a run of bytes that are neither whitespace nor #
 _TOKEN = re.compile(_COMMENT.pattern + rb"|([^ \t\n\r\x0b\x0c#]+)")
+# byte -> its digit value, _SPACE for the whitespace bytes, _OTHER for the rest
+_SPACE, _OTHER = 10, 11
+_BYTE_CLASS = bytes(
+    b - 48 if 48 <= b <= 57 else _SPACE if b in _WHITESPACE else _OTHER for b in range(256)
+)
 
 
 class PgmParseError(ValueError):
@@ -125,6 +131,41 @@ def _uint(token: re.Match, what: str) -> int:
         raise PgmParseError(f"{what} token of {len(text)} digits is too long", token.start()) from None
 
 
+def _p2_values(raster: bytes, count: int, max_gray: int) -> np.ndarray | None:
+    """The first count tokens of a comment-blanked P2 raster as int64
+    values, in one numpy pass over its bytes; None when there are fewer,
+    or one is not a decimal number int() converts, or one exceeds max_gray.
+    Memory is a few times the raster's bytes, whatever count says.
+    """
+    v = np.frombuffer(raster.translate(_BYTE_CLASS), np.uint8)
+    token = v != _SPACE
+    # tokens are the runs of non-whitespace: edges alternate start, end
+    edges = np.flatnonzero(np.diff(token, prepend=False, append=False))
+    if len(edges) < 2 * count:
+        return None
+    starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
+    v, token = v[: ends[-1]], token[: ends[-1]]  # bytes after the last needed token stay unread
+    if (v == _OTHER).any():
+        return None
+    length = ends - starts
+    longest = int(length.max())
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int()'s digit limit; 0: none, as before 3.10.7
+    if limit and longest > limit:
+        return None
+    values = np.zeros(count, np.int64)
+    nonzero = 0  # nonzero digits among the tokens' last five
+    for place in reversed(range(min(longest, 5))):  # most significant first
+        # a byte left of a token's start is masked out; clip keeps a read in range
+        digit = v.take(ends - (1 + place), mode="clip") * (length > place)
+        values *= 10
+        values += digit
+        nonzero += np.count_nonzero(digit)
+    # a nonzero digit before a token's last five makes it >= 100000 > MAX_GRAY_LIMIT
+    if nonzero < np.count_nonzero(token & (v != 0)) or int(values.max()) > max_gray:
+        return None
+    return values
+
+
 def parse_pgm(data: bytes) -> RawImage:
     """Decode P2 (ASCII) or P5 (binary) PGM bytes into a RawImage.
 
@@ -160,13 +201,8 @@ def parse_pgm(data: bytes) -> RawImage:
     end = mg_tok.end()
     count = width * height
     if magic == b"P2":
-        # maxsplit clamped: a huge header on a short file allocates nothing
-        raster = _COMMENT.sub(b" ", data[end:]).split(None, min(count, len(data)))[:count]
-        try:
-            values = list(map(int, raster)) if b"".join(raster).isdigit() else []
-        except ValueError:  # a token of more digits than int() converts
-            values = []
-        if len(values) == count and max(values) <= max_gray:
+        values = _p2_values(_COMMENT.sub(b" ", data[end:]), count, max_gray)
+        if values is not None:
             return RawImage(width, height, max_gray, values)
         # the raster is bad: walk it again to name the first bad token
         for _, token in zip(range(count), _tokens(data, end)):
@@ -242,9 +278,11 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
     y1 = np.minimum(y0 + 1, image.height - 1)
     fx = xs - x0
     fy = (ys - y0)[:, None]
+    r0, r1 = src[y0], src[y1]
+    a0, a1 = r0[:, x0], r1[:, x0]
     # lerp form keeps constants exact: v0 + f*(v1 - v0)
-    top = src[y0][:, x0] + fx * (src[y0][:, x1] - src[y0][:, x0])
-    bottom = src[y1][:, x0] + fx * (src[y1][:, x1] - src[y1][:, x0])
+    top = a0 + fx * (r0[:, x1] - a0)
+    bottom = a1 + fx * (r1[:, x1] - a1)
     out = top + fy * (bottom - top)
     return GrayImage(np.clip(out, 0.0, 1.0))
 

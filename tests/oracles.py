@@ -5,12 +5,25 @@ definitions (normalize by the max, 3x3 blocks, spread ratio, center
 weight, loop contours, -mu*G*ln G), deliberately sharing no code with
 the package. _smo_pair is the SVM's per-pair solver as it stood before
 the package solved every pair in lockstep, kept verbatim as the
-reference the lockstep solver must match bit for bit.
+reference the lockstep solver must match bit for bit. parse_pgm is the
+PGM decoder as it stood before the package decoded a P2 raster in one
+numpy pass (a bytes.split and an int() per token), kept verbatim with
+its helpers as the reference the numpy pass must match exactly: pixels,
+or exception type, message and offset.
 """
 
+from __future__ import annotations
+
 import math
+import re
+from typing import Iterator
 
 import numpy as np
+
+try:
+    from nblgc.image_io import MAX_GRAY_LIMIT, PgmParseError, RawImage
+except ModuleNotFoundError:  # perfbench loads this file without the package and calls no decoder
+    pass
 
 
 def naive_normalize(pixels):
@@ -122,3 +135,94 @@ def _smo_pair(kmat: np.ndarray, y: np.ndarray, c: float, tol: float) -> tuple[np
     # no free multiplier: the bias lies between these bounds (LIBSVM's rho)
     only_up = np.where(pos, alphas == 0.0, alphas == c)
     return alphas, -0.5 * float(signed[only_up].min() + signed[~only_up].max()), steps
+
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\r\n]*")
+# a comment, or a token: a run of bytes that are neither whitespace nor #
+_TOKEN = re.compile(_COMMENT.pattern + rb"|([^ \t\n\r\x0b\x0c#]+)")
+
+
+def _tokens(data: bytes, pos: int) -> Iterator[re.Match]:
+    """Tokens of data from pos on, found lazily; comments are skipped."""
+    return (m for m in _TOKEN.finditer(data, pos) if m[1])
+
+
+def _uint(token: re.Match, what: str) -> int:
+    text = token[1]
+    if not text.isdigit():
+        raise PgmParseError(f"non-numeric {what} token {text!r}", token.start())
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts (4300 by default)
+        raise PgmParseError(f"{what} token of {len(text)} digits is too long", token.start()) from None
+
+
+def parse_pgm(data: bytes) -> RawImage:
+    """Decode P2 (ASCII) or P5 (binary) PGM bytes into a RawImage.
+
+    Comments (# to end of line) may appear anywhere whitespace may, and
+    a # ends a token. A P5 raster follows exactly one whitespace byte.
+    Raises PgmParseError naming the byte offset for malformed magic,
+    non-numeric or overlong tokens, truncated pixel data, out-of-range
+    max_gray, and pixel values exceeding the declared maximum.
+    """
+    magic = data[:2]
+    if magic not in (b"P2", b"P5"):
+        raise PgmParseError(f"malformed magic number {magic!r}", 0)
+    if data[2:3] not in _WHITESPACE + b"#":
+        raise PgmParseError(f"malformed magic number {data[:3]!r}", 0)
+    tokens = _tokens(data, 2)
+
+    def header(what: str) -> tuple[int, re.Match]:
+        token = next(tokens, None)
+        if token is None:
+            raise PgmParseError(f"truncated input, missing {what}", len(data))
+        return _uint(token, what), token
+
+    width, w_tok = header("width")
+    height, h_tok = header("height")
+    if width < 1:
+        raise PgmParseError("width must be at least 1", w_tok.start())
+    if height < 1:
+        raise PgmParseError("height must be at least 1", h_tok.start())
+    max_gray, mg_tok = header("max_gray")
+    if not 1 <= max_gray <= MAX_GRAY_LIMIT:
+        raise PgmParseError(f"max_gray {max_gray} outside [1, {MAX_GRAY_LIMIT}]", mg_tok.start())
+
+    end = mg_tok.end()
+    count = width * height
+    if magic == b"P2":
+        # maxsplit clamped: a huge header on a short file allocates nothing
+        raster = _COMMENT.sub(b" ", data[end:]).split(None, min(count, len(data)))[:count]
+        try:
+            values = list(map(int, raster)) if b"".join(raster).isdigit() else []
+        except ValueError:  # a token of more digits than int() converts
+            values = []
+        if len(values) == count and max(values) <= max_gray:
+            return RawImage(width, height, max_gray, values)
+        # the raster is bad: walk it again to name the first bad token
+        for _, token in zip(range(count), _tokens(data, end)):
+            value = _uint(token, "raster value")
+            if value > max_gray:
+                raise PgmParseError(f"pixel value {value} exceeds max_gray {max_gray}", token.start())
+        raise PgmParseError("truncated pixel data", len(data))
+
+    # P5: exactly one separator byte after max_gray (a # there is an error), then the raster
+    if end >= len(data) or data[end] not in _WHITESPACE:
+        raise PgmParseError("truncated pixel data", end)
+    start = end + 1
+    two_byte = max_gray > 255
+    need = count * (2 if two_byte else 1)
+    if len(data) - start < need:
+        raise PgmParseError("truncated pixel data", len(data))
+    raw = data[start : start + need]
+    # RawImage copies the raster to native uint16
+    values = np.frombuffer(raw, dtype=">u2" if two_byte else np.uint8)
+    if int(values.max()) > max_gray:
+        bad = int(np.argmax(values > max_gray))
+        offset = start + bad * (2 if two_byte else 1)
+        raise PgmParseError(
+            f"pixel value {int(values[bad])} exceeds max_gray {max_gray}", offset
+        )
+    return RawImage(width, height, max_gray, values)

@@ -119,6 +119,17 @@ class TestHappyPaths:
         assert "distance" in echo and "thresholds" in echo
         assert not set(echo) & (svm_only | {"k", "classifier", "zscore", "folds"})
 
+    @pytest.mark.parametrize("command,extra,output", [("extract", [], "features.csv"),
+                                                      ("kfold", ["--folds", "3"], "folds.csv")])
+    def test_seed_only_where_a_split_reads_it(self, small_tree, tmp_path, capsys, command, extra, output):
+        args = [command, "--data", str(small_tree), "--resize", "9x9", "--workers", "1", *extra]
+        assert run_cli(args + ["--out", str(tmp_path / "flag"), "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert "seed" not in json.loads((out / "config.json").read_text())
+        assert "# seed=" not in (out / output).read_text()
+
     def test_dataset_files_untouched(self, small_tree, tmp_path):
         before = tree_digest(small_tree)
         assert run_cli(extract_args(small_tree, tmp_path / "out")) == 0
@@ -187,7 +198,7 @@ class TestHelp:
         "command,flags",
         [
             ("extract", ["--data", "--config", "--resize", "--variant", "--ref",
-                         "--seed", "--out", "--workers", "--skip-errors"]),
+                         "--out", "--workers", "--skip-errors"]),
             ("evaluate", ["--classifier", "--k", "--distance", "--degree", "--C",
                           "--offset", "--tol", "--zscore",
                           "--train-per-class", "--shuffle-split"]),
