@@ -189,10 +189,10 @@ class SvmModel:
     """One-vs-one ensemble over the sorted class list.
 
     ``vectors`` holds each training vector once, in training order; each
-    machine keeps indices into it and one coefficient per index. Either
-    there are no machines or there is one per pair of classes. The
-    derived ``sv_*`` arrays flatten every machine's support entries, in
-    machine order, for prediction.
+    machine keeps indices into it and one coefficient per index. There
+    are at least two classes and exactly one machine per pair of them,
+    so every model can predict. The derived ``sv_*`` arrays flatten
+    every machine's support entries, in machine order, for prediction.
     """
 
     classes: tuple[str, ...]
@@ -217,6 +217,8 @@ class SvmModel:
         vectors.flags.writeable = False
         if len(set(classes)) != len(classes):
             raise ValueError("class labels must be distinct")
+        if len(classes) < 2:
+            raise ValueError("an svm model needs at least two classes")
         for m in self.machines:
             if m.pos_label not in classes or m.neg_label not in classes:
                 raise ValueError(f"machine {m.pos_label!r}/{m.neg_label!r} names a label not in classes")
@@ -225,8 +227,9 @@ class SvmModel:
             if m.indices.size and not (0 <= m.indices.min() and m.indices.max() < len(vectors)):
                 raise ValueError("support vector index outside vectors")
         pairs = {frozenset((m.pos_label, m.neg_label)) for m in self.machines}
-        if self.machines and not len(pairs) == len(self.machines) == len(classes) * (len(classes) - 1) // 2:
-            raise ValueError("machines must cover each pair of classes exactly once")
+        if not len(pairs) == len(self.machines) == len(classes) * (len(classes) - 1) // 2:
+            raise ValueError("machines must cover each pair of classes exactly once "
+                             f"({len(self.machines)} machines for {len(classes)} classes)")
         machines = tuple(replace(m, store=vectors) for m in self.machines)
         position = {label: k for k, label in enumerate(classes)}
         flat = {
@@ -377,8 +380,6 @@ def svm_predict(model: SvmModel, query) -> str:
     the larger summed absolute decision value, then to the earlier
     class in the model's class order.
     """
-    if not model.machines:
-        raise ValueError("model has no trained machines")
     d = _decision_values(model, query)
     winner = np.where(d >= 0.0, model.pos_class, model.neg_class)
     votes = np.bincount(winner, minlength=len(model.classes))
@@ -476,7 +477,5 @@ def _parse_model(fields: dict[str, str], records: list[list[str]]) -> KnnModel |
             BinaryMachine(pos_label, neg_label, [int(r[1]) for r in svs], [float(r[2]) for r in svs], float(bias))
         )
         pos += 1 + len(svs)
-    if len(machines) != len(classes) * (len(classes) - 1) // 2:
-        raise ValueError(f"{len(machines)} machines for {len(classes)} classes")
     return SvmModel(classes, vectors, tuple(machines), int(fields["degree"]), float(fields["C"]),
                     float(fields["offset"]), float(fields["tol"]))

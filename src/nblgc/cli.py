@@ -61,7 +61,7 @@ class _ArgParser(argparse.ArgumentParser):
 # Each takes a flag's text or a config file's JSON value and returns the
 # canonical value, or raises ValueError saying what it wants. A string is
 # read as flag text; JSON numbers and booleans count only as themselves,
-# so {"k": 1.7}, {"seed": true} and {"zscore": "false"} are all refused.
+# so {"k": 1.7}, {"shuffle_seed": true} and {"zscore": "false"} are all refused.
 
 
 def _number(kind: type, rule: str, ok: Callable[[float], bool] = lambda x: True):
@@ -134,7 +134,6 @@ OPTIONS = (
     Option("resize", _resize, "63x63", _ALL, "resize target WxH, multiples of 3"),
     Option("variant", _choice("g1", "g2", "g3"), "g1", _ALL, "gradient contour variant: g1, g2 or g3"),
     Option("ref", _choice("avg", "max", "min"), "avg", _ALL, "fuzzifier reference statistic: avg, max or min"),
-    Option("seed", _number(int, "an integer"), 0, _SPLIT, "seed for shuffled splits"),
     Option("out", _path, "out", _ALL, "output directory"),
     Option("workers", _count(1), 1, _ALL, "parallel extraction processes"),
     Option("skip_errors", _switch, False, _ALL, "warn and skip unreadable dataset files instead of aborting"),
@@ -151,8 +150,8 @@ OPTIONS = (
            "SVM solver stops at a KKT violation gap of at most this", "svm"),
     Option("zscore", _switch, False, _FIT, "standardize features using training statistics"),
     Option("train_per_class", _count(1), 7, _SPLIT, "training images per class"),
-    Option("shuffle_split", _switch, False, _SPLIT,
-           "pick training images per class with a seeded shuffle instead of load order"),
+    Option("shuffle_seed", _number(int, "an integer"), None, _SPLIT,
+           "pick training images per class with a shuffle seeded by this integer (default: load order)"),
     Option("folds", _count(2), 10, ("kfold",), "fold count"),
     Option("thresholds", _count(2, 100_000), 200, ("roc",), "evenly spaced thresholds in the sweep"),
 )
@@ -246,7 +245,7 @@ def _classifier_config(cfg: argparse.Namespace) -> ClassifierConfig:
 
 
 def _split_spec(cfg: argparse.Namespace) -> SplitSpec:
-    return SplitSpec(cfg.train_per_class, cfg.seed if cfg.shuffle_split else None)
+    return SplitSpec(cfg.train_per_class, cfg.shuffle_seed)
 
 
 def cmd_extract(cfg: argparse.Namespace) -> None:
@@ -263,20 +262,18 @@ def cmd_evaluate(cfg: argparse.Namespace) -> None:
     """train/test split accuracy report"""
     _, _, samples = _load_samples(cfg)
     train, test = split_per_class(samples, _split_spec(cfg))
-    report = evaluate(train, test, _classifier_config(cfg), _config_echo(cfg))
+    report = evaluate(train, test, _classifier_config(cfg))
     out_path = cfg.out / "report.csv"
-    write_report_csv(report, out_path)
-    correct = sum(c for c, _ in report.per_class.values())
-    total = sum(t for _, t in report.per_class.values())
-    print(f"accuracy {report.accuracy:.6g}% ({correct}/{total}) -> {out_path}")
+    write_report_csv(report, _config_echo(cfg), out_path)
+    print(f"accuracy {report.accuracy:.6g}% ({report.correct}/{report.total}) -> {out_path}")
 
 
 def cmd_kfold(cfg: argparse.Namespace) -> None:
     """stratified k-fold cross-validation"""
     _, _, samples = _load_samples(cfg)
-    report = kfold(samples, cfg.folds, _classifier_config(cfg), _config_echo(cfg))
+    report = kfold(samples, cfg.folds, _classifier_config(cfg))
     out_path = cfg.out / "folds.csv"
-    write_folds_csv(report, out_path)
+    write_folds_csv(report, _config_echo(cfg), out_path)
     mean = sum(report.fold_accuracies) / len(report.fold_accuracies)
     print(f"kfold mean accuracy {mean:.6g}% over {cfg.folds} folds -> {out_path}")
 

@@ -1,8 +1,10 @@
 """Splits, accuracy evaluation, k-fold cross-validation, verification ROC.
 
-All randomness is seeded and every CSV this module writes is byte-stable
-across reruns of the same configuration. Accuracies, FAR, and GAR are
-percentages.
+The functions here compute results only: an EvalReport holds counts,
+and the settings a run echoes into its CSVs are the caller's, passed to
+each writer as a dict. All randomness is seeded and every CSV this
+module writes is byte-stable across reruns of the same configuration.
+Accuracies, FAR, and GAR are percentages.
 """
 
 from __future__ import annotations
@@ -54,16 +56,21 @@ class ClassifierConfig:
 
 @dataclass(frozen=True)
 class EvalReport:
-    accuracy: float  # percent, pooled over every prediction
     per_class: dict[str, tuple[int, int]]  # label -> (correct, total)
-    config: dict[str, object]
     fold_accuracies: tuple[float, ...] | None = None
 
-    def __post_init__(self):
-        correct = sum(c for c, _ in self.per_class.values())
-        total = sum(t for _, t in self.per_class.values())
-        if total and abs(self.accuracy - 100.0 * correct / total) > 1e-9:
-            raise ValueError("accuracy does not match per-class counts")
+    @property
+    def correct(self) -> int:
+        return sum(c for c, _ in self.per_class.values())
+
+    @property
+    def total(self) -> int:
+        return sum(t for _, t in self.per_class.values())
+
+    @property
+    def accuracy(self) -> float:
+        """Percent, pooled over every prediction."""
+        return 100.0 * self.correct / self.total
 
 
 def _group_by_class(data: Sequence[LabeledSample]) -> dict[str, list[LabeledSample]]:
@@ -129,57 +136,38 @@ def _predict_all(
     raise ValueError(f"unknown classifier kind {cfg.kind!r}")
 
 
-def _count(test: Sequence[LabeledSample], predicted: Sequence[str]):
+def _count(test: Sequence[LabeledSample], predicted: Sequence[str]) -> EvalReport:
     per_class: dict[str, list[int]] = {}
     for sample, guess in zip(test, predicted):
         counts = per_class.setdefault(sample.label, [0, 0])
         counts[0] += int(guess == sample.label)
         counts[1] += 1
-    ordered = {label: (c, t) for label, (c, t) in sorted(per_class.items())}
-    correct = sum(c for c, _ in ordered.values())
-    total = sum(t for _, t in ordered.values())
-    return ordered, 100.0 * correct / total
-
-
-def _echo(cfg: ClassifierConfig, extra: dict | None) -> dict[str, object]:
-    """The settings the chosen classifier reads, then extra."""
-    echo: dict[str, object] = {"classifier": cfg.kind, "zscore": cfg.zscore}
-    if cfg.kind == "svm":
-        echo.update({"degree": cfg.degree, "C": cfg.c, "offset": cfg.offset, "tol": cfg.tol})
-    else:
-        echo.update({"k": cfg.neighbors_k, "distance": cfg.distance})
-    if extra:
-        echo.update(extra)
-    return echo
+    return EvalReport({label: (c, t) for label, (c, t) in sorted(per_class.items())})
 
 
 def evaluate(
     train: Sequence[LabeledSample],
     test: Sequence[LabeledSample],
     cfg: ClassifierConfig = ClassifierConfig(),
-    extra_config: dict | None = None,
 ) -> EvalReport:
-    """Train on one split, predict the other, report accuracy per class."""
+    """Train on one split, predict the other, count hits per class."""
     train, test = list(train), list(test)
     if not train or not test:
         raise ValueError("train and test sets must both be non-empty")
-    predicted = _predict_all(train, test, cfg)
-    per_class, accuracy = _count(test, predicted)
-    return EvalReport(accuracy, per_class, _echo(cfg, extra_config))
+    return _count(test, _predict_all(train, test, cfg))
 
 
 def kfold(
     data: Sequence[LabeledSample],
     k: int = 10,
     cfg: ClassifierConfig = ClassifierConfig(),
-    extra_config: dict | None = None,
 ) -> EvalReport:
     """Stratified k-fold cross-validation.
 
     Each class's samples spread round-robin over the folds in load
     order, so with at least k samples per class every fold sees every
-    class; smaller classes simply occupy fewer folds. Pooled accuracy
-    plus one accuracy per fold.
+    class; smaller classes simply occupy fewer folds. Counts pool every
+    fold's predictions; fold_accuracies holds one accuracy per fold.
     """
     data = list(data)
     if k < 2:
@@ -193,26 +181,19 @@ def kfold(
     for label in sorted(positions):
         for j, i in enumerate(positions[label]):
             fold_of[i] = j % k
+    tested: list[LabeledSample] = []
+    predicted: list[str] = []
     fold_accuracies = []
-    pooled: dict[str, list[int]] = {}
     for fold in range(k):
         train = [s for i, s in enumerate(data) if fold_of[i] != fold]
         test = [s for i, s in enumerate(data) if fold_of[i] == fold]
         if not test:
             raise ValueError(f"fold {fold} is empty; reduce k")
-        predicted = _predict_all(train, test, cfg)
-        per_class, accuracy = _count(test, predicted)
-        fold_accuracies.append(accuracy)
-        for label, (c, t) in per_class.items():
-            agg = pooled.setdefault(label, [0, 0])
-            agg[0] += c
-            agg[1] += t
-    ordered = {label: (c, t) for label, (c, t) in sorted(pooled.items())}
-    correct = sum(c for c, _ in ordered.values())
-    total = sum(t for _, t in ordered.values())
-    echo = _echo(cfg, extra_config)
-    echo["folds"] = k
-    return EvalReport(100.0 * correct / total, ordered, echo, tuple(fold_accuracies))
+        guesses = _predict_all(train, test, cfg)
+        fold_accuracies.append(_count(test, guesses).accuracy)
+        tested += test
+        predicted += guesses
+    return EvalReport(_count(tested, predicted).per_class, tuple(fold_accuracies))
 
 
 def roc_far_gar(
@@ -271,25 +252,25 @@ def _write_echo(fh, config: dict[str, object]) -> None:
         fh.write(f"# {key}={config[key]}\n")
 
 
-def write_report_csv(report: EvalReport, path) -> None:
-    """Accuracy table: config echo comments, then class,correct,total,accuracy."""
+def write_report_csv(report: EvalReport, config: dict[str, object], path) -> None:
+    """Accuracy table: one "# key=value" comment per config item, in key
+    order, then class,correct,total,accuracy rows and an overall row."""
     with open(path, "w", newline="") as fh:
-        _write_echo(fh, report.config)
+        _write_echo(fh, config)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "correct", "total", "accuracy"])
         for label, (correct, total) in report.per_class.items():
             writer.writerow([label, correct, total, _fmt(100.0 * correct / total)])
-        correct = sum(c for c, _ in report.per_class.values())
-        total = sum(t for _, t in report.per_class.values())
-        writer.writerow(["overall", correct, total, _fmt(report.accuracy)])
+        writer.writerow(["overall", report.correct, report.total, _fmt(report.accuracy)])
 
 
-def write_folds_csv(report: EvalReport, path) -> None:
-    """Per-fold accuracies: fold,accuracy rows plus a mean footer comment."""
+def write_folds_csv(report: EvalReport, config: dict[str, object], path) -> None:
+    """Per-fold accuracies: config comments as in write_report_csv, then
+    fold,accuracy rows and a mean footer comment."""
     if report.fold_accuracies is None:
         raise ValueError("report has no fold accuracies")
     with open(path, "w", newline="") as fh:
-        _write_echo(fh, report.config)
+        _write_echo(fh, config)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["fold", "accuracy"])
         for i, accuracy in enumerate(report.fold_accuracies, start=1):
@@ -299,7 +280,8 @@ def write_folds_csv(report: EvalReport, path) -> None:
 
 
 def write_roc_csv(points: Sequence[RocPoint], config: dict[str, object], path) -> None:
-    """threshold,far,gar rows; footer states how GAR is computed."""
+    """Config comments as in write_report_csv, then threshold,far,gar rows;
+    a footer states how GAR is computed."""
     with open(path, "w", newline="") as fh:
         _write_echo(fh, config)
         writer = csv.writer(fh, lineterminator="\n")

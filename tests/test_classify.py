@@ -439,6 +439,8 @@ class TestSvm:
             (("a", "b", "c"), [("a", "b")] * 3, "each pair of classes exactly once"),
             (("a", "b", "c"), [("a", "b"), ("b", "a"), ("c", "a")], "each pair of classes exactly once"),
             (("a", "b", "c"), [("a", "b"), ("c", "a")], "each pair of classes exactly once"),
+            (("a",), [], "at least two classes"),
+            (("a", "b", "c"), [], "0 machines for 3 classes"),
         ],
     )
     def test_malformed_machine_set_rejected(self, classes, pairs, message):
@@ -460,9 +462,8 @@ class TestSvm:
                 svm_predict(model, [0.0, 1.0, 2.0])
 
     def test_empty_model_rejected(self):
-        model = SvmModel(("a", "b"), np.zeros((1, 1)), (), 1, 1.0, 1.0, 1e-3)
-        with pytest.raises(ValueError, match="no trained machines"):
-            svm_predict(model, [0.0])
+        with pytest.raises(ValueError, match="each pair of classes exactly once"):
+            SvmModel(("a", "b"), np.zeros((1, 1)), (), 1, 1.0, 1.0, 1e-3)
 
 
 class TestModelSerialization:
@@ -581,6 +582,10 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
         lambda ls: ls[: max(i for i, line in enumerate(ls) if line.startswith("machine\t"))],
         "2 machines for 3 classes"),
     "no classes record": (lambda ls: [line for line in ls if not line.startswith("classes\t")], "no classes record"),
+    "one class, no machines": (
+        lambda ls: [line if not line.startswith("classes\t") else "classes\tc0"
+                    for line in ls if not line.startswith(("machine\t", "sv\t"))],
+        "at least two classes"),
     "class label twice": (lambda ls: _edit(ls, "classes", 2, lambda v: "c0"), "class labels must be distinct"),
     "machine label twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c0"), "names one label twice"),
     "class pair twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c2"), "each pair of classes exactly once"),

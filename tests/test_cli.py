@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -123,12 +124,26 @@ class TestHappyPaths:
                                                       ("kfold", ["--folds", "3"], "folds.csv")])
     def test_seed_only_where_a_split_reads_it(self, small_tree, tmp_path, capsys, command, extra, output):
         args = [command, "--data", str(small_tree), "--resize", "9x9", "--workers", "1", *extra]
-        assert run_cli(args + ["--out", str(tmp_path / "flag"), "--seed", "1"]) == 1
-        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert run_cli(args + ["--out", str(tmp_path / "flag"), "--shuffle-seed", "1"]) == 1
+        assert "unrecognized arguments: --shuffle-seed" in capsys.readouterr().err
         out = tmp_path / "out"
         assert run_cli(args + ["--out", str(out)]) == 0
-        assert "seed" not in json.loads((out / "config.json").read_text())
-        assert "# seed=" not in (out / output).read_text()
+        assert "shuffle_seed" not in json.loads((out / "config.json").read_text())
+        assert "# shuffle_seed=" not in (out / output).read_text()
+
+    @pytest.mark.parametrize("command,extra,output", [
+        ("evaluate", ["--train-per-class", "4"], "report.csv"),
+        ("evaluate", ["--train-per-class", "4", "--classifier", "svm", "--shuffle-seed", "3"], "report.csv"),
+        ("kfold", ["--folds", "3", "--zscore"], "folds.csv"),
+        ("roc", ["--train-per-class", "4", "--distance", "euclidean"], "roc.csv"),
+    ])
+    def test_csv_echo_is_config_json(self, small_tree, tmp_path, command, extra, output):
+        out = tmp_path / "out"
+        args = [command, "--data", str(small_tree), "--resize", "9x9", "--out", str(out), *extra]
+        assert run_cli(args) == 0
+        header = itertools.takewhile(lambda line: line.startswith("# "), (out / output).read_text().splitlines())
+        echo = json.loads((out / "config.json").read_text())
+        assert [line[2:].partition("=")[::2] for line in header] == [(k, str(v)) for k, v in sorted(echo.items())]
 
     def test_dataset_files_untouched(self, small_tree, tmp_path):
         before = tree_digest(small_tree)
@@ -201,9 +216,9 @@ class TestHelp:
                          "--out", "--workers", "--skip-errors"]),
             ("evaluate", ["--classifier", "--k", "--distance", "--degree", "--C",
                           "--offset", "--tol", "--zscore",
-                          "--train-per-class", "--shuffle-split"]),
+                          "--train-per-class", "--shuffle-seed"]),
             ("kfold", ["--folds", "--classifier", "--zscore"]),
-            ("roc", ["--distance", "--thresholds", "--train-per-class", "--shuffle-split"]),
+            ("roc", ["--distance", "--thresholds", "--train-per-class", "--shuffle-seed"]),
         ],
     )
     def test_subcommand_documents_flags(self, command, flags, capsys):
@@ -259,7 +274,7 @@ class TestOptionValues:
 
     @pytest.mark.parametrize(
         "values",
-        [{"zscore": "false"}, {"k": "abc"}, {"C": "x"}, {"k": 1.7}, {"seed": True},
+        [{"zscore": "false"}, {"k": "abc"}, {"C": "x"}, {"k": 1.7}, {"shuffle_seed": True},
          {"C": 0}, {"tol": float("nan")}, {"skip_errors": 1}, {"variant": "G1"}, {"thresholds": 100001}],
         ids=repr,
     )
@@ -352,8 +367,9 @@ class TestDeterminism:
     def test_shuffled_split_reruns_agree(self, small_tree, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         for out in (out1, out2):
-            assert run_cli(eval_args(small_tree, out, "--shuffle-split", "--seed", "3")) == 0
+            assert run_cli(eval_args(small_tree, out, "--shuffle-seed", "3")) == 0
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+        assert json.loads((out1 / "config.json").read_text())["shuffle_seed"] == 3
 
 
 def test_module_entry_point(small_tree, tmp_path):

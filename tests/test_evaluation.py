@@ -108,17 +108,10 @@ class TestEvaluate:
         assert report.per_class == {"a": (2, 2), "b": (0, 1)}
         assert report.accuracy == pytest.approx(100.0 * 2 / 3)
 
-    def test_report_validates_accuracy(self):
-        with pytest.raises(ValueError, match="does not match"):
-            EvalReport(50.0, {"a": (3, 3)}, {})
-
-    def test_config_echo_and_extra(self):
-        train = [LabeledSample(np.array([0.0]), "a"), LabeledSample(np.array([5.0]), "b")]
-        test = [LabeledSample(np.array([0.5]), "a")]
-        report = evaluate(train, test, extra_config={"note": "x"})
-        assert report.config["classifier"] == "knn"
-        assert report.config["k"] == 1
-        assert report.config["note"] == "x"
+    def test_report_derives_accuracy_from_counts(self):
+        report = EvalReport({"a": (3, 3), "b": (1, 4)})
+        assert (report.correct, report.total) == (4, 7)
+        assert report.accuracy == 100.0 * 4 / 7
 
     def test_zscore_rebalances_feature_scales(self):
         # feature 0 is large-scale noise, feature 1 carries the class;
@@ -157,7 +150,6 @@ class TestKfold:
         assert report.fold_accuracies is not None and len(report.fold_accuracies) == 3
         assert sum(t for _, t in report.per_class.values()) == len(data)
         assert report.per_class["a"][1] == 6 and report.per_class["b"][1] == 6
-        assert report.config["folds"] == 3
 
     def test_separated_clusters_score_everywhere(self):
         rng = np.random.default_rng(4)
@@ -272,16 +264,13 @@ class TestRoc:
 
 class TestCsvWriters:
     def sample_report(self):
-        return EvalReport(
-            100.0 * 5 / 6,
-            {"a": (3, 3), "b": (2, 3)},
-            {"classifier": "knn", "neighbors_k": 1, "seed": 0},
-            fold_accuracies=(100.0, 100.0 * 2 / 3),
-        )
+        return EvalReport({"a": (3, 3), "b": (2, 3)}, fold_accuracies=(100.0, 100.0 * 2 / 3))
+
+    config = {"seed": 0, "classifier": "knn", "neighbors_k": 1}
 
     def test_report_csv_layout(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report_csv(self.sample_report(), path)
+        write_report_csv(self.sample_report(), self.config, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# classifier=knn"
         assert lines[1] == "# neighbors_k=1"
@@ -293,17 +282,18 @@ class TestCsvWriters:
 
     def test_folds_csv_layout(self, tmp_path):
         path = tmp_path / "folds.csv"
-        write_folds_csv(self.sample_report(), path)
+        write_folds_csv(self.sample_report(), self.config, path)
         lines = path.read_text().splitlines()
+        assert lines[:3] == ["# classifier=knn", "# neighbors_k=1", "# seed=0"]
         assert "fold,accuracy" in lines
         assert "1,100" in lines
         assert "2,66.6667" in lines
         assert lines[-1] == "# mean_accuracy=83.3333"
 
     def test_folds_csv_requires_folds(self, tmp_path):
-        report = EvalReport(100.0, {"a": (1, 1)}, {})
+        report = EvalReport({"a": (1, 1)})
         with pytest.raises(ValueError, match="no fold accuracies"):
-            write_folds_csv(report, tmp_path / "folds.csv")
+            write_folds_csv(report, {}, tmp_path / "folds.csv")
 
     def test_roc_csv_layout(self, tmp_path):
         points = roc_far_gar(
@@ -320,10 +310,10 @@ class TestCsvWriters:
     def test_byte_stable_across_reruns(self, tmp_path):
         report = self.sample_report()
         p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        write_report_csv(report, p1)
-        write_report_csv(report, p2)
+        write_report_csv(report, self.config, p1)
+        write_report_csv(report, self.config, p2)
         assert p1.read_bytes() == p2.read_bytes()
         f1, f2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
-        write_folds_csv(report, f1)
-        write_folds_csv(report, f2)
+        write_folds_csv(report, self.config, f1)
+        write_folds_csv(report, self.config, f2)
         assert f1.read_bytes() == f2.read_bytes()
