@@ -16,7 +16,7 @@ through a line-oriented text format without changing any prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -153,11 +153,11 @@ def kernel_poly(a, b, degree: int = 1, offset: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class BinaryMachine:
-    """One trained pair machine: positive label vs negative label. Its support
-    vectors are rows ``indices`` of the model's ``vectors``. The model binds
-    those to ``store`` (not a copy) when it is built; ``store`` and
-    ``support_vectors`` serve only the benchmark's span counters, as
-    prediction reads the model's flat store."""
+    """One pair machine: positive label vs negative label, with one
+    coefficient per support vector, row ``indices`` of the model's
+    ``vectors``. A plain record: SvmModel checks and copies it, and the
+    machines it keeps slice its flat store. ``store`` (its ``vectors``)
+    and ``support_vectors`` serve only the benchmark's span counters."""
 
     pos_label: str
     neg_label: str
@@ -166,22 +166,22 @@ class BinaryMachine:
     bias: float
     store: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.intp).reshape(-1)
-        coef = np.array(self.coefficients, dtype=np.float64).reshape(-1)
-        if idx.size != coef.size:
-            raise ValueError("a machine needs one coefficient per support vector")
-        if not (np.isfinite(coef).all() and np.isfinite(self.bias)):
-            raise ValueError("machine coefficients and bias must be finite")
-        idx.flags.writeable = False
-        coef.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "coefficients", coef)
-
     @property
     def support_vectors(self) -> np.ndarray:
         """(n_sv, dim), gathered from the model's vectors on each call."""
         return self.store[self.indices]
+
+
+def _check_settings(degree: int, c: float, offset: float, tol: float) -> None:
+    """Raise ValueError unless the SVM settings can train and predict."""
+    if degree not in (1, 2):
+        raise ValueError("kernel degree must be 1 or 2")
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError("C must be positive and finite")
+    if not np.isfinite(offset):
+        raise ValueError("offset must be finite")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,10 @@ class SvmModel:
 
     ``vectors`` holds each training vector once, in training order; each
     machine keeps indices into it and one coefficient per index. There
-    are at least two classes and exactly one machine per pair of them,
-    so every model can predict. The derived ``sv_*`` arrays flatten
-    every machine's support entries, in machine order, for prediction.
+    are at least two classes, one machine per pair of them and settings
+    svm_train accepts, so every model can predict. Building it copies,
+    checks and freezes every array once: the ``sv_*`` arrays flatten all
+    support entries in machine order, and the kept machines slice them.
     """
 
     classes: tuple[str, ...]
@@ -210,11 +211,11 @@ class SvmModel:
     neg_class: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_settings(self.degree, self.c, self.offset, self.tol)
         classes = tuple(self.classes)
         vectors = np.array(self.vectors, dtype=np.float64)  # a copy: the caller's array stays writeable
         if vectors.ndim != 2 or vectors.size == 0 or not np.isfinite(vectors).all():
             raise ValueError("vectors must be a finite, non-empty 2-D array")
-        vectors.flags.writeable = False
         if len(set(classes)) != len(classes):
             raise ValueError("class labels must be distinct")
         if len(classes) < 2:
@@ -224,27 +225,34 @@ class SvmModel:
                 raise ValueError(f"machine {m.pos_label!r}/{m.neg_label!r} names a label not in classes")
             if m.pos_label == m.neg_label:
                 raise ValueError(f"machine {m.pos_label!r}/{m.neg_label!r} names one label twice")
-            if m.indices.size and not (0 <= m.indices.min() and m.indices.max() < len(vectors)):
-                raise ValueError("support vector index outside vectors")
         pairs = {frozenset((m.pos_label, m.neg_label)) for m in self.machines}
         if not len(pairs) == len(self.machines) == len(classes) * (len(classes) - 1) // 2:
             raise ValueError("machines must cover each pair of classes exactly once "
                              f"({len(self.machines)} machines for {len(classes)} classes)")
-        machines = tuple(replace(m, store=vectors) for m in self.machines)
+        indices = [np.asarray(m.indices, dtype=np.intp).reshape(-1) for m in self.machines]
+        coefficients = [np.asarray(m.coefficients, dtype=np.float64).reshape(-1) for m in self.machines]
+        sizes = [idx.size for idx in indices]
+        if sizes != [coef.size for coef in coefficients]:
+            raise ValueError("a machine needs one coefficient per support vector")
+        sv_index = np.concatenate([np.empty(0, np.intp), *indices])  # copies: a caller's array is never kept
+        sv_coef = np.concatenate([np.empty(0), *coefficients])
+        biases = np.array([m.bias for m in self.machines], dtype=np.float64)
+        if not (np.isfinite(sv_coef).all() and np.isfinite(biases).all()):
+            raise ValueError("machine coefficients and bias must be finite")
+        if sv_index.size and not (0 <= sv_index.min() and sv_index.max() < len(vectors)):
+            raise ValueError("support vector index outside vectors")
         position = {label: k for k, label in enumerate(classes)}
-        flat = {
-            "sv_owner": np.repeat(np.arange(len(machines)), [m.indices.size for m in machines]),
-            "sv_index": np.concatenate([np.empty(0, np.intp), *(m.indices for m in machines)]),
-            "sv_coef": np.concatenate([np.empty(0), *(m.coefficients for m in machines)]),
-            "biases": np.array([m.bias for m in machines], dtype=np.float64),
-            "pos_class": np.array([position[m.pos_label] for m in machines], dtype=np.intp),
-            "neg_class": np.array([position[m.neg_label] for m in machines], dtype=np.intp),
-        }
-        for name, array in flat.items():
-            array.flags.writeable = False
+        arrays = {"vectors": vectors, "sv_index": sv_index, "sv_coef": sv_coef, "biases": biases,
+                  "sv_owner": np.repeat(np.arange(len(sizes)), sizes),
+                  "pos_class": np.array([position[m.pos_label] for m in self.machines], dtype=np.intp),
+                  "neg_class": np.array([position[m.neg_label] for m in self.machines], dtype=np.intp)}
+        for name, array in arrays.items():
+            array.flags.writeable = False  # before slicing: a view keeps the flag it was made with
             object.__setattr__(self, name, array)
+        starts = np.cumsum([0, *sizes]).tolist()
+        machines = tuple(BinaryMachine(m.pos_label, m.neg_label, sv_index[a:b], sv_coef[a:b], float(bias), vectors)
+                         for m, a, b, bias in zip(self.machines, starts, starts[1:], biases))
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "machines", machines)
 
 
@@ -330,12 +338,7 @@ def svm_train(
     solves its dual over its own rows of it, all pairs in lockstep.
     Training is deterministic.
     """
-    if degree not in (1, 2):
-        raise ValueError("kernel degree must be 1 or 2")
-    if c <= 0:
-        raise ValueError("C must be positive")
-    if not tol >= 0:
-        raise ValueError("tol must be a number >= 0")
+    _check_settings(degree, c, offset, tol)
     data = list(data)
     if not data:
         raise ValueError("training set must be non-empty")
@@ -355,10 +358,8 @@ def svm_train(
         y[b, :n_pos], y[b, n_pos:m] = 1.0, -1.0
     alphas, biases, _ = _smo_lockstep(gram, idx, y, c, tol)
     keep = alphas > 0.0
-    machines = tuple(
-        BinaryMachine(pos, neg, idx[b, keep[b]], alphas[b, keep[b]] * y[b, keep[b]], float(biases[b]))
-        for b, (pos, neg) in enumerate(pairs)
-    )
+    machines = tuple(BinaryMachine(pos, neg, idx[b, keep[b]], alphas[b, keep[b]] * y[b, keep[b]], float(biases[b]))
+                     for b, (pos, neg) in enumerate(pairs))
     return SvmModel(classes, vectors, machines, degree, c, offset, tol)
 
 
@@ -436,7 +437,11 @@ def load_model(path) -> KnnModel | SvmModel:
     pos = 1
     while pos < len(lines) and "\t" not in lines[pos]:
         pos += 1
-    fields = dict(line.partition(" ")[::2] for line in lines[1:pos])  # "name value" lines
+    fields: dict[str, str] = {}
+    for name, _, value in (line.partition(" ") for line in lines[1:pos]):  # "name value" lines
+        if name in fields:
+            raise ValueError(f"{path}: setting {name!r} is named twice")
+        fields[name] = value
     records = [line.split("\t") for line in lines[pos:]]
     try:
         return _parse_model(fields, records)

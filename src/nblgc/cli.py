@@ -34,7 +34,7 @@ from .evaluation import (
     write_roc_csv,
 )
 from .features import extract_many, write_features_csv
-from .image_io import DatasetError, PgmParseError, load_dataset
+from .image_io import MAX_RESIZE_PIXELS, DatasetError, PgmParseError, load_dataset
 from .infoset import FuzzifierRef
 
 EXIT_OK = 0
@@ -108,11 +108,11 @@ def _path(value) -> Path:
 def _resize(value) -> str:
     try:
         w, h = (int(n) for n in value.lower().split("x"))
-        ok = w >= 3 and h >= 3 and w % 3 == 0 and h % 3 == 0
+        ok = w >= 3 and h >= 3 and w % 3 == 0 and h % 3 == 0 and w * h <= MAX_RESIZE_PIXELS
     except (AttributeError, ValueError):
         ok = False
     if not ok:
-        raise ValueError("wants WxH, both positive multiples of 3")
+        raise ValueError(f"wants WxH, both positive multiples of 3, at most {MAX_RESIZE_PIXELS} pixels")
     return f"{w}x{h}"
 
 
@@ -131,9 +131,11 @@ _SPLIT = ("evaluate", "roc")
 
 OPTIONS = (
     Option("data", _path, None, _ALL, "dataset root: one subdirectory per class, PGM images inside"),
-    Option("resize", _resize, "63x63", _ALL, "resize target WxH, multiples of 3"),
-    Option("variant", _choice("g1", "g2", "g3"), "g1", _ALL, "gradient contour variant: g1, g2 or g3"),
-    Option("ref", _choice("avg", "max", "min"), "avg", _ALL, "fuzzifier reference statistic: avg, max or min"),
+    Option("resize", _resize, "63x63", _ALL, f"resize target WxH, multiples of 3, <= {MAX_RESIZE_PIXELS} pixels"),
+    Option("variant", _choice(*(v.value for v in ContourVariant)), "g1", _ALL,
+           "gradient contour variant: g1, g2 or g3"),
+    Option("ref", _choice(*(r.value for r in FuzzifierRef)), "avg", _ALL,
+           "fuzzifier reference statistic: avg, max or min"),
     Option("out", _path, "out", _ALL, "output directory"),
     Option("workers", _count(1), 1, _ALL, "parallel extraction processes"),
     Option("skip_errors", _switch, False, _ALL, "warn and skip unreadable dataset files instead of aborting"),

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .infoset import Window3x3, row_sums
+from .infoset import Window3x3, member_from_string, row_sums
 
 
 def _columns(pairs):
@@ -43,11 +43,7 @@ class ContourVariant(Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "ContourVariant":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            choices = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown contour variant {name!r}; choose one of {choices}") from None
+        return member_from_string(cls, name, "contour variant")
 
 
 def _loop(blocks: np.ndarray, columns) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .classify import check_label
 
 MAX_GRAY_LIMIT = 65535
+MAX_RESIZE_PIXELS = 65536  # a kept 8-byte-per-pixel image is at most 512 KB; 255x255 is the largest square
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\r\n]*")
@@ -296,14 +297,15 @@ def load_dataset(
 
     Class label = subdirectory name. Entries come back sorted by
     (class name, file name), so two calls on the same tree agree.
-    Target dimensions must be positive multiples of 3 (the feature
-    stage tiles images into 3x3 blocks). A bad file aborts the load
+    Target dimensions must be positive multiples of 3 (the feature stage
+    tiles images into 3x3 blocks) and at most MAX_RESIZE_PIXELS in all,
+    else ValueError before any file is read. A bad file aborts the load
     unless skip_errors is set, which downgrades it to a warning. A class
     name that no model file could hold (see check_label) always aborts.
     """
     out_w, out_h = resize_to
-    if out_w < 3 or out_h < 3 or out_w % 3 or out_h % 3:
-        raise ValueError(f"resize target {out_w}x{out_h} must be positive multiples of 3")
+    if out_w < 3 or out_h < 3 or out_w % 3 or out_h % 3 or out_w * out_h > MAX_RESIZE_PIXELS:
+        raise ValueError(f"resize target {out_w}x{out_h} must be positive multiples of 3, <= {MAX_RESIZE_PIXELS} pixels")
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")

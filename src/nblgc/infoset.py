@@ -19,6 +19,15 @@ from enum import Enum
 import numpy as np
 
 
+def member_from_string(cls: type[Enum], name: str, noun: str):
+    """The member of cls whose value is name, ignoring case and outer spaces; else ValueError."""
+    try:
+        return cls(name.strip().lower())
+    except ValueError:
+        choices = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown {noun} {name!r}; choose one of {choices}") from None
+
+
 class FuzzifierRef(Enum):
     """Reference statistic the deviations are taken against."""
 
@@ -28,11 +37,7 @@ class FuzzifierRef(Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "FuzzifierRef":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            choices = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown reference {name!r}; choose one of {choices}") from None
+        return member_from_string(cls, name, "reference")
 
 
 @dataclass(frozen=True)

@@ -397,9 +397,10 @@ class TestSvm:
         two = samples([([0.0], "a"), ([1.0], "b")])
         with pytest.raises(ValueError, match="degree"):
             svm_train(two, degree=3)
-        with pytest.raises(ValueError, match="C must be positive"):
-            svm_train(two, c=0.0)
-        for tol in (-1e-3, float("nan")):
+        for c in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="C must be positive"):
+                svm_train(two, c=c)
+        for tol in (-1e-3, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tol must be"):
                 svm_train(two, tol=tol)
 
@@ -460,6 +461,29 @@ class TestSvm:
         for model in (trained, no_sv):
             with pytest.raises(ValueError, match="length mismatch"):
                 svm_predict(model, [0.0, 1.0, 2.0])
+
+    def test_machines_slice_the_frozen_flat_store(self, tmp_path):
+        rng = np.random.default_rng(16)
+        trained = svm_train(samples([(rng.normal(i % 3, 0.8, size=3), f"c{i % 3}") for i in range(18)]))
+        vectors = trained.vectors.copy()
+        supplied = [BinaryMachine(m.pos_label, m.neg_label, m.indices.copy(), m.coefficients.copy(), m.bias)
+                 for m in trained.machines]
+        model = SvmModel(trained.classes, vectors, tuple(supplied), 1, 1.0, 1.0, 1e-3)
+        for m in model.machines:
+            for kept, flat in ((m.indices, model.sv_index), (m.coefficients, model.sv_coef)):
+                assert not kept.flags.writeable and np.shares_memory(kept, flat)
+        assert all(a.flags.writeable for g in supplied for a in (g.indices, g.coefficients)) and vectors.flags.writeable
+        queries = rng.normal(1.0, 1.0, size=(6, 3))
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        saved, decisions = path.read_bytes(), [_decision_values(model, q) for q in queries]
+        vectors += 1.0
+        for g in supplied:
+            g.indices[:] = 0
+            g.coefficients[:] = 5.0
+        save_model(model, path)
+        assert path.read_bytes() == saved
+        assert all(np.array_equal(_decision_values(model, q), d) for q, d in zip(queries, decisions))
 
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError, match="each pair of classes exactly once"):
@@ -530,6 +554,13 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="not a recognized model"):
             load_model(path)
 
+    def test_refuses_a_setting_named_twice(self, tmp_path):
+        path = tmp_path / "knn.model"
+        save_model(KnnModel(tuple(samples([([0.0], "a"), ([1.0], "b")]))), path)
+        path.write_text(path.read_text().replace("\nneighbors_k 1\n", "\nneighbors_k 1\nneighbors_k 2\n"))
+        with pytest.raises(ValueError, match="setting 'neighbors_k' is named twice"):
+            load_model(path)
+
     def test_zero_sv_machine_survives(self, tmp_path):
         model = SvmModel(
             ("a", "b"),
@@ -568,6 +599,14 @@ def _edit(lines, tag, field, value):
     return lines[:at] + ["\t".join(parts)] + lines[at + 1 :]
 
 
+def _setting(name, *values):
+    """An edit that puts one 'name value' line per value where the setting's line was."""
+    def edit(lines):
+        at = lines.index(next(line for line in lines if line.startswith(name + " ")))
+        return lines[:at] + [f"{name} {value}" for value in values] + lines[at + 1 :]
+    return edit
+
+
 _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "missing header field": (lambda ls: [line for line in ls if not line.startswith("tol ")],
                              "missing field or value 'tol'"),
@@ -589,6 +628,13 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "class label twice": (lambda ls: _edit(ls, "classes", 2, lambda v: "c0"), "class labels must be distinct"),
     "machine label twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c0"), "names one label twice"),
     "class pair twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c2"), "each pair of classes exactly once"),
+    "degree 0": (_setting("degree", 0), "degree must be 1 or 2"),
+    "degree 3": (_setting("degree", 3), "degree must be 1 or 2"),
+    "C -1": (_setting("C", -1), "C must be positive"),
+    "C nan": (_setting("C", "nan"), "C must be positive"),
+    "offset inf": (_setting("offset", "inf"), "offset must be finite"),
+    "tol nan": (_setting("tol", "nan"), "tol must be"),
+    "setting named twice": (_setting("degree", 1, 2), "setting 'degree' is named twice"),
 }
 
 

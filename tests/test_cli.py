@@ -166,6 +166,12 @@ class TestExitCodes:
             assert code == 1, bad
         assert "--resize" in capsys.readouterr().err
 
+    def test_resize_above_the_pixel_bound_is_usage(self, tmp_path, capsys):
+        # --data does not exist, which would exit 2: exit 1 shows no file was read
+        for big in ("258x258", "999x999", "30000x30000"):
+            assert run_cli(extract_args(tmp_path / "absent", tmp_path / "out", "--resize", big)) == 1, big
+        assert "--resize" in capsys.readouterr().err
+
     def test_missing_data_dir_is_data_error(self, tmp_path, capsys):
         code = run_cli(["extract", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2

@@ -22,6 +22,7 @@ from nblgc import (
     resize_bilinear,
     write_pgm,
 )
+from nblgc.image_io import MAX_RESIZE_PIXELS
 
 
 class TestParsePgm:
@@ -369,6 +370,17 @@ class TestLoadDataset:
         make_pgm_tree(root, n_classes=1, per_class=1, seed=5)
         with pytest.raises(ValueError, match="multiples of 3"):
             load_dataset(root, resize_to=target)
+
+
+    @pytest.mark.parametrize("target", [(258, 258), (999, 999), (30000, 30000)])
+    def test_refuses_a_target_above_the_pixel_bound_before_reading(self, tmp_path, target):
+        # the root does not exist, so the refusal cannot have read a file
+        with pytest.raises(ValueError, match=f"<= {MAX_RESIZE_PIXELS} pixels"):
+            load_dataset(tmp_path / "absent", resize_to=target)
+        root = tmp_path / "ds"
+        make_pgm_tree(root, n_classes=1, per_class=1, seed=5)
+        (entry,) = load_dataset(root, resize_to=(255, 255))  # the largest square target
+        assert entry.image.pixels.shape == (255, 255)
 
 
 class TestTypes:
