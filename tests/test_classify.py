@@ -467,7 +467,7 @@ class TestSvm:
         trained = svm_train(samples([(rng.normal(i % 3, 0.8, size=3), f"c{i % 3}") for i in range(18)]))
         vectors = trained.vectors.copy()
         supplied = [BinaryMachine(m.pos_label, m.neg_label, m.indices.copy(), m.coefficients.copy(), m.bias)
-                 for m in trained.machines]
+                    for m in trained.machines]
         model = SvmModel(trained.classes, vectors, tuple(supplied), 1, 1.0, 1.0, 1e-3)
         for m in model.machines:
             for kept, flat in ((m.indices, model.sv_index), (m.coefficients, model.sv_coef)):

@@ -371,7 +371,6 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="multiples of 3"):
             load_dataset(root, resize_to=target)
 
-
     @pytest.mark.parametrize("target", [(258, 258), (999, 999), (30000, 30000)])
     def test_refuses_a_target_above_the_pixel_bound_before_reading(self, tmp_path, target):
         # the root does not exist, so the refusal cannot have read a file
