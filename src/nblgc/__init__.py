@@ -13,22 +13,15 @@ from .classify import (
     KnnModel,
     LabeledSample,
     SvmModel,
-    distance_euclidean,
-    distance_log,
-    kernel_poly,
+    check_svm_settings,
+    distance_rows,
     knn_predict,
     load_model,
     save_model,
     svm_predict,
     svm_train,
 )
-from .contours import (
-    ContourVariant,
-    contour_g1,
-    contour_g2,
-    contour_g3,
-    contour_value,
-)
+from .contours import ContourVariant, contours
 from .evaluation import (
     ClassifierConfig,
     EvalReport,
@@ -44,11 +37,11 @@ from .evaluation import (
 )
 from .features import (
     FeatureVector,
-    block_feature,
-    entropy_feature,
+    block_features,
+    block_values,
+    entropy_features,
     extract,
     extract_many,
-    partition_blocks,
     read_features_csv,
     write_features_csv,
 )
@@ -66,10 +59,9 @@ from .image_io import (
 )
 from .infoset import (
     FuzzifierRef,
-    Window3x3,
-    fuzzifier,
-    membership_center,
-    reference_value,
+    center_memberships,
+    fuzzifiers,
+    reference_values,
 )
 
 __version__ = "0.1.0"

@@ -51,12 +51,8 @@ def check_label(label: str) -> str:
     return label
 
 
-def _as_vector(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64).reshape(-1)
-
-
 def _as_query(a) -> np.ndarray:
-    query = _as_vector(a)
+    query = np.asarray(a, dtype=np.float64).reshape(-1)
     if not np.isfinite(query).all():
         raise ValueError("query vector must be finite")
     return query
@@ -65,29 +61,16 @@ def _as_query(a) -> np.ndarray:
 DISTANCES = ("log", "euclidean")
 
 
-def _distance_rows(matrix: np.ndarray, query: np.ndarray, distance: str) -> np.ndarray:
-    """Distance from the query to each row of matrix."""
+def distance_rows(matrix: np.ndarray, query: np.ndarray, distance: str) -> np.ndarray:
+    """Distance from the 1-D query to each row of matrix: the log distance,
+    sum of ln(1 + |a_i - b_i|), or the Euclidean one. Raises ValueError
+    unless the query is as long as a row."""
+    if query.size != matrix.shape[1]:
+        raise ValueError(f"length mismatch: {query.size} vs {matrix.shape[1]}")
     diff = np.abs(matrix - query)
     if distance == "log":
         return np.log1p(diff).sum(axis=1)
     return np.sqrt((diff**2).sum(axis=1))
-
-
-def _distance(a, b, distance: str) -> float:
-    a, b = _as_vector(a), _as_vector(b)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return float(_distance_rows(a[None, :], b, distance)[0])
-
-
-def distance_log(a, b) -> float:
-    """Sum over coordinates of ln(1 + |a_i - b_i|)."""
-    return _distance(a, b, "log")
-
-
-def distance_euclidean(a, b) -> float:
-    """Standard L2 distance, kept for comparison runs."""
-    return _distance(a, b, "euclidean")
 
 
 @dataclass(frozen=True)
@@ -123,10 +106,7 @@ def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
     the tied class with the smallest summed distance, then to the first
     tied class in sorted label order.
     """
-    query = _as_query(query)
-    if query.size != model.matrix.shape[1]:
-        raise ValueError(f"length mismatch: {query.size} vs {model.matrix.shape[1]}")
-    dists = _distance_rows(model.matrix, query, model.distance)
+    dists = distance_rows(model.matrix, _as_query(query), model.distance)
     order = np.argsort(dists, kind="stable")[: model.neighbors_k]
     nearest = [(model.training[i].label, float(dists[i])) for i in order]
     votes: dict[str, int] = {}
@@ -141,14 +121,6 @@ def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
 def _kernel(rows: np.ndarray, other: np.ndarray, offset: float, degree: int) -> np.ndarray:
     """Polynomial kernel (rows @ other + offset) ** degree."""
     return (rows @ other + offset) ** degree
-
-
-def kernel_poly(a, b, degree: int = 1, offset: float = 1.0) -> float:
-    """(a . b + offset) ** degree."""
-    a, b = _as_vector(a), _as_vector(b)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return float(_kernel(a, b, offset, degree))
 
 
 @dataclass(frozen=True)
@@ -172,16 +144,25 @@ class BinaryMachine:
         return self.store[self.indices]
 
 
-def _check_settings(degree: int, c: float, offset: float, tol: float) -> None:
-    """Raise ValueError unless the SVM settings can train and predict."""
+def check_svm_settings(degree: int, c: float, offset: float, tol: float) -> None:
+    """Raise ValueError unless the SVM settings can train and predict.
+    The message starts with the setting's name: degree, C, offset or tol."""
     if degree not in (1, 2):
-        raise ValueError("kernel degree must be 1 or 2")
+        raise ValueError("degree must be 1 or 2")
     if not (np.isfinite(c) and c > 0):
         raise ValueError("C must be positive and finite")
     if not np.isfinite(offset):
         raise ValueError("offset must be finite")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be a finite number >= 0")
+
+
+def _index_array(values) -> np.ndarray:
+    """values as a flat intp array; ValueError unless they are integers."""
+    indices = np.asarray(values).reshape(-1)
+    if indices.size and indices.dtype.kind not in "iu":
+        raise ValueError("support vector indices must be integers")
+    return indices.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -211,7 +192,7 @@ class SvmModel:
     neg_class: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_settings(self.degree, self.c, self.offset, self.tol)
+        check_svm_settings(self.degree, self.c, self.offset, self.tol)
         classes = tuple(self.classes)
         vectors = np.array(self.vectors, dtype=np.float64)  # a copy: the caller's array stays writeable
         if vectors.ndim != 2 or vectors.size == 0 or not np.isfinite(vectors).all():
@@ -229,7 +210,7 @@ class SvmModel:
         if not len(pairs) == len(self.machines) == len(classes) * (len(classes) - 1) // 2:
             raise ValueError("machines must cover each pair of classes exactly once "
                              f"({len(self.machines)} machines for {len(classes)} classes)")
-        indices = [np.asarray(m.indices, dtype=np.intp).reshape(-1) for m in self.machines]
+        indices = [_index_array(m.indices) for m in self.machines]
         coefficients = [np.asarray(m.coefficients, dtype=np.float64).reshape(-1) for m in self.machines]
         sizes = [idx.size for idx in indices]
         if sizes != [coef.size for coef in coefficients]:
@@ -338,7 +319,7 @@ def svm_train(
     solves its dual over its own rows of it, all pairs in lockstep.
     Training is deterministic.
     """
-    _check_settings(degree, c, offset, tol)
+    check_svm_settings(degree, c, offset, tol)
     data = list(data)
     if not data:
         raise ValueError("training set must be non-empty")

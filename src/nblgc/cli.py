@@ -5,7 +5,8 @@ report), kfold (cross-validation), roc (verification FAR/GAR sweep).
 Every setting is one row of OPTIONS; its name is the config-file key,
 the echo key and, dashed, the flag. Precedence: command-line flags
 override a --config JSON file, which overrides the row's default, and
-all three go through the row's parse function. Every run drops a
+all three go through the row's parse function; the SVM settings then
+pass classify.check_svm_settings. Every run drops a
 config.json echo next to its CSV so it can be reproduced exactly. Exit
 codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -20,7 +21,7 @@ import traceback
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .classify import DISTANCES, LabeledSample
+from .classify import DISTANCES, LabeledSample, check_svm_settings
 from .contours import ContourVariant
 from .evaluation import (
     ClassifierConfig,
@@ -143,12 +144,10 @@ OPTIONS = (
     Option("k", _count(1), 1, _FIT, "KNN neighbor count", "knn"),
     Option("distance", _choice(*DISTANCES), "log", _FIT + ("roc",),
            "KNN and ROC trial distance: log or euclidean", "knn"),
-    Option("degree", _number(int, "1 or 2", lambda n: n in (1, 2)), 1, _FIT,
-           "SVM polynomial degree: 1 or 2", "svm"),
-    Option("C", _number(float, "a finite number > 0", lambda x: x > 0), 1.0, _FIT,
-           "SVM regularization bound", "svm"),
+    Option("degree", _number(int, "an integer"), 1, _FIT, "SVM polynomial degree: 1 or 2", "svm"),
+    Option("C", _number(float, "a finite number"), 1.0, _FIT, "SVM regularization bound", "svm"),
     Option("offset", _number(float, "a finite number"), 1.0, _FIT, "SVM kernel offset", "svm"),
-    Option("tol", _number(float, "a finite number >= 0", lambda x: x >= 0), 1e-3, _FIT,
+    Option("tol", _number(float, "a finite number"), 1e-3, _FIT,
            "SVM solver stops at a KKT violation gap of at most this", "svm"),
     Option("zscore", _switch, False, _FIT, "standardize features using training statistics"),
     Option("train_per_class", _count(1), 7, _SPLIT, "training images per class"),
@@ -199,16 +198,22 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     """Flag, else config value, else default."""
     loaded = _read_config(Path(args.config)) if args.config else {}
     cfg = argparse.Namespace(command=args.command)
+    given = {}  # option name -> where its value came from, and the value as given
     for opt in OPTIONS:
         value, source = getattr(args, opt.name, None), _flag(opt.name)
         if value is None and loaded.get(opt.name) is not None:
             value, source = loaded[opt.name], f"config key {opt.name!r}"
         if value is None:
             value, source = opt.default, "default"
+        given[opt.name] = f"{source} {value!r}"
         try:
             setattr(cfg, opt.name, None if value is None else opt.parse(value))
         except ValueError as err:
-            raise UsageError(f"{source} {value!r}: {err}") from None
+            raise UsageError(f"{given[opt.name]}: {err}") from None
+    try:
+        check_svm_settings(cfg.degree, cfg.C, cfg.offset, cfg.tol)
+    except ValueError as err:  # the message starts with the setting's name
+        raise UsageError(f"{given[str(err).split()[0]]}: {err}") from None
     if cfg.data is None:
         raise UsageError("--data is required (directly or via the config file)")
     if not cfg.data.is_dir():

@@ -7,9 +7,11 @@ two interleaved stride-2 loops: g20 over the even ring positions (the
 corners) and g21 over the odd ones (the edge midpoints). The triple
 loop (g3) strides by 3 and visits every ring pixel exactly once.
 
-Contours are computed over an (n_blocks, 9) block array in
-Window3x3.values order, where ring index i is column i + 1; the
-Window3x3 functions run the same code on one row.
+Contours are computed over an (n_blocks, 9) block array whose columns
+are the center pixel, then the ring clockwise from the top-left
+(top-left, top-center, top-right, middle-right, bottom-right,
+bottom-center, bottom-left, middle-left), so ring index i is column
+i + 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .infoset import Window3x3, member_from_string, row_sums
+from .infoset import member_from_string, row_sums
 
 
 def _columns(pairs):
@@ -51,39 +53,10 @@ def _loop(blocks: np.ndarray, columns) -> np.ndarray:
     return row_sums(np.abs(blocks[:, a] - blocks[:, b]))
 
 
-def _double_loop(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    halves = _loop(blocks, _G2)
-    return halves[:, 0], halves[:, 1], halves[:, 0] + halves[:, 1]
-
-
 def contours(blocks: np.ndarray, variant: ContourVariant) -> np.ndarray:
     """The variant's contour value of each block row (g2 = g20 + g21)."""
     if variant is ContourVariant.G1:
         return _loop(blocks, _G1)
     if variant is ContourVariant.G2:
-        return _double_loop(blocks)[2]
+        return _loop(blocks, _G2).sum(axis=1)
     return _loop(blocks, _G3)
-
-
-def contour_value(window: Window3x3, variant: ContourVariant) -> float:
-    """The contour value selected by the variant (g2 = g20 + g21)."""
-    return float(contours(window.as_row(), variant)[0])
-
-
-def contour_g1(window: Window3x3) -> float:
-    """Single loop: absolute differences of adjacent ring pixels."""
-    return contour_value(window, ContourVariant.G1)
-
-
-def contour_g2(window: Window3x3) -> tuple[float, float, float]:
-    """Double loop: (g20, g21, g20 + g21).
-
-    g20 runs over ring positions 0,2,4,6; g21 over 1,3,5,7.
-    """
-    g20, g21, g2 = _double_loop(window.as_row())
-    return float(g20[0]), float(g21[0]), float(g2[0])
-
-
-def contour_g3(window: Window3x3) -> float:
-    """Triple loop: stride-3 walk visiting every ring pixel once."""
-    return contour_value(window, ContourVariant.G3)

@@ -19,7 +19,7 @@ import numpy as np
 from .classify import (
     KnnModel,
     LabeledSample,
-    _distance_rows,
+    distance_rows,
     knn_predict,
     svm_predict,
     svm_train,
@@ -222,7 +222,7 @@ def roc_far_gar(
     impostor: list[float] = []
     for sample in test:
         for label, matrix in by_class.items():
-            score = float(_distance_rows(matrix, sample.vector, distance).min())
+            score = float(distance_rows(matrix, sample.vector, distance).min())
             if label == sample.label:
                 genuine.append(score)
             else:

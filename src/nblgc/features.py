@@ -4,8 +4,7 @@ An image whose sides are multiples of 3 tiles exactly into non-overlapping
 3x3 blocks, row-major. Each block contributes one feature: the center
 membership weight times the -G*ln(G) entropy term of the selected gradient
 contour. A 63x63 image yields a 441-dimensional vector, computed as
-arrays over the image's (n_blocks, 9) block array; no window object is
-built per block.
+arrays over the image's (n_blocks, 9) block array.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .contours import ContourVariant, contours
 from .image_io import GrayImage
-from .infoset import FuzzifierRef, Window3x3, center_memberships
+from .infoset import FuzzifierRef, center_memberships
 
 FLOAT_DIGITS = 12  # significant digits in the feature CSV
 
@@ -50,18 +49,15 @@ class FeatureVector:
 
 def block_values(image: GrayImage) -> np.ndarray:
     """The image's 3x3 blocks as an (n_blocks, 9) array, row-major over
-    the block grid, columns in Window3x3.values order."""
+    the block grid. Columns: the center pixel, then the ring clockwise
+    from the top-left (top-left, top-center, top-right, middle-right,
+    bottom-right, bottom-center, bottom-left, middle-left)."""
     h, w = image.height, image.width
     if h % 3 or w % 3:
         raise ValueError(f"image dimensions {w}x{h} are not multiples of 3")
     cells = image.pixels.reshape(h // 3, 3, w // 3, 3).transpose(0, 2, 1, 3).reshape(-1, 9)
     # flat cell layout per block: v0 v1 v2 / v3 v4 v5 / v6 v7 v8
     return cells[:, [4, 0, 1, 2, 5, 8, 7, 6, 3]]
-
-
-def partition_blocks(image: GrayImage) -> list[Window3x3]:
-    """Split the image into 3x3 windows, row-major over the block grid."""
-    return [Window3x3(row[0], tuple(row[1:])) for row in block_values(image).tolist()]
 
 
 def entropy_features(membership: np.ndarray, contour: np.ndarray) -> np.ndarray:
@@ -72,12 +68,6 @@ def entropy_features(membership: np.ndarray, contour: np.ndarray) -> np.ndarray:
     return np.where(degenerate, 0.0, -membership * contour * log)
 
 
-def entropy_feature(membership: float, contour: float) -> float:
-    """-membership * contour * ln(contour); zero when either input
-    degenerates (contour 0 or 1, membership 0)."""
-    return float(entropy_features(np.float64(membership), np.float64(contour)))
-
-
 def block_features(
     blocks: np.ndarray,
     variant: ContourVariant = ContourVariant.G1,
@@ -85,15 +75,6 @@ def block_features(
 ) -> np.ndarray:
     """The feature value of each row of an (n_blocks, 9) block array."""
     return entropy_features(center_memberships(blocks, ref), contours(blocks, variant))
-
-
-def block_feature(
-    window: Window3x3,
-    variant: ContourVariant = ContourVariant.G1,
-    ref: FuzzifierRef = FuzzifierRef.AVERAGE,
-) -> float:
-    """The single feature value of one 3x3 window."""
-    return float(block_features(window.as_row(), variant, ref)[0])
 
 
 def extract(

@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
-from nblgc import RawImage, Window3x3, write_pgm
+from nblgc import ContourVariant, RawImage, contours, write_pgm
 
 
 def random_window(rng, lo=0.0, hi=1.0):
-    vals = rng.uniform(lo, hi, size=9)
-    return Window3x3(float(vals[0]), tuple(float(v) for v in vals[1:]))
+    """One 3x3 window as a (1, 9) block row: center, then the ring."""
+    return rng.uniform(lo, hi, size=(1, 9))
+
+
+def g2_halves(blocks):
+    """(g20, g21) per block row: the g2 contour with the other half's ring
+    positions set to 0. g20 reads only the corners (columns 1, 3, 5, 7)
+    and g21 only the edge midpoints (columns 2, 4, 6, 8), so each half
+    is exact."""
+    corners, edges = blocks.copy(), blocks.copy()
+    corners[:, 2::2] = 0.0
+    edges[:, 1::2] = 0.0
+    return contours(corners, ContourVariant.G2), contours(edges, ContourVariant.G2)
 
 
 def random_raw(rng, width=9, height=9, max_gray=255):

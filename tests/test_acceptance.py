@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_pgm_tree, random_raw
+from conftest import g2_halves, make_pgm_tree, random_raw
 from oracles import naive_feature_vector
 
 from nblgc import (
@@ -24,16 +24,14 @@ from nblgc import (
     KnnModel,
     LabeledSample,
     SplitSpec,
-    Window3x3,
-    contour_g1,
-    contour_g2,
-    contour_g3,
+    center_memberships,
+    contours,
+    distance_rows,
     evaluate,
     extract,
     kfold,
     knn_predict,
     load_dataset,
-    membership_center,
     normalize_unit,
     roc_far_gar,
     split_per_class,
@@ -73,75 +71,77 @@ def test_criterion_1_extraction_matches_naive_reference():
 def test_criterion_2_contour_properties_hold_in_bulk():
     rng = np.random.default_rng(102)
     start = time.perf_counter()
-    checked = 0
-    for _ in range(10_000):
-        vals = rng.uniform(0.0, 0.5, size=9)
-        w = Window3x3(float(vals[0]), tuple(float(v) for v in vals[1:]))
-        g1 = contour_g1(w)
-        g20, g21, g2 = contour_g2(w)
-        g3 = contour_g3(w)
-        # range: eight absolute differences of values in [0, 1]
-        assert 0.0 <= g1 <= 8.0 and 0.0 <= g2 <= 8.0 and 0.0 <= g3 <= 8.0
-        assert g2 == g20 + g21
-        # shift invariance (values stay in range by construction)
-        shifted = Window3x3(w.center + 0.25, tuple(v + 0.25 for v in w.ring))
-        assert abs(contour_g1(shifted) - g1) <= 1e-12
-        assert abs(contour_g2(shifted)[2] - g2) <= 1e-12
-        assert abs(contour_g3(shifted) - g3) <= 1e-12
-        # homogeneity: scaling the window scales every contour
-        scaled = Window3x3(w.center * 1.75, tuple(v * 1.75 for v in w.ring))
-        assert abs(contour_g1(scaled) - 1.75 * g1) <= 1e-12
-        assert abs(contour_g3(scaled) - 1.75 * g3) <= 1e-12
-        # one step around the ring: closed loops keep their totals,
-        # and the two stride-2 subloops trade places
-        rot = Window3x3(w.center, w.ring[1:] + w.ring[:1])
-        assert abs(contour_g1(rot) - g1) <= 1e-12
-        assert abs(contour_g3(rot) - g3) <= 1e-12
-        r20, r21, r2 = contour_g2(rot)
-        assert r20 == g21
-        assert abs(r21 - g20) <= 1e-12 and abs(r2 - g2) <= 1e-12
-        # the center pixel never enters a contour
-        recentered = Window3x3(0.987, w.ring)
-        assert contour_g1(recentered) == g1
-        assert contour_g2(recentered) == (g20, g21, g2)
-        assert contour_g3(recentered) == g3
-        checked += 1
+    blocks = rng.uniform(0.0, 0.5, size=(10_000, 9))  # one window per row: center, then the ring
+
+    def loops(b):
+        return [contours(b, variant) for variant in VARIANTS]
+
+    g1, g2, g3 = loops(blocks)
+    g20, g21 = g2_halves(blocks)
+    # range: eight absolute differences of values in [0, 1]
+    assert all(((0.0 <= g) & (g <= 8.0)).all() for g in (g1, g2, g3))
+    assert (g2 == g20 + g21).all()
+    # shift invariance (values stay in range by construction)
+    for shifted, g in zip(loops(blocks + 0.25), (g1, g2, g3)):
+        assert (np.abs(shifted - g) <= 1e-12).all()
+    # homogeneity: scaling the window scales every contour
+    s1, _, s3 = loops(blocks * 1.75)
+    assert (np.abs(s1 - 1.75 * g1) <= 1e-12).all()
+    assert (np.abs(s3 - 1.75 * g3) <= 1e-12).all()
+    # one step around the ring: closed loops keep their totals,
+    # and the two stride-2 subloops trade places
+    rot = blocks[:, [0, 2, 3, 4, 5, 6, 7, 8, 1]]
+    r1, r2, r3 = loops(rot)
+    assert (np.abs(r1 - g1) <= 1e-12).all()
+    assert (np.abs(r3 - g3) <= 1e-12).all()
+    r20, r21 = g2_halves(rot)
+    assert (r20 == g21).all()
+    assert (np.abs(r21 - g20) <= 1e-12).all() and (np.abs(r2 - g2) <= 1e-12).all()
+    # the center pixel never enters a contour
+    recentered = blocks.copy()
+    recentered[:, 0] = 0.987
+    c1, c2, c3 = loops(recentered)
+    c20, c21 = g2_halves(recentered)
+    assert (c1 == g1).all()
+    assert (c20 == g20).all() and (c21 == g21).all() and (c2 == g2).all()
+    assert (c3 == g3).all()
+    checked = len(blocks)
     elapsed = time.perf_counter() - start
     ok = checked == 10_000 and elapsed < 5.0
     report(2, ok, f"{checked} windows x 7 properties, {elapsed:.2f}s")
 
 
 def test_criterion_3_log_distance_is_a_metric():
-    from nblgc import distance_log
+    def log_distance(a, b):
+        return distance_rows(a[None, :], b, "log")[0]
 
     rng = np.random.default_rng(103)
     triples = rng.uniform(0.0, 3.0, size=(10_000, 3, 441))
     worst_violation = 0.0
     for a, b, c in triples:
-        d_ab = distance_log(a, b)
-        d_bc = distance_log(b, c)
-        d_ac = distance_log(a, c)
-        assert d_ab >= 0.0 and d_ab == distance_log(b, a)
+        d_ab = log_distance(a, b)
+        d_bc = log_distance(b, c)
+        d_ac = log_distance(a, c)
+        assert d_ab >= 0.0 and d_ab == log_distance(b, a)
         worst_violation = max(worst_violation, d_ac - (d_ab + d_bc))
-    assert distance_log(triples[0, 0], triples[0, 0]) == 0.0
+    assert log_distance(triples[0, 0], triples[0, 0]) == 0.0
     ok = worst_violation <= 1e-12
     report(3, ok, f"10000 triples in 441 dims, worst triangle violation={worst_violation:.3g}")
 
 
 def test_criterion_4_center_membership_ignores_global_scale():
     rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(2_000):
-        vals = rng.uniform(0.0, 0.1, size=9)
-        w = Window3x3(float(vals[0]), tuple(float(v) for v in vals[1:]))
-        base = membership_center(w)
-        for s in rng.uniform(0.1, 10.0, size=5):
-            scaled = Window3x3(w.center * s, tuple(v * s for v in w.ring))
-            other = membership_center(scaled)
-            denom = max(abs(base), 1e-300)
-            worst = max(worst, abs(other - base) / denom)
+    # each window's nine values, then its five scales, in the order a loop
+    # drawing uniform(0, 0.1) and uniform(0.1, 10) per window takes them
+    draws = rng.random((2_000, 14))
+    blocks = 0.1 * draws[:, :9]
+    scales = 0.1 + (10.0 - 0.1) * draws[:, 9:]
+    base = center_memberships(blocks)
+    scaled = center_memberships((scales[:, :, None] * blocks[:, None, :]).reshape(-1, 9)).reshape(scales.shape)
+    denom = np.maximum(np.abs(base), 1e-300)[:, None]
+    worst = float((np.abs(scaled - base[:, None]) / denom).max())
     ok = worst < 1e-10
-    report(4, ok, f"2000 windows x 5 scales in (0.1, 10), max rel diff={worst:.3g}")
+    report(4, ok, f"{len(blocks)} windows x {scales.shape[1]} scales in (0.1, 10), max rel diff={worst:.3g}")
 
 
 def test_criterion_5_classifier_sanity():

@@ -12,16 +12,14 @@ from nblgc import (
     KnnModel,
     LabeledSample,
     SvmModel,
-    distance_euclidean,
-    distance_log,
-    kernel_poly,
+    distance_rows,
     knn_predict,
     load_model,
     save_model,
     svm_predict,
     svm_train,
 )
-from nblgc.classify import _decision_values, _smo_lockstep
+from nblgc.classify import _decision_values, _kernel, _smo_lockstep
 from oracles import _smo_pair
 
 
@@ -29,35 +27,40 @@ def samples(pairs):
     return [LabeledSample(np.asarray(v, dtype=float), lab) for v, lab in pairs]
 
 
+def distance(a, b, kind="log"):
+    """The distance between two vectors: b as the query, a as the only row."""
+    return distance_rows(np.asarray([a], dtype=float), np.asarray(b, dtype=float), kind)[0]
+
+
 class TestDistances:
     def test_log_distance_hand_value(self):
-        assert distance_log([1.0, 2.0], [2.0, 4.0]) == pytest.approx(
+        assert distance([1.0, 2.0], [2.0, 4.0]) == pytest.approx(
             1.791759469228055, rel=1e-12
         )
 
     def test_identity_is_exactly_zero(self):
         v = np.array([0.3, -2.0, 15.5])
-        assert distance_log(v, v) == 0.0
-        assert distance_euclidean(v, v) == 0.0
+        assert distance(v, v) == 0.0
+        assert distance(v, v, "euclidean") == 0.0
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             a, b = rng.normal(size=(2, 20))
-            assert distance_log(a, b) == distance_log(b, a)
+            assert distance(a, b) == distance(b, a)
 
     def test_euclidean_hand_value(self):
-        assert distance_euclidean([0.0, 0.0], [3.0, 4.0]) == 5.0
+        assert distance([0.0, 0.0], [3.0, 4.0], "euclidean") == 5.0
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(19)
         for _ in range(500):
             a, b, c = rng.uniform(-5, 5, size=(3, 10))
-            assert distance_log(a, c) <= distance_log(a, b) + distance_log(b, c) + 1e-12
+            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            distance_log([1.0], [1.0, 2.0])
+            distance([1.0], [1.0, 2.0])
 
     def test_global_rescaling_can_reorder_neighbors(self):
         # ln(1+x) is concave, so one big coordinate gap can beat two medium
@@ -66,8 +69,8 @@ class TestDistances:
         query = np.zeros(2)
         spread_one = np.array([3.0, 0.0])
         spread_two = np.array([1.2, 1.2])
-        assert distance_log(query, spread_one) < distance_log(query, spread_two)
-        assert distance_log(query, 0.1 * spread_one) > distance_log(query, 0.1 * spread_two)
+        assert distance(query, spread_one) < distance(query, spread_two)
+        assert distance(query, 0.1 * spread_one) > distance(query, 0.1 * spread_two)
         train = samples([(spread_one, "one"), (spread_two, "two")])
         scaled = samples([(0.1 * spread_one, "one"), (0.1 * spread_two, "two")])
         assert knn_predict(KnnModel(tuple(train)), query)[0] == "one"
@@ -144,13 +147,14 @@ class TestKnn:
 
 class TestKernel:
     def test_values(self):
-        assert kernel_poly([1.0, 2.0], [3.0, 4.0], degree=1, offset=0.0) == 11.0
-        assert kernel_poly([1.0, 2.0], [3.0, 4.0], degree=2, offset=1.0) == 144.0
+        a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        assert _kernel(a, b, 0.0, 1) == 11.0
+        assert _kernel(a, b, 1.0, 2) == 144.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(31)
         a, b = rng.normal(size=(2, 7))
-        assert kernel_poly(a, b, 2, 1.0) == kernel_poly(b, a, 2, 1.0)
+        assert _kernel(a, b, 1.0, 2) == _kernel(b, a, 1.0, 2)
 
 
 def _dual_oracle(kmat, y, c):
@@ -442,12 +446,14 @@ class TestSvm:
             (("a", "b", "c"), [("a", "b"), ("c", "a")], "each pair of classes exactly once"),
             (("a",), [], "at least two classes"),
             (("a", "b", "c"), [], "0 machines for 3 classes"),
+            # support indices may follow the labels; fractional ones must not be truncated
+            (("a", "b"), [("a", "b", 0.7, 1.9)], "indices must be integers"),
         ],
     )
     def test_malformed_machine_set_rejected(self, classes, pairs, message):
-        machines = tuple(BinaryMachine(pos, neg, [], [], 0.0) for pos, neg in pairs)
+        machines = tuple(BinaryMachine(pos, neg, idx, [1.0] * len(idx), 0.0) for pos, neg, *idx in pairs)
         with pytest.raises(ValueError, match=message):
-            SvmModel(classes, np.zeros((1, 1)), machines, 1, 1.0, 1.0, 1e-3)
+            SvmModel(classes, np.zeros((2, 1)), machines, 1, 1.0, 1.0, 1e-3)
 
     def test_rejects_non_finite_query(self):
         model = svm_train(samples([([0.0], "a"), ([1.0], "b")]))

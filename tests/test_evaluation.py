@@ -254,6 +254,13 @@ class TestRoc:
         with pytest.raises(ValueError, match="impostor"):
             roc_far_gar(train, test)
 
+    def test_rejects_test_vector_of_wrong_length(self):
+        # a one-value test vector would broadcast against every training row
+        train = [LabeledSample(np.array([0.0, 0.0]), "a"), LabeledSample(np.array([9.0, 9.0]), "b")]
+        test = [LabeledSample(np.array([1.0]), "a")]
+        with pytest.raises(ValueError, match="length mismatch"):
+            roc_far_gar(train, test)
+
     def test_rejects_empty(self):
         s = [LabeledSample(np.array([0.0]), "a")]
         with pytest.raises(ValueError, match="non-empty"):

@@ -9,12 +9,12 @@ from nblgc import (
     FuzzifierRef,
     GrayImage,
     RawImage,
-    block_feature,
-    entropy_feature,
+    block_features,
+    block_values,
+    entropy_features,
     extract,
     extract_many,
     normalize_unit,
-    partition_blocks,
     read_features_csv,
     write_features_csv,
 )
@@ -23,6 +23,10 @@ from oracles import naive_feature_vector
 
 VARIANTS = list(ContourVariant)
 REFS = list(FuzzifierRef)
+
+
+def entropy_term(membership, contour):
+    return float(entropy_features(np.array([membership]), np.array([contour]))[0])
 
 
 @st.composite
@@ -46,11 +50,11 @@ def raw_images(draw):
 class TestPartition:
     def test_3x3_single_block(self):
         grid = np.arange(9, dtype=float).reshape(3, 3) / 8.0
-        blocks = partition_blocks(GrayImage(grid))
+        blocks = block_values(GrayImage(grid))
         assert len(blocks) == 1
         w = blocks[0]
-        assert w.center == grid[1, 1]
-        assert w.ring == (
+        assert w[0] == grid[1, 1]
+        assert tuple(w[1:]) == (
             grid[0, 0], grid[0, 1], grid[0, 2],
             grid[1, 2],
             grid[2, 2], grid[2, 1], grid[2, 0],
@@ -60,59 +64,55 @@ class TestPartition:
     def test_6x3_two_blocks_draw_from_own_columns(self):
         # width 6, height 3, pixels 1..18 in raster order (scaled to [0,1])
         grid = (np.arange(1, 19, dtype=float) / 18.0).reshape(3, 6)
-        blocks = partition_blocks(GrayImage(grid))
+        blocks = block_values(GrayImage(grid))
         assert len(blocks) == 2
         s = 1 / 18.0
-        assert blocks[0].center == pytest.approx(8 * s)
-        assert blocks[0].ring == pytest.approx(tuple(v * s for v in (1, 2, 3, 9, 15, 14, 13, 7)))
-        assert blocks[1].center == pytest.approx(11 * s)
-        assert blocks[1].ring == pytest.approx(tuple(v * s for v in (4, 5, 6, 12, 18, 17, 16, 10)))
+        assert blocks[0, 0] == pytest.approx(8 * s)
+        assert blocks[0, 1:] == pytest.approx([v * s for v in (1, 2, 3, 9, 15, 14, 13, 7)])
+        assert blocks[1, 0] == pytest.approx(11 * s)
+        assert blocks[1, 1:] == pytest.approx([v * s for v in (4, 5, 6, 12, 18, 17, 16, 10)])
 
     def test_63x63_gives_441_blocks(self):
         rng = np.random.default_rng(2)
-        blocks = partition_blocks(GrayImage(rng.random((63, 63))))
-        assert len(blocks) == 441
+        blocks = block_values(GrayImage(rng.random((63, 63))))
+        assert blocks.shape == (441, 9)
 
     @pytest.mark.parametrize("shape", [(4, 6), (6, 4), (5, 5)])
     def test_rejects_non_multiple_of_three(self, shape):
         with pytest.raises(ValueError, match="multiples of 3"):
-            partition_blocks(GrayImage(np.zeros(shape)))
+            block_values(GrayImage(np.zeros(shape)))
 
 
 class TestEntropyFeature:
     def test_frozen_value(self):
-        assert entropy_feature(3.0, 1.4) == pytest.approx(-1.4131833938090939, rel=1e-12)
+        assert entropy_term(3.0, 1.4) == pytest.approx(-1.4131833938090939, rel=1e-12)
 
     def test_degenerate_inputs(self):
-        assert entropy_feature(0.0, 2.0) == 0.0
-        assert entropy_feature(3.0, 0.0) == 0.0
+        assert entropy_term(0.0, 2.0) == 0.0
+        assert entropy_term(3.0, 0.0) == 0.0
         # ln(1) = 0; keep the sign positive so CSVs never print -0
-        result = entropy_feature(3.0, 1.0)
+        result = entropy_term(3.0, 1.0)
         assert result == 0.0
         assert str(result) == "0.0"
 
     def test_sign_structure(self):
         # contour above 1 pulls the feature negative, below 1 positive
-        assert entropy_feature(2.0, 1.5) < 0.0
-        assert entropy_feature(2.0, 0.5) > 0.0
+        assert entropy_term(2.0, 1.5) < 0.0
+        assert entropy_term(2.0, 0.5) > 0.0
 
 
 class TestBlockFeature:
     def test_symmetric_window_end_to_end(self):
         # weight 3.0, single-loop contour 1.6: -3.0 * 1.6 * ln(1.6)
-        from nblgc import Window3x3
-
-        w = Window3x3(0.3, (0.2, 0.4, 0.2, 0.4, 0.2, 0.4, 0.2, 0.4))
-        assert block_feature(w, ContourVariant.G1) == pytest.approx(
+        w = np.array([[0.3, 0.2, 0.4, 0.2, 0.4, 0.2, 0.4, 0.2, 0.4]])
+        assert block_features(w, ContourVariant.G1)[0] == pytest.approx(
             -2.2560174203795316, rel=1e-12
         )
 
     def test_constant_window_is_zero(self):
-        from nblgc import Window3x3
-
-        w = Window3x3(0.7, (0.7,) * 8)
+        w = np.full((1, 9), 0.7)
         for variant in VARIANTS:
-            assert block_feature(w, variant) == 0.0
+            assert block_features(w, variant)[0] == 0.0
 
 
 class TestExtract:
@@ -125,13 +125,14 @@ class TestExtract:
         assert fv.ref is FuzzifierRef.AVERAGE
 
     def test_values_equal_block_features_exactly(self):
+        # each block row computed alone is bit-identical to its row of the batch
         rng = np.random.default_rng(4)
         img = GrayImage(rng.random((9, 12)))
+        blocks = block_values(img)
         for variant in VARIANTS:
             for ref in REFS:
                 fv = extract(img, variant, ref)
-                blocks = partition_blocks(img)
-                expected = [block_feature(w, variant, ref) for w in blocks]
+                expected = [block_features(blocks[i : i + 1], variant, ref)[0] for i in range(len(blocks))]
                 assert fv.values.tolist() == expected
 
     def test_constant_image_gives_zero_vector(self):

@@ -395,6 +395,8 @@ class TestTypes:
         with pytest.raises(ValueError):
             GrayImage(np.array([[0.5, 1.5]]))
         with pytest.raises(ValueError):
+            GrayImage(np.array([[-0.1, 0.5]]))
+        with pytest.raises(ValueError):
             GrayImage(np.array([[np.nan]]))
         with pytest.raises(ValueError):
             GrayImage(np.zeros(4))
