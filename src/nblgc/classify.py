@@ -64,9 +64,11 @@ DISTANCES = ("log", "euclidean")
 def distance_rows(matrix: np.ndarray, query: np.ndarray, distance: str) -> np.ndarray:
     """Distance from the 1-D query to each row of matrix: the log distance,
     sum of ln(1 + |a_i - b_i|), or the Euclidean one. Raises ValueError
-    unless the query is as long as a row."""
+    unless the query is as long as a row and distance is one of DISTANCES."""
     if query.size != matrix.shape[1]:
         raise ValueError(f"length mismatch: {query.size} vs {matrix.shape[1]}")
+    if distance not in DISTANCES:
+        raise ValueError(f"unknown distance {distance!r}")
     diff = np.abs(matrix - query)
     if distance == "log":
         return np.log1p(diff).sum(axis=1)
@@ -125,18 +127,18 @@ def _kernel(rows: np.ndarray, other: np.ndarray, offset: float, degree: int) -> 
 
 @dataclass(frozen=True)
 class BinaryMachine:
-    """One pair machine: positive label vs negative label, with one
-    coefficient per support vector, row ``indices`` of the model's
-    ``vectors``. A plain record: SvmModel checks and copies it, and the
-    machines it keeps slice its flat store. ``store`` (its ``vectors``)
-    and ``support_vectors`` serve only the benchmark's span counters."""
+    """A read-only view of one pair machine of an SvmModel: positive label
+    vs negative label, with one coefficient per support vector, row
+    ``indices`` of ``store`` (the model's ``vectors``). Only
+    SvmModel.machines builds it; ``support_vectors`` serves the
+    benchmark's span counters."""
 
     pos_label: str
     neg_label: str
-    indices: np.ndarray  # (n_sv,) rows of SvmModel.vectors
+    indices: np.ndarray  # (n_sv,) rows of store
     coefficients: np.ndarray  # (n_sv,), multiplier * label sign
     bias: float
-    store: np.ndarray | None = field(default=None, compare=False, repr=False)
+    store: np.ndarray = field(compare=False, repr=False)
 
     @property
     def support_vectors(self) -> np.ndarray:
@@ -157,37 +159,29 @@ def check_svm_settings(degree: int, c: float, offset: float, tol: float) -> None
         raise ValueError("tol must be a finite number >= 0")
 
 
-def _index_array(values) -> np.ndarray:
-    """values as a flat intp array; ValueError unless they are integers."""
-    indices = np.asarray(values).reshape(-1)
-    if indices.size and indices.dtype.kind not in "iu":
-        raise ValueError("support vector indices must be integers")
-    return indices.astype(np.intp, copy=False)
-
-
 @dataclass(frozen=True)
 class SvmModel:
-    """One-vs-one ensemble over the sorted class list.
+    """One-vs-one ensemble over the sorted class list, as one flat store.
 
-    ``vectors`` holds each training vector once, in training order; each
-    machine keeps indices into it and one coefficient per index. There
-    are at least two classes, one machine per pair of them and settings
-    svm_train accepts, so every model can predict. Building it copies,
-    checks and freezes every array once: the ``sv_*`` arrays flatten all
-    support entries in machine order, and the kept machines slice them.
+    ``vectors`` holds each training vector once, in training order.
+    Machine b is pair b of combinations(classes, 2), first class
+    positive: it has bias ``biases[b]`` and the next ``sv_count[b]``
+    support entries (``sv_index``, ``sv_coef``). There are at least two
+    classes and settings svm_train accepts, so every model can predict.
+    Building it copies, checks and freezes every array.
     """
 
     classes: tuple[str, ...]
     vectors: np.ndarray  # (n_train, dim)
-    machines: tuple[BinaryMachine, ...]
+    sv_count: np.ndarray  # support entries per machine
+    sv_index: np.ndarray  # row of vectors, per support entry
+    sv_coef: np.ndarray  # multiplier * label sign, per support entry
+    biases: np.ndarray  # one per machine
     degree: int
     c: float
     offset: float
     tol: float
     sv_owner: np.ndarray = field(init=False, compare=False, repr=False)  # machine of each support entry
-    sv_index: np.ndarray = field(init=False, compare=False, repr=False)  # its row of vectors
-    sv_coef: np.ndarray = field(init=False, compare=False, repr=False)  # its coefficient
-    biases: np.ndarray = field(init=False, compare=False, repr=False)  # one per machine
     pos_class: np.ndarray = field(init=False, compare=False, repr=False)  # index in classes, per machine
     neg_class: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -201,40 +195,36 @@ class SvmModel:
             raise ValueError("class labels must be distinct")
         if len(classes) < 2:
             raise ValueError("an svm model needs at least two classes")
-        for m in self.machines:
-            if m.pos_label not in classes or m.neg_label not in classes:
-                raise ValueError(f"machine {m.pos_label!r}/{m.neg_label!r} names a label not in classes")
-            if m.pos_label == m.neg_label:
-                raise ValueError(f"machine {m.pos_label!r}/{m.neg_label!r} names one label twice")
-        pairs = {frozenset((m.pos_label, m.neg_label)) for m in self.machines}
-        if not len(pairs) == len(self.machines) == len(classes) * (len(classes) - 1) // 2:
+        pos_class, neg_class = np.array(list(combinations(range(len(classes)), 2)), dtype=np.intp).T
+        sv_count, sv_index = (np.array(a).reshape(-1) for a in (self.sv_count, self.sv_index))  # copies
+        if any(a.size and a.dtype.kind not in "iu" for a in (sv_count, sv_index)):  # never truncate 0.7 to 0
+            raise ValueError("support counts and indices must be integers")
+        sv_count, sv_index = sv_count.astype(np.intp, copy=False), sv_index.astype(np.intp, copy=False)
+        sv_coef, biases = (np.array(a, dtype=np.float64).reshape(-1) for a in (self.sv_coef, self.biases))
+        if len(biases) != len(pos_class):
             raise ValueError("machines must cover each pair of classes exactly once "
-                             f"({len(self.machines)} machines for {len(classes)} classes)")
-        indices = [_index_array(m.indices) for m in self.machines]
-        coefficients = [np.asarray(m.coefficients, dtype=np.float64).reshape(-1) for m in self.machines]
-        sizes = [idx.size for idx in indices]
-        if sizes != [coef.size for coef in coefficients]:
-            raise ValueError("a machine needs one coefficient per support vector")
-        sv_index = np.concatenate([np.empty(0, np.intp), *indices])  # copies: a caller's array is never kept
-        sv_coef = np.concatenate([np.empty(0), *coefficients])
-        biases = np.array([m.bias for m in self.machines], dtype=np.float64)
+                             f"({len(biases)} machines for {len(classes)} classes)")
+        if len(sv_count) != len(biases) or sv_count.min() < 0 or not sv_count.sum() == sv_index.size == sv_coef.size:
+            raise ValueError("sv_count needs one count >= 0 per machine, summing to the support entries")
         if not (np.isfinite(sv_coef).all() and np.isfinite(biases).all()):
             raise ValueError("machine coefficients and bias must be finite")
         if sv_index.size and not (0 <= sv_index.min() and sv_index.max() < len(vectors)):
             raise ValueError("support vector index outside vectors")
-        position = {label: k for k, label in enumerate(classes)}
-        arrays = {"vectors": vectors, "sv_index": sv_index, "sv_coef": sv_coef, "biases": biases,
-                  "sv_owner": np.repeat(np.arange(len(sizes)), sizes),
-                  "pos_class": np.array([position[m.pos_label] for m in self.machines], dtype=np.intp),
-                  "neg_class": np.array([position[m.neg_label] for m in self.machines], dtype=np.intp)}
+        arrays = {"vectors": vectors, "sv_count": sv_count, "sv_index": sv_index, "sv_coef": sv_coef,
+                  "biases": biases, "sv_owner": np.repeat(np.arange(len(biases)), sv_count),
+                  "pos_class": pos_class, "neg_class": neg_class}
         for name, array in arrays.items():
-            array.flags.writeable = False  # before slicing: a view keeps the flag it was made with
+            array.flags.writeable = False
             object.__setattr__(self, name, array)
-        starts = np.cumsum([0, *sizes]).tolist()
-        machines = tuple(BinaryMachine(m.pos_label, m.neg_label, sv_index[a:b], sv_coef[a:b], float(bias), vectors)
-                         for m, a, b, bias in zip(self.machines, starts, starts[1:], biases))
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "machines", machines)
+
+    @property
+    def machines(self) -> tuple[BinaryMachine, ...]:
+        """Read-only views of the machines in pair order, built on each call: keep it off hot paths."""
+        ends = np.cumsum(self.sv_count).tolist()
+        return tuple(BinaryMachine(self.classes[p], self.classes[n], self.sv_index[a:b], self.sv_coef[a:b], bias,
+                                   self.vectors)
+                     for p, n, a, b, bias in zip(self.pos_class, self.neg_class, [0, *ends], ends, self.biases.tolist()))
 
 
 def _smo_lockstep(
@@ -338,10 +328,8 @@ def svm_train(
         idx[b, :m] = rows[pos] + rows[neg]
         y[b, :n_pos], y[b, n_pos:m] = 1.0, -1.0
     alphas, biases, _ = _smo_lockstep(gram, idx, y, c, tol)
-    keep = alphas > 0.0
-    machines = tuple(BinaryMachine(pos, neg, idx[b, keep[b]], alphas[b, keep[b]] * y[b, keep[b]], float(biases[b]))
-                     for b, (pos, neg) in enumerate(pairs))
-    return SvmModel(classes, vectors, machines, degree, c, offset, tol)
+    keep = alphas > 0.0  # row-major: the kept entries come machine after machine
+    return SvmModel(classes, vectors, keep.sum(axis=1), idx[keep], (alphas * y)[keep], biases, degree, c, offset, tol)
 
 
 def _decision_values(model: SvmModel, query) -> np.ndarray:
@@ -350,7 +338,7 @@ def _decision_values(model: SvmModel, query) -> np.ndarray:
     if query.size != model.vectors.shape[1]:
         raise ValueError(f"length mismatch: {query.size} vs {model.vectors.shape[1]}")
     row = _kernel(model.vectors, query, model.offset, model.degree)
-    sums = np.bincount(model.sv_owner, model.sv_coef * row[model.sv_index], minlength=len(model.machines))
+    sums = np.bincount(model.sv_owner, model.sv_coef * row[model.sv_index], minlength=len(model.biases))
     return sums + model.biases
 
 
@@ -374,8 +362,8 @@ def svm_predict(model: SvmModel, query) -> str:
 # Line 1 is the format tag, line 2 the model kind. Hyperparameters are
 # "name value" lines; vectors are tab-separated records. 17 significant
 # digits reproduce every float exactly. An SVM file holds its classes,
-# one "vector" record per training row, then each machine's record
-# followed by one "sv <index> <coefficient>" record per support vector.
+# one "vector" record per training row, then each machine's record, in pair
+# order, followed by one "sv <index> <coefficient>" record per support vector.
 
 
 def _fmt(x: float) -> str:
@@ -451,17 +439,21 @@ def _parse_model(fields: dict[str, str], records: list[list[str]]) -> KnnModel |
         pos += 1
     if len({len(v) for v in vectors}) > 1:
         raise ValueError("vector records differ in length")
-    machines = []
+    machines, svs = [], []
     while pos < len(records):
         if records[pos][0] != "machine" or len(records[pos]) != 5:
             raise ValueError(f"unexpected record {records[pos][0]!r} in svm model")
-        _, pos_label, neg_label, bias, n_sv = records[pos]
-        svs = records[pos + 1 : pos + 1 + int(n_sv)]
-        if len(svs) != int(n_sv) or any(r[0] != "sv" or len(r) != 3 for r in svs):
+        _, pos_label, neg_label, _, n_sv = records[pos]
+        machine_svs = records[pos + 1 : pos + 1 + int(n_sv)]
+        if len(machine_svs) != int(n_sv) or any(r[0] != "sv" or len(r) != 3 for r in machine_svs):
             raise ValueError(f"machine {pos_label}/{neg_label} is not followed by {n_sv} sv records")
-        machines.append(
-            BinaryMachine(pos_label, neg_label, [int(r[1]) for r in svs], [float(r[2]) for r in svs], float(bias))
-        )
-        pos += 1 + len(svs)
-    return SvmModel(classes, vectors, tuple(machines), int(fields["degree"]), float(fields["C"]),
-                    float(fields["offset"]), float(fields["tol"]))
+        machines.append(records[pos])
+        svs += machine_svs
+        pos += 1 + len(machine_svs)
+    model = SvmModel(classes, vectors, [int(m[4]) for m in machines], [int(r[1]) for r in svs],
+                     [float(r[2]) for r in svs], [float(m[3]) for m in machines], int(fields["degree"]),
+                     float(fields["C"]), float(fields["offset"]), float(fields["tol"]))
+    for b, (m, pair) in enumerate(zip(machines, combinations(model.classes, 2))):
+        if (m[1], m[2]) != pair:  # machine b must be class pair b, in that orientation
+            raise ValueError(f"machine {b} is {m[1]}/{m[2]}, not the class pair {pair[0]}/{pair[1]}")
+    return model

@@ -35,7 +35,7 @@ from .evaluation import (
     write_roc_csv,
 )
 from .features import extract_many, write_features_csv
-from .image_io import MAX_RESIZE_PIXELS, DatasetError, PgmParseError, load_dataset
+from .image_io import MAX_RESIZE_PIXELS, DatasetError, PgmParseError, check_resize_target, load_dataset
 from .infoset import FuzzifierRef
 
 EXIT_OK = 0
@@ -109,11 +109,9 @@ def _path(value) -> Path:
 def _resize(value) -> str:
     try:
         w, h = (int(n) for n in value.lower().split("x"))
-        ok = w >= 3 and h >= 3 and w % 3 == 0 and h % 3 == 0 and w * h <= MAX_RESIZE_PIXELS
     except (AttributeError, ValueError):
-        ok = False
-    if not ok:
-        raise ValueError(f"wants WxH, both positive multiples of 3, at most {MAX_RESIZE_PIXELS} pixels")
+        raise ValueError("wants WxH, two integers") from None
+    check_resize_target(w, h)
     return f"{w}x{h}"
 
 

@@ -288,6 +288,14 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
     return GrayImage(np.clip(out, 0.0, 1.0))
 
 
+def check_resize_target(width: int, height: int) -> tuple[int, int]:
+    """(width, height), or ValueError unless both are positive multiples of 3
+    (features tile 3x3 blocks) and width * height <= MAX_RESIZE_PIXELS."""
+    if width < 3 or height < 3 or width % 3 or height % 3 or width * height > MAX_RESIZE_PIXELS:
+        raise ValueError(f"resize target {width}x{height} must be positive multiples of 3, <= {MAX_RESIZE_PIXELS} pixels")
+    return width, height
+
+
 def load_dataset(
     root: str | Path,
     resize_to: tuple[int, int] = (63, 63),
@@ -297,15 +305,12 @@ def load_dataset(
 
     Class label = subdirectory name. Entries come back sorted by
     (class name, file name), so two calls on the same tree agree.
-    Target dimensions must be positive multiples of 3 (the feature stage
-    tiles images into 3x3 blocks) and at most MAX_RESIZE_PIXELS in all,
-    else ValueError before any file is read. A bad file aborts the load
-    unless skip_errors is set, which downgrades it to a warning. A class
-    name that no model file could hold (see check_label) always aborts.
+    A target that check_resize_target refuses raises ValueError before
+    any file is read. A bad file aborts the load unless skip_errors is
+    set, which downgrades it to a warning. A class name that no model
+    file could hold (see check_label) always aborts.
     """
-    out_w, out_h = resize_to
-    if out_w < 3 or out_h < 3 or out_w % 3 or out_h % 3 or out_w * out_h > MAX_RESIZE_PIXELS:
-        raise ValueError(f"resize target {out_w}x{out_h} must be positive multiples of 3, <= {MAX_RESIZE_PIXELS} pixels")
+    out_w, out_h = check_resize_target(*resize_to)
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nblgc import (
-    BinaryMachine,
     KnnModel,
     LabeledSample,
     SvmModel,
@@ -25,6 +26,13 @@ from oracles import _smo_pair
 
 def samples(pairs):
     return [LabeledSample(np.asarray(v, dtype=float), lab) for v, lab in pairs]
+
+
+def flat_svm(classes, vectors, machines, degree=1, offset=1.0):
+    """An SvmModel from one (indices, coefficients, bias) per machine, in pair order."""
+    return SvmModel(classes, vectors, [len(idx) for idx, _, _ in machines],
+                    [i for idx, _, _ in machines for i in idx], [c for _, coef, _ in machines for c in coef],
+                    [bias for _, _, bias in machines], degree, 1.0, offset, 1e-3)
 
 
 def distance(a, b, kind="log"):
@@ -368,13 +376,12 @@ class TestSvm:
             classes = tuple(f"c{k}" for k in range(rng.integers(2, 7)))
             n_train, dim = int(rng.integers(1, 40)), int(rng.integers(1, 30))
             machines = []
-            for pos, neg in combinations(classes, 2):
+            for _ in combinations(classes, 2):
                 n_sv = int(rng.integers(0, n_train + 1))
                 coefficients = rng.normal(size=n_sv) * 10.0 ** rng.uniform(-3, 1)
-                machines.append(BinaryMachine(pos, neg, rng.choice(n_train, n_sv, replace=False), coefficients,
-                                              float(rng.normal())))
-            model = SvmModel(classes, rng.normal(size=(n_train, dim)), tuple(machines),
-                             int(rng.integers(1, 3)), 1.0, float(rng.uniform(0, 2)), 1e-3)
+                machines.append((rng.choice(n_train, n_sv, replace=False), coefficients, float(rng.normal())))
+            model = flat_svm(classes, rng.normal(size=(n_train, dim)), machines,
+                             int(rng.integers(1, 3)), float(rng.uniform(0, 2)))
             for query in rng.normal(size=(5, dim)):
                 row = (model.vectors @ query + model.offset) ** model.degree
                 expected = np.array([m.coefficients @ row[m.indices] + m.bias for m in model.machines])
@@ -409,51 +416,50 @@ class TestSvm:
                 svm_train(two, tol=tol)
 
     def test_vote_tie_magnitude_then_order(self):
-        # hand-built machines force a 1-1-1 vote; summed magnitude decides
-        def const_machine(pos, neg, bias):
-            return BinaryMachine(pos, neg, [], [], bias)
-
-        model = SvmModel(
-            ("a", "b", "c"),
-            np.zeros((1, 1)),
-            (
-                const_machine("a", "b", 1.0),   # votes a, magnitude 1
-                const_machine("c", "a", 2.0),   # votes c, magnitude 2
-                const_machine("b", "c", 1.0),   # votes b, magnitude 1
-            ),
-            1, 1.0, 1.0, 1e-3,
-        )
+        # hand-built machines force a 1-1-1 vote; summed magnitude decides.
+        # Machines without support vectors decide by their bias alone, in
+        # pair order a/b, a/c, b/c
+        model = flat_svm(("a", "b", "c"), np.zeros((1, 1)), [
+            ([], [], 1.0),   # a/b votes a, magnitude 1
+            ([], [], -2.0),  # a/c votes c, magnitude 2
+            ([], [], 1.0),   # b/c votes b, magnitude 1
+        ])
         assert svm_predict(model, [0.0]) == "c"
-        flat = SvmModel(
-            ("a", "b", "c"),
-            np.zeros((1, 1)),
-            (
-                const_machine("a", "b", 1.0),
-                const_machine("c", "a", 1.0),
-                const_machine("b", "c", 1.0),
-            ),
-            1, 1.0, 1.0, 1e-3,
-        )
+        flat = flat_svm(("a", "b", "c"), np.zeros((1, 1)), [([], [], 1.0), ([], [], -1.0), ([], [], 1.0)])
         assert svm_predict(flat, [0.0]) == "a"
 
     @pytest.mark.parametrize(
         "classes,pairs,message",
-        [
-            (("a", "a"), [("a", "a")], "class labels must be distinct"),
-            (("a", "b"), [("a", "a")], "names one label twice"),
-            (("a", "b", "c"), [("a", "b")] * 3, "each pair of classes exactly once"),
-            (("a", "b", "c"), [("a", "b"), ("b", "a"), ("c", "a")], "each pair of classes exactly once"),
-            (("a", "b", "c"), [("a", "b"), ("c", "a")], "each pair of classes exactly once"),
+        [  # pairs: one machine per entry, in pair order: its support indices
+            (("a", "a"), [[]], "class labels must be distinct"),
+            (("a", "b"), [[2]], "index outside vectors"),
+            (("a", "b", "c"), [[]] * 4, "each pair of classes exactly once"),
+            (("a", "b"), [[]] * 3, "each pair of classes exactly once"),
+            (("a", "b", "c"), [[], []], "each pair of classes exactly once"),
             (("a",), [], "at least two classes"),
             (("a", "b", "c"), [], "0 machines for 3 classes"),
-            # support indices may follow the labels; fractional ones must not be truncated
-            (("a", "b"), [("a", "b", 0.7, 1.9)], "indices must be integers"),
+            # fractional support indices must not be truncated
+            (("a", "b"), [[0.7, 1.9]], "indices must be integers"),
         ],
     )
     def test_malformed_machine_set_rejected(self, classes, pairs, message):
-        machines = tuple(BinaryMachine(pos, neg, idx, [1.0] * len(idx), 0.0) for pos, neg, *idx in pairs)
         with pytest.raises(ValueError, match=message):
-            SvmModel(classes, np.zeros((2, 1)), machines, 1, 1.0, 1.0, 1e-3)
+            flat_svm(classes, np.zeros((2, 1)), [(idx, [1.0] * len(idx), 0.0) for idx in pairs])
+
+    @pytest.mark.parametrize(
+        "sv_count,sv_index,sv_coef,message",
+        [
+            ([1, 0, 0], [], [], "sv_count needs"),
+            ([1, 0, 0], [0], [1.0, 2.0], "sv_count needs"),
+            ([2, 0, 0], [0], [1.0], "sv_count needs"),
+            ([0, 0], [], [], "sv_count needs"),
+            ([-1, 1, 0], [0], [1.0], "sv_count needs"),
+            ([0.5, 0, 0], [], [], "support counts and indices must be integers"),
+        ],
+    )
+    def test_support_counts_must_match_the_store(self, sv_count, sv_index, sv_coef, message):
+        with pytest.raises(ValueError, match=message):
+            SvmModel(("a", "b", "c"), np.zeros((2, 1)), sv_count, sv_index, sv_coef, [0.0] * 3, 1, 1.0, 1.0, 1e-3)
 
     def test_rejects_non_finite_query(self):
         model = svm_train(samples([([0.0], "a"), ([1.0], "b")]))
@@ -462,8 +468,7 @@ class TestSvm:
 
     def test_rejects_query_of_wrong_length(self):
         trained = svm_train(samples([([0.0, 1.0], "a"), ([1.0, 0.0], "b")]))
-        no_sv = SvmModel(("a", "b"), np.zeros((1, 2)), (BinaryMachine("a", "b", [], [], 0.5),),
-                         1, 1.0, 1.0, 1e-3)
+        no_sv = flat_svm(("a", "b"), np.zeros((1, 2)), [([], [], 0.5)])
         for model in (trained, no_sv):
             with pytest.raises(ValueError, match="length mismatch"):
                 svm_predict(model, [0.0, 1.0, 2.0])
@@ -471,29 +476,44 @@ class TestSvm:
     def test_machines_slice_the_frozen_flat_store(self, tmp_path):
         rng = np.random.default_rng(16)
         trained = svm_train(samples([(rng.normal(i % 3, 0.8, size=3), f"c{i % 3}") for i in range(18)]))
-        vectors = trained.vectors.copy()
-        supplied = [BinaryMachine(m.pos_label, m.neg_label, m.indices.copy(), m.coefficients.copy(), m.bias)
-                    for m in trained.machines]
-        model = SvmModel(trained.classes, vectors, tuple(supplied), 1, 1.0, 1.0, 1e-3)
+        supplied = {name: getattr(trained, name).copy()
+                    for name in ("vectors", "sv_count", "sv_index", "sv_coef", "biases")}
+        model = SvmModel(trained.classes, **supplied, degree=1, c=1.0, offset=1.0, tol=1e-3)
         for m in model.machines:
             for kept, flat in ((m.indices, model.sv_index), (m.coefficients, model.sv_coef)):
                 assert not kept.flags.writeable and np.shares_memory(kept, flat)
-        assert all(a.flags.writeable for g in supplied for a in (g.indices, g.coefficients)) and vectors.flags.writeable
+        assert all(a.flags.writeable for a in supplied.values())
         queries = rng.normal(1.0, 1.0, size=(6, 3))
         path = tmp_path / "m.model"
         save_model(model, path)
         saved, decisions = path.read_bytes(), [_decision_values(model, q) for q in queries]
-        vectors += 1.0
-        for g in supplied:
-            g.indices[:] = 0
-            g.coefficients[:] = 5.0
+        supplied["vectors"] += 1.0
+        supplied["sv_count"][::-1] = supplied["sv_count"].copy()
+        supplied["sv_index"][:] = 0
+        supplied["sv_coef"][:] = 5.0
+        supplied["biases"][:] = 5.0
         save_model(model, path)
         assert path.read_bytes() == saved
         assert all(np.array_equal(_decision_values(model, q), d) for q, d in zip(queries, decisions))
 
+    def test_benchmark_span_counters_read_a_trained_model(self):
+        # the traced benchmark counts a trained model's support vectors
+        # through perfbench/spans.py, so a model it cannot read fails here
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("nblgc_bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        rng = np.random.default_rng(17)
+        model = svm_train(samples([(rng.normal(i % 3, 0.8, size=3), f"c{i % 3}") for i in range(18)]))
+        assert spans._svm_counts(None, None, model) == {
+            "machines": 3,
+            "sv_rows": model.sv_index.size,
+            "sv_distinct": len(np.unique(model.sv_index)),
+        }
+
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError, match="each pair of classes exactly once"):
-            SvmModel(("a", "b"), np.zeros((1, 1)), (), 1, 1.0, 1.0, 1e-3)
+            SvmModel(("a", "b"), np.zeros((1, 1)), [], [], [], [], 1, 1.0, 1.0, 1e-3)
 
 
 class TestModelSerialization:
@@ -568,12 +588,7 @@ class TestModelSerialization:
             load_model(path)
 
     def test_zero_sv_machine_survives(self, tmp_path):
-        model = SvmModel(
-            ("a", "b"),
-            np.zeros((1, 1)),
-            (BinaryMachine("a", "b", [], [], -0.75),),
-            1, 1.0, 1.0, 1e-3,
-        )
+        model = flat_svm(("a", "b"), np.zeros((1, 1)), [([], [], -0.75)])
         path = tmp_path / "deg.model"
         save_model(model, path)
         loaded = load_model(path)
@@ -605,6 +620,12 @@ def _edit(lines, tag, field, value):
     return lines[:at] + ["\t".join(parts)] + lines[at + 1 :]
 
 
+def _swap_first_machines(lines):
+    """The first two machine records, each with its sv records, in swapped order."""
+    first, second, third = [i for i, line in enumerate(lines) if line.startswith("machine\t")][:3]
+    return lines[:first] + lines[second:third] + lines[first:second] + lines[third:]
+
+
 def _setting(name, *values):
     """An edit that puts one 'name value' line per value where the setting's line was."""
     def edit(lines):
@@ -622,7 +643,7 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "count above records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) + 1)), "not followed by"),
     "count below records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) - 1)), "unexpected record 'sv'"),
     "short vector": (lambda ls: _edit(ls, "vector", -1, lambda v: None), "differ in length"),
-    "label not in classes": (lambda ls: _edit(ls, "machine", 1, lambda v: "c9"), "not in classes"),
+    "label not in classes": (lambda ls: _edit(ls, "machine", 1, lambda v: "c9"), "machine 0 is c9/c1, not the class pair"),
     "cut at a machine boundary": (
         lambda ls: ls[: max(i for i, line in enumerate(ls) if line.startswith("machine\t"))],
         "2 machines for 3 classes"),
@@ -632,8 +653,11 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
                     for line in ls if not line.startswith(("machine\t", "sv\t"))],
         "at least two classes"),
     "class label twice": (lambda ls: _edit(ls, "classes", 2, lambda v: "c0"), "class labels must be distinct"),
-    "machine label twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c0"), "names one label twice"),
-    "class pair twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c2"), "each pair of classes exactly once"),
+    "machine label twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c0"), "machine 0 is c0/c0, not the class pair"),
+    "class pair twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c2"), "machine 0 is c0/c2, not the class pair"),
+    "machines swapped": (_swap_first_machines, "machine 0 is c0/c2, not the class pair c0/c1"),
+    "labels flipped": (lambda ls: _edit(_edit(ls, "machine", 1, lambda v: "c1"), "machine", 2, lambda v: "c0"),
+                       "machine 0 is c1/c0, not the class pair c0/c1"),
     "degree 0": (_setting("degree", 0), "degree must be 1 or 2"),
     "degree 3": (_setting("degree", 3), "degree must be 1 or 2"),
     "C -1": (_setting("C", -1), "C must be positive"),
@@ -674,9 +698,9 @@ class TestModelRoundTripProperties:
         train, queries = problem
         model = svm_train(train, degree=degree)
         # machines listed in emptied keep their bias and lose every support vector
-        machines = [replace(m, indices=[], coefficients=[]) if i in emptied else m
-                    for i, m in enumerate(model.machines)]
-        model = replace(model, machines=tuple(machines))
+        keep = ~np.isin(model.sv_owner, list(emptied))
+        model = replace(model, sv_count=np.bincount(model.sv_owner[keep], minlength=len(model.biases)),
+                        sv_index=model.sv_index[keep], sv_coef=model.sv_coef[keep])
         path = tmp_path_factory.mktemp("svm") / "m.model"
         save_model(model, path)
         loaded = load_model(path)

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,12 +382,16 @@ class TestDeterminism:
 
 def test_module_entry_point(small_tree, tmp_path):
     out = tmp_path / "out"
+    # pytest's pythonpath setting does not reach a subprocess: put src/ on its path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "nblgc", "extract", "--data", str(small_tree),
          "--resize", "9x9", "--out", str(out), "--workers", "1"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "features.csv").is_file()

@@ -261,6 +261,11 @@ class TestRoc:
         with pytest.raises(ValueError, match="length mismatch"):
             roc_far_gar(train, test)
 
+    def test_rejects_unknown_distance(self):
+        train, test = self.hand_sets()
+        with pytest.raises(ValueError, match="unknown distance 'manhattan'"):
+            roc_far_gar(train, test, distance="manhattan")
+
     def test_rejects_empty(self):
         s = [LabeledSample(np.array([0.0]), "a")]
         with pytest.raises(ValueError, match="non-empty"):
