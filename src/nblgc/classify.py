@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .options import DISTANCES, check_svm_settings
+
 MODEL_FORMAT = "nblgc-model 2"
 _REAL = "{:.17g}"  # 17 significant digits: exact float round-trip
 
@@ -56,9 +58,6 @@ def _as_query(a) -> np.ndarray:
     if not np.isfinite(query).all():
         raise ValueError("query vector must be finite")
     return query
-
-
-DISTANCES = ("log", "euclidean")
 
 
 def distance_rows(matrix: np.ndarray, query: np.ndarray, distance: str) -> np.ndarray:
@@ -146,20 +145,7 @@ class BinaryMachine:
         return self.store[self.indices]
 
 
-def check_svm_settings(degree: int, c: float, offset: float, tol: float) -> None:
-    """Raise ValueError unless the SVM settings can train and predict.
-    The message starts with the setting's name: degree, C, offset or tol."""
-    if degree not in (1, 2):
-        raise ValueError("degree must be 1 or 2")
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError("C must be positive and finite")
-    if not np.isfinite(offset):
-        raise ValueError("offset must be finite")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError("tol must be a finite number >= 0")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class SvmModel:
     """One-vs-one ensemble over the sorted class list, as one flat store.
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .contours import ContourVariant, contours
 from .image_io import GrayImage
-from .infoset import FuzzifierRef, center_memberships
+from .infoset import center_memberships, contours
+from .options import ContourVariant, FuzzifierRef
 
 FLOAT_DIGITS = 12  # significant digits in the feature CSV
 
@@ -111,6 +110,8 @@ def extract_many(
     workers = pool_size(workers, len(images))
     if workers <= 1:
         return [extract(img, variant, ref) for img in images]
+    from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import: only when a pool starts
+
     tasks = [(img, variant, ref) for img in images]
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -17,9 +17,9 @@ from typing import Iterator
 import numpy as np
 
 from .classify import check_label
+from .options import DatasetError, PgmParseError, check_resize_target
 
 MAX_GRAY_LIMIT = 65535
-MAX_RESIZE_PIXELS = 65536  # a kept 8-byte-per-pixel image is at most 512 KB; 255x255 is the largest square
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\r\n]*")
@@ -30,18 +30,6 @@ _SPACE, _OTHER = 10, 11
 _BYTE_CLASS = bytes(
     b - 48 if 48 <= b <= 57 else _SPACE if b in _WHITESPACE else _OTHER for b in range(256)
 )
-
-
-class PgmParseError(ValueError):
-    """Malformed PGM bytes. ``offset`` is where in the input it went wrong."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} at byte offset {offset}")
-        self.offset = offset
-
-
-class DatasetError(ValueError):
-    """A dataset file could not be loaded; message includes the file path."""
 
 
 @dataclass(frozen=True)
@@ -286,14 +274,6 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
     bottom = a1 + fx * (r1[:, x1] - a1)
     out = top + fy * (bottom - top)
     return GrayImage(np.clip(out, 0.0, 1.0))
-
-
-def check_resize_target(width: int, height: int) -> tuple[int, int]:
-    """(width, height), or ValueError unless both are positive multiples of 3
-    (features tile 3x3 blocks) and width * height <= MAX_RESIZE_PIXELS."""
-    if width < 3 or height < 3 or width % 3 or height % 3 or width * height > MAX_RESIZE_PIXELS:
-        raise ValueError(f"resize target {width}x{height} must be positive multiples of 3, <= {MAX_RESIZE_PIXELS} pixels")
-    return width, height
 
 
 def load_dataset(

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +44,14 @@ def make_pgm_tree(root, n_classes, per_class, size=(9, 9), seed=0, binary=True):
             px = np.clip(base + noise, 0, 255).astype(np.uint16)
             img = RawImage(w, h, 255, px)
             (cdir / f"img{ii:02d}.pgm").write_bytes(write_pgm(img, binary=binary))
+
+
+def run_python(*args):
+    """Run the interpreter on args with src/ on its path (pytest's
+    pythonpath setting does not reach a subprocess)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env)
 
 
 @pytest.fixture

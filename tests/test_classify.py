@@ -13,6 +13,7 @@ from nblgc import (
     KnnModel,
     LabeledSample,
     SvmModel,
+    check_svm_settings,
     distance_rows,
     knn_predict,
     load_model,
@@ -415,6 +416,12 @@ class TestSvm:
             with pytest.raises(ValueError, match="tol must be"):
                 svm_train(two, tol=tol)
 
+    def test_models_compare_by_identity(self):
+        two = samples([([0.0], "a"), ([1.0], "b")])
+        model = svm_train(two)
+        assert model == model
+        assert (model == svm_train(two)) is False
+
     def test_vote_tie_magnitude_then_order(self):
         # hand-built machines force a 1-1-1 vote; summed magnitude decides.
         # Machines without support vectors decide by their bias alone, in
@@ -514,6 +521,56 @@ class TestSvm:
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError, match="each pair of classes exactly once"):
             SvmModel(("a", "b"), np.zeros((1, 1)), [], [], [], [], 1, 1.0, 1.0, 1e-3)
+
+
+_F32_INF, _NAN, _INF = np.float32("inf"), float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "settings,message",
+    [
+        ((1, 1.0, 1.0, 1e-3), None),
+        ((2, 1e308, -1e308, 0.0), None),
+        ((1, 5e-324, 0.0, 0.0), None),
+        ((1, 3, -2, 0), None),
+        ((np.int64(2), np.float32(1.0), np.int64(3), np.float32(0.0)), None),
+        ((0, 1.0, 1.0, 1e-3), "degree must be 1 or 2"),
+        ((3, 1.0, 1.0, 1e-3), "degree must be 1 or 2"),
+        ((np.int64(3), 1.0, 1.0, 1e-3), "degree must be 1 or 2"),
+        ((1.5, 1.0, 1.0, 1e-3), "degree must be 1 or 2"),
+        ((1, 0.0, 1.0, 1e-3), "C must be positive and finite"),
+        ((1, -1.0, 1.0, 1e-3), "C must be positive and finite"),
+        ((1, _INF, 1.0, 1e-3), "C must be positive and finite"),
+        ((1, -_INF, 1.0, 1e-3), "C must be positive and finite"),
+        ((1, _NAN, 1.0, 1e-3), "C must be positive and finite"),
+        ((1, _F32_INF, 1.0, 1e-3), "C must be positive and finite"),
+        ((1, np.float64(_NAN), 1.0, 1e-3), "C must be positive and finite"),
+        ((1, 1.0, _INF, 1e-3), "offset must be finite"),
+        ((1, 1.0, -_INF, 1e-3), "offset must be finite"),
+        ((1, 1.0, _NAN, 1e-3), "offset must be finite"),
+        ((1, 1.0, -_F32_INF, 1e-3), "offset must be finite"),
+        ((1, 1.0, 1.0, -1e-3), "tol must be a finite number >= 0"),
+        ((1, 1.0, 1.0, _NAN), "tol must be a finite number >= 0"),
+        ((1, 1.0, 1.0, _INF), "tol must be a finite number >= 0"),
+        ((1, 1.0, 1.0, _F32_INF), "tol must be a finite number >= 0"),
+    ],
+    ids=repr,
+)
+def test_svm_settings_verdicts(settings, message):
+    if message is None:
+        check_svm_settings(*settings)
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_svm_settings(*settings)
+
+
+@pytest.mark.parametrize("position,name", [(1, "C"), (2, "offset"), (3, "tol")])
+def test_svm_setting_beyond_float_range_names_itself(position, name):
+    for huge in (10**400, -(10**400)):
+        settings = [1, 1.0, 1.0, 1e-3]
+        settings[position] = huge
+        with pytest.raises(ValueError, match=f"^{name} "):
+            check_svm_settings(*settings)
 
 
 class TestModelSerialization:

@@ -1,16 +1,14 @@
 import hashlib
 import itertools
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import nblgc.cli as cli
+import nblgc.options as options
 from nblgc.classify import DISTANCES
 from nblgc.cli import main
+from conftest import run_python
 
 
 def run_cli(argv):
@@ -311,8 +309,18 @@ class TestOptionValues:
         assert run_cli([command, *args]) == 1
         assert f"{flag} {value!r}" in capsys.readouterr().err
 
+    def test_int_beyond_float_range_is_usage(self, small_tree, tmp_path, capsys):
+        huge = 10**400
+        cfg = tmp_path / "cfg.json"
+        for key, value in (("C", huge), ("offset", -huge), ("k", huge)):
+            cfg.write_text(json.dumps({key: value}))
+            assert run_cli(eval_args(small_tree, tmp_path / "out", "--config", str(cfg))) == 1
+            assert f"config key {key!r}" in capsys.readouterr().err
+        assert run_cli(eval_args(small_tree, tmp_path / "out", "--k", str(huge))) == 1
+        assert "wants an integer >= 1" in capsys.readouterr().err
+
     def test_distance_choices_are_the_classifier_distances(self):
-        (row,) = [o for o in cli.OPTIONS if o.name == "distance"]
+        (row,) = [o for o in options.OPTIONS if o.name == "distance"]
         assert [row.parse(name) for name in DISTANCES] == list(DISTANCES)
         with pytest.raises(ValueError, match="wants one of log, euclidean"):
             row.parse("manhattan")
@@ -351,7 +359,7 @@ class TestOptionValues:
     def test_help_lists_every_row_of_its_command(self, command, capsys):
         assert run_cli([command, "--help"]) == 0
         text = capsys.readouterr().out
-        for opt in cli.OPTIONS:
+        for opt in options.OPTIONS:
             flag = "--" + opt.name.replace("_", "-") + " "
             assert (flag in text) == (command in opt.commands), (command, opt.name)
 
@@ -382,16 +390,39 @@ class TestDeterminism:
 
 def test_module_entry_point(small_tree, tmp_path):
     out = tmp_path / "out"
-    # pytest's pythonpath setting does not reach a subprocess: put src/ on its path
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "nblgc", "extract", "--data", str(small_tree),
-         "--resize", "9x9", "--out", str(out), "--workers", "1"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
+    proc = run_python("-m", "nblgc", "extract", "--data", str(small_tree),
+                      "--resize", "9x9", "--out", str(out), "--workers", "1")
     assert proc.returncode == 0, proc.stderr
     assert (out / "features.csv").is_file()
+
+
+# runs `python -m nblgc ARGS` and, at exit, says whether numpy was imported
+NUMPY_AT_EXIT = ("import atexit, runpy, sys; "
+                 "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules)); "
+                 "runpy.run_module('nblgc', run_name='__main__', alter_sys=True)")
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["--help"], 0), (["kfold", "-h"], 0), (["extract", "--bogus"], 1),
+         (["extract", "--data", "{data}", "--resize", "10x10"], 1),
+         (["evaluate", "--data", "{data}", "--C", "0"], 1)],
+        ids=["--help", "kfold -h", "bogus flag", "resize 10x10", "C 0"],
+    )
+    def test_help_and_usage_errors_load_no_numpy(self, small_tree, argv, code):
+        proc = run_python("-c", NUMPY_AT_EXIT, *(a.format(data=small_tree) for a in argv))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.endswith("numpy loaded: False\n")
+
+    def test_a_run_loads_numpy(self, small_tree, tmp_path):
+        # the probe above can see numpy: a real command imports it
+        proc = run_python("-c", NUMPY_AT_EXIT, *extract_args(small_tree, tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("numpy loaded: True\n")
+
+    def test_cli_import_loads_every_layer(self):
+        # the benchmark's tracer finds each layer in sys.modules after `import nblgc.cli`
+        layers = [f"nblgc.{m}" for m in ("image_io", "features", "classify", "evaluation")]
+        proc = run_python("-c", f"import sys, nblgc.cli; print([m for m in {layers!r} if m not in sys.modules])")
+        assert proc.stdout == "[]\n", proc.stderr

@@ -22,7 +22,7 @@ from nblgc import (
     resize_bilinear,
     write_pgm,
 )
-from nblgc.image_io import MAX_RESIZE_PIXELS
+from nblgc.options import MAX_RESIZE_PIXELS
 
 
 class TestParsePgm:
