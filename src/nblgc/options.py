@@ -140,7 +140,8 @@ def _number(kind: type, rule: str, ok: Callable[[float], bool] = lambda x: True)
                 value = kind(value)
             except ValueError:
                 pass
-        if type(value) not in (kind, int) or not (_finite(value) and ok(value)):
+        # an int is finite even where it is too large for a float
+        if type(value) not in (kind, int) or not ((kind is int or _finite(value)) and ok(value)):
             raise ValueError(f"wants {rule}")
         return kind(value)
 

@@ -309,15 +309,17 @@ class TestOptionValues:
         assert run_cli([command, *args]) == 1
         assert f"{flag} {value!r}" in capsys.readouterr().err
 
-    def test_int_beyond_float_range_is_usage(self, small_tree, tmp_path, capsys):
+    def test_int_beyond_float_range(self, small_tree, tmp_path, capsys):
         huge = 10**400
         cfg = tmp_path / "cfg.json"
-        for key, value in (("C", huge), ("offset", -huge), ("k", huge)):
+        for key, value in (("C", huge), ("offset", -huge)):  # a real-valued setting must fit a float
             cfg.write_text(json.dumps({key: value}))
             assert run_cli(eval_args(small_tree, tmp_path / "out", "--config", str(cfg))) == 1
-            assert f"config key {key!r}" in capsys.readouterr().err
-        assert run_cli(eval_args(small_tree, tmp_path / "out", "--k", str(huge))) == 1
-        assert "wants an integer >= 1" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"config key {key!r}" in err and err.endswith("wants a finite number\n")
+        out = tmp_path / "seeded"
+        assert run_cli(eval_args(small_tree, out, "--shuffle-seed", str(huge))) == 0  # an integer seed
+        assert json.loads((out / "config.json").read_text())["shuffle_seed"] == huge
 
     def test_distance_choices_are_the_classifier_distances(self):
         (row,) = [o for o in options.OPTIONS if o.name == "distance"]
