@@ -63,15 +63,32 @@ def _as_query(a) -> np.ndarray:
 def distance_rows(matrix: np.ndarray, query: np.ndarray, distance: str) -> np.ndarray:
     """Distance from the 1-D query to each row of matrix: the log distance,
     sum of ln(1 + |a_i - b_i|), or the Euclidean one. Raises ValueError
-    unless the query is as long as a row and distance is one of DISTANCES."""
+    unless the query is as long as a row, distance is one of DISTANCES
+    and every distance is finite (finite vectors near 1e154 apart
+    overflow the Euclidean square)."""
     if query.size != matrix.shape[1]:
         raise ValueError(f"length mismatch: {query.size} vs {matrix.shape[1]}")
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}")
-    diff = np.abs(matrix - query)
+    terms = np.subtract(matrix, query)  # the only temporary: each step below works in place
+    np.abs(terms, out=terms)
     if distance == "log":
-        return np.log1p(diff).sum(axis=1)
-    return np.sqrt((diff**2).sum(axis=1))
+        out = np.log1p(terms, out=terms).sum(axis=1)
+    else:
+        out = np.sqrt(np.square(terms, out=terms).sum(axis=1))
+    if not np.isfinite(out).all():
+        raise ValueError(f"{distance} distance overflows: vectors too far apart")
+    return out
+
+
+def check_knn_settings(n_train: int, neighbors_k: int, distance: str) -> None:
+    """Raise ValueError unless n_train samples can vote with these settings."""
+    if n_train < 1:
+        raise ValueError("training set must be non-empty")
+    if not 1 <= neighbors_k <= n_train:
+        raise ValueError("neighbors_k must be in [1, number of training samples]")
+    if distance not in DISTANCES:
+        raise ValueError(f"unknown distance {distance!r}")
 
 
 @dataclass(frozen=True)
@@ -85,15 +102,9 @@ class KnnModel:
 
     def __post_init__(self):
         training = tuple(self.training)
-        if not training:
-            raise ValueError("training set must be non-empty")
-        dim = training[0].vector.size
-        if any(s.vector.size != dim for s in training):
+        if any(s.vector.size != training[0].vector.size for s in training):
             raise ValueError("training vectors must share one dimension")
-        if not 1 <= self.neighbors_k <= len(training):
-            raise ValueError("neighbors_k must be in [1, number of training samples]")
-        if self.distance not in DISTANCES:
-            raise ValueError(f"unknown distance {self.distance!r}")
+        check_knn_settings(len(training), self.neighbors_k, self.distance)
         matrix = np.stack([s.vector for s in training])
         matrix.flags.writeable = False
         object.__setattr__(self, "training", training)
@@ -110,13 +121,19 @@ def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
     dists = distance_rows(model.matrix, _as_query(query), model.distance)
     order = np.argsort(dists, kind="stable")[: model.neighbors_k]
     nearest = [(model.training[i].label, float(dists[i])) for i in order]
+    return vote(nearest), [d for _, d in nearest]
+
+
+def vote(nearest: Sequence[tuple[str, float]]) -> str:
+    """The label most of the nearest (label, distance) pairs carry, given
+    nearest first. Ties go to the smallest summed distance, then to the
+    first label in sorted order."""
     votes: dict[str, int] = {}
     summed: dict[str, float] = {}
     for label, d in nearest:
         votes[label] = votes.get(label, 0) + 1
         summed[label] = summed.get(label, 0.0) + d
-    best = sorted(votes, key=lambda c: (-votes[c], summed[c], c))[0]
-    return best, [d for _, d in nearest]
+    return min(votes, key=lambda c: (-votes[c], summed[c], c))
 
 
 def _kernel(rows: np.ndarray, other: np.ndarray, offset: float, degree: int) -> np.ndarray:

@@ -19,10 +19,12 @@ import numpy as np
 from .classify import (
     KnnModel,
     LabeledSample,
+    check_knn_settings,
     distance_rows,
     knn_predict,
     svm_predict,
     svm_train,
+    vote,
 )
 
 REPORT_DIGITS = 6  # significant digits in report/fold/ROC CSVs
@@ -168,6 +170,8 @@ def kfold(
     order, so with at least k samples per class every fold sees every
     class; smaller classes simply occupy fewer folds. Counts pool every
     fold's predictions; fold_accuracies holds one accuracy per fold.
+    KNN without zscore scores each pair of samples once (_knn_cross_guesses);
+    every other classifier trains once per fold.
     """
     data = list(data)
     if k < 2:
@@ -181,19 +185,76 @@ def kfold(
     for label in sorted(positions):
         for j, i in enumerate(positions[label]):
             fold_of[i] = j % k
+    # vectors of mixed length take the per-fold path, which raises for the first fold they break
+    walk = cfg.kind == "knn" and not cfg.zscore and len({s.vector.size for s in data}) == 1
+    folds: list[list[int]] = []
+    guesses: list[str] = [""] * len(data)
+    for fold in range(k):
+        members = [i for i, f in enumerate(fold_of) if f == fold]
+        if not members:
+            raise ValueError(f"fold {fold} is empty; reduce k")
+        if walk:  # what this fold's KnnModel would check, in fold order
+            check_knn_settings(len(data) - len(members), cfg.neighbors_k, cfg.distance)
+        else:
+            train = [s for i, s in enumerate(data) if fold_of[i] != fold]
+            for i, guess in zip(members, _predict_all(train, [data[i] for i in members], cfg)):
+                guesses[i] = guess
+        folds.append(members)
+    if walk:
+        guesses = _knn_cross_guesses(data, fold_of, cfg.neighbors_k, cfg.distance)
     tested: list[LabeledSample] = []
     predicted: list[str] = []
     fold_accuracies = []
-    for fold in range(k):
-        train = [s for i, s in enumerate(data) if fold_of[i] != fold]
-        test = [s for i, s in enumerate(data) if fold_of[i] == fold]
-        if not test:
-            raise ValueError(f"fold {fold} is empty; reduce k")
-        guesses = _predict_all(train, test, cfg)
-        fold_accuracies.append(_count(test, guesses).accuracy)
+    for members in folds:
+        test, fold_guesses = [data[i] for i in members], [guesses[i] for i in members]
+        fold_accuracies.append(_count(test, fold_guesses).accuracy)
         tested += test
-        predicted += guesses
+        predicted += fold_guesses
     return EvalReport(_count(tested, predicted).per_class, tuple(fold_accuracies))
+
+
+def _knn_cross_guesses(
+    data: list[LabeledSample], fold_of: list[int], neighbors_k: int, distance: str
+) -> list[str]:
+    """Each sample's knn_predict vote over the samples of the other folds.
+
+    Row i of the upper triangle, distance_rows(X[i+1:], X[i]), scores
+    each pair once; |a - b| == |b - a| exactly, so every distance equals
+    the one knn_predict computes. Each sample keeps its neighbors_k
+    nearest other-fold rows by (distance, index): the order
+    knn_predict's stable argsort gives over a fold's training list. At
+    step i row i merges the later rows into the earlier ones it holds,
+    and row i is the largest index every later row holds, so it takes
+    a slot there only on a strictly smaller distance. Memory: the
+    (n, neighbors_k) candidates plus one distance row; the rows shrink,
+    so after the first one glibc serves their temporaries from the heap
+    instead of mapping fresh pages. Each fold must hold at most
+    n - neighbors_k samples, so every slot fills.
+    """
+    matrix = np.stack([s.vector for s in data])
+    fold = np.array(fold_of)
+    n, slots = len(data), np.arange(neighbors_k)
+    best_d = np.full((n, neighbors_k), np.inf)  # an unfilled slot: every distance is finite
+    best_i = np.zeros((n, neighbors_k), dtype=np.intp)
+    for i in range(n - 1):
+        other = fold[i + 1 :] != fold[i]
+        d = distance_rows(matrix[i + 1 :], matrix[i], distance)[other]
+        later = np.flatnonzero(other) + i + 1
+        # held rows come first, so a stable sort keeps the smaller index of a tie
+        cand_d, cand_i = np.concatenate([best_d[i], d]), np.concatenate([best_i[i], later])
+        keep = np.argsort(cand_d, kind="stable")[:neighbors_k]
+        best_d[i], best_i[i] = cand_d[keep], cand_i[keep]
+        win = d < best_d[later, -1]
+        if win.any():
+            rows, new = later[win], d[win][:, None]
+            at = (best_d[rows] <= new).sum(axis=1)[:, None]  # after its ties
+            src = rows[:, None], slots - (slots > at)  # slots past `at` move one right
+            best_d[rows] = np.where(slots == at, new, best_d[src])
+            best_i[rows] = np.where(slots == at, i, best_i[src])
+    labels = [s.label for s in data]
+    return [
+        vote([(labels[j], float(dj)) for dj, j in zip(best_d[r], best_i[r])]) for r in range(n)
+    ]
 
 
 def roc_far_gar(
@@ -214,23 +275,20 @@ def roc_far_gar(
     train, test = list(train), list(test)
     if not train or not test:
         raise ValueError("train and test sets must both be non-empty")
-    by_class = {
-        label: np.stack([s.vector for s in samples])
-        for label, samples in _group_by_class(train).items()
-    }
-    genuine: list[float] = []
-    impostor: list[float] = []
-    for sample in test:
-        for label, matrix in by_class.items():
-            score = float(distance_rows(matrix, sample.vector, distance).min())
-            if label == sample.label:
-                genuine.append(score)
-            else:
-                impostor.append(score)
-    if not genuine or not impostor:
+    groups = _group_by_class(train)
+    queries = np.stack([s.vector for s in test])
+    # nearest distance from each test sample (row) to each class (column),
+    # one distance_rows call per training sample; |a - b| == |b - a|, so
+    # each distance is the one the test sample's own call would give
+    scores = np.stack(
+        [np.min([distance_rows(queries, s.vector, distance) for s in samples], axis=0)
+         for samples in groups.values()],
+        axis=1,
+    )
+    own = np.array([s.label for s in test])[:, None] == np.array(list(groups))
+    gen, imp = np.sort(scores[own]), np.sort(scores[~own])
+    if not gen.size or not imp.size:
         raise ValueError("need both genuine and impostor trials; add more classes")
-    gen = np.sort(np.array(genuine))
-    imp = np.sort(np.array(impostor))
     top = float(max(gen[-1], imp[-1]))
     thresholds = np.unique(
         np.concatenate([np.linspace(0.0, top, n_thresholds), gen, imp])

@@ -133,6 +133,7 @@ def write_features_csv(
         n_features = len(rows[0][2])
     elif n_features is None:
         raise ValueError("n_features is required when there are no rows")
+    fmt = f"{{:.{FLOAT_DIGITS}g}}".format  # applied to Python floats: same text as numpy scalars, faster
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(n_features)])
@@ -141,7 +142,7 @@ def write_features_csv(
                 raise ValueError("inconsistent feature vector lengths")
             writer.writerow(
                 [source, label, fv.variant.value, fv.ref.value]
-                + [f"{v:.{FLOAT_DIGITS}g}" for v in fv.values]
+                + list(map(fmt, fv.values.tolist()))
             )
 
 

@@ -30,7 +30,10 @@ from .options import ContourVariant, FuzzifierRef
 def row_sums(terms: np.ndarray) -> np.ndarray:
     """Sums over the last axis, adding terms left to right one at a time:
     the order a plain loop adds them (np.sum pairs them)."""
-    return np.add.accumulate(terms, axis=-1)[..., -1]
+    total = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
+    return total
 
 
 def reference_values(blocks: np.ndarray, ref: FuzzifierRef = FuzzifierRef.AVERAGE) -> np.ndarray:

@@ -94,6 +94,17 @@ class TestKnn:
         assert len(dists) == 1
         assert dists[0] == pytest.approx(math.log(2.0))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("distance, rows, query", [
+        ("euclidean", [[0.0, 0.0], [1e200, 1e200]], [1e200, 0.0]),  # both squares overflow to inf
+        ("log", [[1e308], [0.0]], [-1e308]),  # the difference overflows
+    ])
+    def test_rejects_overflowing_distances(self, distance, rows, query):
+        # an infinite distance once tied every row and the first index won
+        model = KnnModel(tuple(samples([(rows[0], "a"), (rows[1], "b")])), distance=distance)
+        with pytest.raises(ValueError, match=f"{distance} distance overflows"):
+            knn_predict(model, query)
+
     def test_rejects_non_finite_query(self):
         model = KnnModel(tuple(samples([([0.0], "a"), ([10.0], "b")])))
         for bad in (np.nan, np.inf):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ import nblgc.cli as cli
 import nblgc.options as options
 from nblgc.classify import DISTANCES
 from nblgc.cli import main
+from nblgc.features import extract_many
 from conftest import run_python
 
 
@@ -198,6 +200,19 @@ class TestExitCodes:
         args[args.index("--train-per-class") + 1] = "6"  # classes hold 6 images
         assert run_cli(args) == 2
         assert "no test data" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("command, extra", [("roc", ["--train-per-class", "4"]), ("kfold", ["--folds", "3"])])
+    def test_overflowing_distance_is_data_error(self, small_tree, tmp_path, monkeypatch, capsys,
+                                                command, extra):
+        def huge(images, *args):
+            return [replace(fv, values=fv.values * 1e200) for fv in extract_many(images, *args)]
+
+        monkeypatch.setattr(cli, "extract_many", huge)
+        args = [command, "--data", str(small_tree), "--resize", "9x9", "--out", str(tmp_path / "out"),
+                "--workers", "1", "--distance", "euclidean", *extra]
+        assert run_cli(args) == 2
+        assert "euclidean distance overflows" in capsys.readouterr().err
 
     def test_internal_error_is_three(self, small_tree, tmp_path, monkeypatch, capsys):
         def boom(cfg):

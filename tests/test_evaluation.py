@@ -6,10 +6,12 @@ import pytest
 from nblgc import (
     ClassifierConfig,
     EvalReport,
+    KnnModel,
     LabeledSample,
     SplitSpec,
     evaluate,
     kfold,
+    knn_predict,
     roc_far_gar,
     split_per_class,
     write_folds_csv,
@@ -192,6 +194,99 @@ class TestKfold:
         assert r1.accuracy == r2.accuracy
 
 
+def per_fold_knn_kfold(data, k, cfg):
+    """KNN k-fold as it ran before the pair walk: one KnnModel and one
+    knn_predict per test sample, fold by fold."""
+    positions = {}
+    for i, sample in enumerate(data):
+        positions.setdefault(sample.label, []).append(i)
+    fold_of = [0] * len(data)
+    for label in sorted(positions):
+        for j, i in enumerate(positions[label]):
+            fold_of[i] = j % k
+    per_class, fold_accuracies = {}, []
+    for fold in range(k):
+        train = [s for i, s in enumerate(data) if fold_of[i] != fold]
+        test = [s for i, s in enumerate(data) if fold_of[i] == fold]
+        if not test:
+            raise ValueError(f"fold {fold} is empty; reduce k")
+        model = KnnModel(tuple(train), cfg.neighbors_k, cfg.distance)
+        hits = 0
+        for sample in test:
+            hit = knn_predict(model, sample.vector)[0] == sample.label
+            counts = per_class.setdefault(sample.label, [0, 0])
+            counts[0] += hit
+            counts[1] += 1
+            hits += hit
+        fold_accuracies.append(100.0 * hits / len(test))
+    return EvalReport({c: tuple(v) for c, v in sorted(per_class.items())}, tuple(fold_accuracies))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def _tied_data(seed):
+    # 40 samples over at most 8 distinct vectors with unrelated labels:
+    # most distances tie, and the tie order decides which labels vote
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, 4, size=(8, 2)).astype(float)
+    return [LabeledSample(points[rng.integers(8)], f"c{i % 4}") for i in range(40)]
+
+
+def _small_classes(seed):
+    # classes of 1-3 samples beside one of 5, under k=5: most folds miss most classes
+    rng = np.random.default_rng(seed)
+    labels = ["big"] * 5 + [f"c{i % 5}" for i in range(13)]
+    return [LabeledSample(rng.normal(size=4), label) for label in labels]
+
+
+class TestKfoldMatchesPerFoldKnn:
+    @pytest.mark.parametrize("distance", ["log", "euclidean"])
+    @pytest.mark.parametrize("neighbors_k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("data, k", [
+        (forty_by_ten(seed=8)[:120], 10),
+        (_tied_data(1), 3),
+        (_tied_data(2), 3),
+        (_small_classes(2), 5),
+    ], ids=["clusters", "ties", "more ties", "small classes"])
+    def test_same_report(self, data, k, neighbors_k, distance):
+        cfg = ClassifierConfig(neighbors_k=neighbors_k, distance=distance)
+        expected = per_fold_knn_kfold(data, k, cfg)
+        assert kfold(data, k, cfg) == expected
+
+    @pytest.mark.parametrize("distance", ["log", "euclidean"])
+    def test_neighbors_k_equal_to_the_smallest_training_fold(self, distance):
+        data = _small_classes(3)  # fold 0 holds 6 of 18 samples: 12 train
+        for neighbors_k in (12, 13):
+            cfg = ClassifierConfig(neighbors_k=neighbors_k, distance=distance)
+            assert outcome(kfold, data, 5, cfg) == outcome(per_fold_knn_kfold, data, 5, cfg)
+        assert kfold(data, 5, ClassifierConfig(neighbors_k=12, distance=distance)).total == 18
+
+    @pytest.mark.parametrize("data, k, cfg, message", [
+        ([LabeledSample(np.array([float(i)]), f"c{i % 3}") for i in range(6)], 3,
+         ClassifierConfig(), "fold 2 is empty"),
+        ([LabeledSample(np.array([float(i)]), f"c{i % 2}") for i in range(6)], 3,
+         ClassifierConfig(neighbors_k=5), "neighbors_k must be in"),
+        ([LabeledSample(np.array([float(i)]), f"c{i % 3}") for i in range(6)], 3,
+         ClassifierConfig(neighbors_k=4), "neighbors_k must be in"),  # before fold 2 is found empty
+        ([LabeledSample(np.array([float(i)]), f"c{i % 2}") for i in range(6)], 3,
+         ClassifierConfig(distance="manhattan"), "unknown distance 'manhattan'"),
+        ([LabeledSample(np.array([float(i)]), f"c{i}") for i in range(3)], 2,
+         ClassifierConfig(), "training set must be non-empty"),
+        ([LabeledSample(np.zeros(1 + i % 2), f"c{i % 2}") for i in range(6)], 3,
+         ClassifierConfig(), "training vectors must share one dimension"),
+    ], ids=["empty fold", "k above training", "k above training first", "distance",
+            "no training", "mixed lengths"])
+    def test_same_errors(self, data, k, cfg, message):
+        got = outcome(kfold, data, k, cfg)
+        assert got == outcome(per_fold_knn_kfold, data, k, cfg)
+        assert got[0] == "ValueError" and message in got[1]
+
+
 class TestRoc:
     def hand_sets(self):
         train = [
@@ -272,6 +367,15 @@ class TestRoc:
             roc_far_gar([], s)
         with pytest.raises(ValueError, match="non-empty"):
             roc_far_gar(s, [])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_rejects_overflowing_distances(self):
+        # finite vectors whose squared difference overflows once gave threshold=nan
+        train = [LabeledSample(np.array([0.0, 1e200]), "a"), LabeledSample(np.array([1e200, 0.0]), "b")]
+        test = [LabeledSample(np.array([0.0, 1e200]), "a"), LabeledSample(np.array([1e200, 0.0]), "b")]
+        with pytest.raises(ValueError, match="euclidean distance overflows"):
+            roc_far_gar(train, test, distance="euclidean")
+        assert all(not math.isnan(p.threshold) for p in roc_far_gar(train, test, distance="log"))
 
 
 class TestCsvWriters:

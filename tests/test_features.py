@@ -233,6 +233,17 @@ class TestFeatureCsv:
         row = path.read_text().splitlines()[1]
         assert row.endswith("0.123456789012,33.3333333333")
 
+    def test_values_format_like_numpy_scalars(self, tmp_path):
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                           -1.7976931348623157e308, 1 / 3, 1e-5, 123456789012.5])
+        fv = FeatureVector(values, ContourVariant.G1, FuzzifierRef.AVERAGE, (1, values.size))
+        path = tmp_path / "f.csv"
+        write_features_csv(path, [("p", "c", fv)])
+        expected = ",".join(["p", "c", fv.variant.value, fv.ref.value] + [f"{v:.12g}" for v in values])
+        assert path.read_bytes().split(b"\n")[1] == expected.encode()
+        assert expected.endswith(",0,-0,4.94065645841e-324,-4.94065645841e-324,1.79769313486e+308,"
+                                 "-1.79769313486e+308,0.333333333333,1e-05,123456789012")
+
     def test_empty_needs_feature_count(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_features_csv(path, [], n_features=4)

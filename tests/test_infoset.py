@@ -12,6 +12,7 @@ from nblgc import (
     fuzzifiers,
     reference_values,
 )
+from nblgc.infoset import row_sums
 
 REFS = list(FuzzifierRef)
 
@@ -125,3 +126,28 @@ class TestCenterMembership:
             if base == 0.0:
                 continue
             assert membership(w * s) == pytest.approx(base, rel=1e-10)
+
+
+def loop_sums(terms):
+    """Sums over the last axis, one plain Python addition at a time."""
+    sums = []
+    for row in terms.reshape(-1, terms.shape[-1]).tolist():
+        total = row[0]
+        for term in row[1:]:
+            total += term
+        sums.append(total)
+    return np.array(sums).reshape(terms.shape[:-1])
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("shape", [(300, 9), (300, 2, 4)], ids=["blocks", "g2 halves"])
+    def test_bit_equal_to_a_plain_loop(self, shape):
+        rng = np.random.default_rng(71)
+        terms = rng.random(shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        assert np.array_equal(row_sums(terms), loop_sums(terms))
+
+    def test_not_the_pairwise_order(self):
+        # left to right each 1e-16 rounds away; np.sum pairs them first
+        terms = np.array([[1.0] + [1e-16] * 8])
+        assert row_sums(terms)[0] == loop_sums(terms)[0] == 1.0
+        assert np.sum(terms, axis=-1)[0] != 1.0
