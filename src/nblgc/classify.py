@@ -70,12 +70,13 @@ def distance_rows(matrix: np.ndarray, query: np.ndarray, distance: str) -> np.nd
         raise ValueError(f"length mismatch: {query.size} vs {matrix.shape[1]}")
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}")
-    terms = np.subtract(matrix, query)  # the only temporary: each step below works in place
-    np.abs(terms, out=terms)
-    if distance == "log":
-        out = np.log1p(terms, out=terms).sum(axis=1)
-    else:
-        out = np.sqrt(np.square(terms, out=terms).sum(axis=1))
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below, not a warning first
+        terms = np.subtract(matrix, query)  # the only temporary: each step below works in place
+        np.abs(terms, out=terms)
+        if distance == "log":
+            out = np.log1p(terms, out=terms).sum(axis=1)
+        else:
+            out = np.sqrt(np.square(terms, out=terms).sum(axis=1))
     if not np.isfinite(out).all():
         raise ValueError(f"{distance} distance overflows: vectors too far apart")
     return out

@@ -94,7 +94,7 @@ class TestKnn:
         assert len(dists) == 1
         assert dists[0] == pytest.approx(math.log(2.0))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the ValueError alone reports it
     @pytest.mark.parametrize("distance, rows, query", [
         ("euclidean", [[0.0, 0.0], [1e200, 1e200]], [1e200, 0.0]),  # both squares overflow to inf
         ("log", [[1e308], [0.0]], [-1e308]),  # the difference overflows

@@ -201,7 +201,7 @@ class TestExitCodes:
         assert run_cli(args) == 2
         assert "no test data" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the ValueError alone reports it
     @pytest.mark.parametrize("command, extra", [("roc", ["--train-per-class", "4"]), ("kfold", ["--folds", "3"])])
     def test_overflowing_distance_is_data_error(self, small_tree, tmp_path, monkeypatch, capsys,
                                                 command, extra):

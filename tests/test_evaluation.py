@@ -368,7 +368,7 @@ class TestRoc:
         with pytest.raises(ValueError, match="non-empty"):
             roc_far_gar(s, [])
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the ValueError alone reports it
     def test_rejects_overflowing_distances(self):
         # finite vectors whose squared difference overflows once gave threshold=nan
         train = [LabeledSample(np.array([0.0, 1e200]), "a"), LabeledSample(np.array([1e200, 0.0]), "b")]
