@@ -17,12 +17,12 @@ through a line-oriented text format without changing any prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
 
-from .options import DISTANCES, check_svm_settings
+from .options import DISTANCES, check_label, check_svm_settings
 
 MODEL_FORMAT = "nblgc-model 2"
 _REAL = "{:.17g}"  # 17 significant digits: exact float round-trip
@@ -43,14 +43,6 @@ class LabeledSample:
             raise ValueError("vector must be finite")
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
-
-
-def check_label(label: str) -> str:
-    """Return label, or raise ValueError if the model file cannot hold it:
-    a tab would split its record and a line break its line."""
-    if "\t" in label or "".join(label.splitlines()) != label:
-        raise ValueError(f"class label {label!r} contains a tab or line break")
-    return label
 
 
 def _as_query(a) -> np.ndarray:
@@ -138,8 +130,9 @@ def vote(nearest: Sequence[tuple[str, float]]) -> str:
 
 
 def _kernel(rows: np.ndarray, other: np.ndarray, offset: float, degree: int) -> np.ndarray:
-    """Polynomial kernel (rows @ other + offset) ** degree."""
-    return (rows @ other + offset) ** degree
+    """Polynomial kernel (rows @ other + offset) ** degree; an overflow leaves inf or nan, which callers refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (rows @ other + offset) ** degree
 
 
 @dataclass(frozen=True)
@@ -147,8 +140,8 @@ class BinaryMachine:
     """A read-only view of one pair machine of an SvmModel: positive label
     vs negative label, with one coefficient per support vector, row
     ``indices`` of ``store`` (the model's ``vectors``). Only
-    SvmModel.machines builds it; ``support_vectors`` serves the
-    benchmark's span counters."""
+    SvmModel.machines builds it, and nothing in nblgc reads it: it is
+    the view the benchmark's span counters read."""
 
     pos_label: str
     neg_label: str
@@ -322,6 +315,8 @@ def svm_train(
     if len(classes) < 2:
         raise ValueError("need at least two classes to train")
     gram = _kernel(vectors, vectors.T, offset, degree)
+    if not np.isfinite(gram).all():
+        raise ValueError("svm kernel overflows: training vectors too large")
     rows = {label: [i for i, s in enumerate(data) if s.label == label] for label in classes}
     pairs = list(combinations(classes, 2))
     width = max(len(rows[pos]) + len(rows[neg]) for pos, neg in pairs)
@@ -342,8 +337,12 @@ def _decision_values(model: SvmModel, query) -> np.ndarray:
     if query.size != model.vectors.shape[1]:
         raise ValueError(f"length mismatch: {query.size} vs {model.vectors.shape[1]}")
     row = _kernel(model.vectors, query, model.offset, model.degree)
-    sums = np.bincount(model.sv_owner, model.sv_coef * row[model.sv_index], minlength=len(model.biases))
-    return sums + model.biases
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ValueError below, not a warning first
+        terms = model.sv_coef * row[model.sv_index]
+        values = np.bincount(model.sv_owner, terms, minlength=len(model.biases)) + model.biases
+    if not np.isfinite(values).all():
+        raise ValueError("svm decision value overflows: query too large")
+    return values
 
 
 def svm_predict(model: SvmModel, query) -> str:
@@ -391,10 +390,11 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
         lines.append(f"offset {_fmt(model.offset)}")
         lines.append(f"tol {_fmt(model.tol)}")
         lines.append("classes\t" + "\t".join(check_label(c) for c in model.classes))
-        lines += ["vector\t" + "\t".join(_fmt(v) for v in row) for row in model.vectors]
-        for mach in model.machines:
-            lines.append(f"machine\t{mach.pos_label}\t{mach.neg_label}\t{_fmt(mach.bias)}\t{mach.indices.size}")
-            lines += [f"sv\t{i}\t{_fmt(c)}" for i, c in zip(mach.indices, mach.coefficients)]
+        lines += ["vector\t" + "\t".join(map(_fmt, row)) for row in model.vectors.tolist()]
+        entries = zip(model.sv_index.tolist(), model.sv_coef.tolist())  # machine after machine
+        for (pos, neg), bias, n in zip(combinations(model.classes, 2), model.biases.tolist(), model.sv_count.tolist()):
+            lines.append(f"machine\t{pos}\t{neg}\t{_fmt(bias)}\t{n}")
+            lines += [f"sv\t{i}\t{_fmt(c)}" for i, c in islice(entries, n)]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     with open(path, "w", newline="") as fh:
@@ -443,7 +443,7 @@ def _parse_model(fields: dict[str, str], records: list[list[str]]) -> KnnModel |
         pos += 1
     if len({len(v) for v in vectors}) > 1:
         raise ValueError("vector records differ in length")
-    machines, svs = [], []
+    heads, svs = [], []
     while pos < len(records):
         if records[pos][0] != "machine" or len(records[pos]) != 5:
             raise ValueError(f"unexpected record {records[pos][0]!r} in svm model")
@@ -451,13 +451,13 @@ def _parse_model(fields: dict[str, str], records: list[list[str]]) -> KnnModel |
         machine_svs = records[pos + 1 : pos + 1 + int(n_sv)]
         if len(machine_svs) != int(n_sv) or any(r[0] != "sv" or len(r) != 3 for r in machine_svs):
             raise ValueError(f"machine {pos_label}/{neg_label} is not followed by {n_sv} sv records")
-        machines.append(records[pos])
+        heads.append(records[pos])
         svs += machine_svs
         pos += 1 + len(machine_svs)
-    model = SvmModel(classes, vectors, [int(m[4]) for m in machines], [int(r[1]) for r in svs],
-                     [float(r[2]) for r in svs], [float(m[3]) for m in machines], int(fields["degree"]),
+    model = SvmModel(classes, vectors, [int(m[4]) for m in heads], [int(r[1]) for r in svs],
+                     [float(r[2]) for r in svs], [float(m[3]) for m in heads], int(fields["degree"]),
                      float(fields["C"]), float(fields["offset"]), float(fields["tol"]))
-    for b, (m, pair) in enumerate(zip(machines, combinations(model.classes, 2))):
+    for b, (m, pair) in enumerate(zip(heads, combinations(model.classes, 2))):
         if (m[1], m[2]) != pair:  # machine b must be class pair b, in that orientation
             raise ValueError(f"machine {b} is {m[1]}/{m[2]}, not the class pair {pair[0]}/{pair[1]}")
     return model

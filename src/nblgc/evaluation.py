@@ -170,8 +170,8 @@ def kfold(
     order, so with at least k samples per class every fold sees every
     class; smaller classes simply occupy fewer folds. Counts pool every
     fold's predictions; fold_accuracies holds one accuracy per fold.
-    KNN without zscore scores each pair of samples once (_knn_cross_guesses);
-    every other classifier trains once per fold.
+    Settings and folds are checked first. Then KNN without zscore scores
+    each pair once (_knn_cross_guesses); others train once per fold.
     """
     data = list(data)
     if k < 2:
@@ -185,32 +185,23 @@ def kfold(
     for label in sorted(positions):
         for j, i in enumerate(positions[label]):
             fold_of[i] = j % k
+    folds = [[i for i, f in enumerate(fold_of) if f == fold] for fold in range(k)]
     # vectors of mixed length take the per-fold path, which raises for the first fold they break
     walk = cfg.kind == "knn" and not cfg.zscore and len({s.vector.size for s in data}) == 1
-    folds: list[list[int]] = []
-    guesses: list[str] = [""] * len(data)
-    for fold in range(k):
-        members = [i for i, f in enumerate(fold_of) if f == fold]
-        if not members:
-            raise ValueError(f"fold {fold} is empty; reduce k")
-        if walk:  # what this fold's KnnModel would check, in fold order
-            check_knn_settings(len(data) - len(members), cfg.neighbors_k, cfg.distance)
-        else:
+    if walk:  # round robin makes fold 0 the largest, so the first fold a KnnModel would refuse
+        check_knn_settings(len(data) - len(folds[0]), cfg.neighbors_k, cfg.distance)
+    if not all(folds):
+        raise ValueError(f"fold {folds.index([])} is empty; reduce k")
+    if walk:
+        guesses = _knn_cross_guesses(data, fold_of, cfg.neighbors_k, cfg.distance)
+    else:
+        guesses = [""] * len(data)
+        for fold, members in enumerate(folds):
             train = [s for i, s in enumerate(data) if fold_of[i] != fold]
             for i, guess in zip(members, _predict_all(train, [data[i] for i in members], cfg)):
                 guesses[i] = guess
-        folds.append(members)
-    if walk:
-        guesses = _knn_cross_guesses(data, fold_of, cfg.neighbors_k, cfg.distance)
-    tested: list[LabeledSample] = []
-    predicted: list[str] = []
-    fold_accuracies = []
-    for members in folds:
-        test, fold_guesses = [data[i] for i in members], [guesses[i] for i in members]
-        fold_accuracies.append(_count(test, fold_guesses).accuracy)
-        tested += test
-        predicted += fold_guesses
-    return EvalReport(_count(tested, predicted).per_class, tuple(fold_accuracies))
+    fold_accuracies = tuple(_count([data[i] for i in m], [guesses[i] for i in m]).accuracy for m in folds)
+    return EvalReport(_count(data, guesses).per_class, fold_accuracies)  # _count sorts by label
 
 
 def _knn_cross_guesses(

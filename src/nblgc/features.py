@@ -86,6 +86,7 @@ def extract(
     return FeatureVector(values, variant, ref, (image.height // 3, image.width // 3))
 
 
+# pickled by name, so a worker finds it even where a tracer has rebound extract to an unpicklable wrapper
 def _extract_task(args: tuple[GrayImage, ContourVariant, FuzzifierRef]) -> FeatureVector:
     image, variant, ref = args
     return extract(image, variant, ref)
@@ -147,7 +148,8 @@ def write_features_csv(
 
 
 def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef, np.ndarray]]:
-    """Read back a feature CSV written by write_features_csv."""
+    """Read back a feature CSV written by write_features_csv. The variant
+    and ref columns must hold the exact values it writes (g1, avg, ...)."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -157,8 +159,5 @@ def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef
         for row in reader:
             source, label, variant, ref = row[:4]
             values = np.array([float(v) for v in row[4:]], dtype=np.float64)
-            out.append(
-                (source, label, ContourVariant.from_string(variant),
-                 FuzzifierRef.from_string(ref), values)
-            )
+            out.append((source, label, ContourVariant(variant), FuzzifierRef(ref), values))
     return out

@@ -16,8 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .classify import check_label
-from .options import DatasetError, PgmParseError, check_resize_target
+from .options import DatasetError, PgmParseError, check_label, check_resize_target
 
 MAX_GRAY_LIMIT = 65535
 

@@ -12,9 +12,9 @@ error, 2 data error, 3 internal error.
 
 This module imports no numpy, so --help and every usage error answer
 before numpy loads. It also holds what the pipeline shares with the
-command line: the choice lists, the resize and SVM settings rules and
-the data errors. main imports the command implementations (nblgc.cli)
-only once a config has merged cleanly.
+command line: the choice lists, the resize, label and SVM settings
+rules and the data errors. main imports the command implementations
+(nblgc.cli) only once a config has merged cleanly.
 """
 
 from __future__ import annotations
@@ -53,25 +53,12 @@ class UsageError(Exception):
     pass
 
 
-def member_from_string(cls: type[Enum], name: str, noun: str):
-    """The member of cls whose value is name, ignoring case and outer spaces; else ValueError."""
-    try:
-        return cls(name.strip().lower())
-    except ValueError:
-        choices = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown {noun} {name!r}; choose one of {choices}") from None
-
-
 class ContourVariant(Enum):
     """Which loop's contour value feeds the block feature."""
 
     G1 = "g1"
     G2 = "g2"
     G3 = "g3"
-
-    @classmethod
-    def from_string(cls, name: str) -> "ContourVariant":
-        return member_from_string(cls, name, "contour variant")
 
 
 class FuzzifierRef(Enum):
@@ -80,10 +67,6 @@ class FuzzifierRef(Enum):
     AVERAGE = "avg"
     MAXIMUM = "max"
     MINIMUM = "min"
-
-    @classmethod
-    def from_string(cls, name: str) -> "FuzzifierRef":
-        return member_from_string(cls, name, "reference")
 
 
 def _finite(x) -> bool:
@@ -101,6 +84,14 @@ def check_resize_target(width: int, height: int) -> tuple[int, int]:
     if width < 3 or height < 3 or width % 3 or height % 3 or width * height > MAX_RESIZE_PIXELS:
         raise ValueError(f"resize target {width}x{height} must be positive multiples of 3, <= {MAX_RESIZE_PIXELS} pixels")
     return width, height
+
+
+def check_label(label: str) -> str:
+    """Return label, or raise ValueError if the model file cannot hold it:
+    a tab would split its record and a line break its line."""
+    if "\t" in label or "".join(label.splitlines()) != label:
+        raise ValueError(f"class label {label!r} contains a tab or line break")
+    return label
 
 
 def check_svm_settings(degree: int, c: float, offset: float, tol: float) -> None:

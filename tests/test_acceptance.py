@@ -40,8 +40,8 @@ from nblgc import (
 )
 from nblgc.cli import main as cli_main
 
-VARIANTS = [ContourVariant.from_string(s) for s in ("g1", "g2", "g3")]
-REFS = [FuzzifierRef.from_string(s) for s in ("avg", "max", "min")]
+VARIANTS = list(ContourVariant)
+REFS = list(FuzzifierRef)
 
 
 def report(n, ok, detail):

@@ -533,6 +533,21 @@ class TestSvm:
         with pytest.raises(ValueError, match="each pair of classes exactly once"):
             SvmModel(("a", "b"), np.zeros((1, 1)), [], [], [], [], 1, 1.0, 1.0, 1e-3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_query_is_refused_not_voted(self):
+        # (v . q + 1) ** 2 overflows to inf, and +inf and -inf entries sum to nan
+        train = samples([([0.0, 1.0, 2.0], "a"), ([1.0, 0.0, 1.0], "b"), ([2.0, 2.0, 0.0], "c"),
+                         ([0.5, 1.0, 1.0], "a")])
+        model = svm_train(train, degree=2)
+        with pytest.raises(ValueError, match="decision value overflows"):
+            svm_predict(model, np.full(3, 1e160))
+        assert svm_predict(model, [0.0, 1.0, 2.0]) == "a"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gram_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="kernel overflows"):
+            svm_train(samples([([1e200, 1e200], "a"), ([-1e200, 1e200], "b")]))
+
 
 _F32_INF, _NAN, _INF = np.float32("inf"), float("nan"), float("inf")
 
@@ -662,6 +677,19 @@ class TestModelSerialization:
         loaded = load_model(path)
         assert loaded.machines[0].bias == -0.75
         assert svm_predict(loaded, [5.0]) == "b"
+
+    def test_svm_file_bytes(self, tmp_path):
+        model = SvmModel(("a", "b", "c"), [[0.0, 1.0], [2.5, -3.0], [0.1, 1e-7]], [2, 0, 1], [0, 1, 2],
+                         [0.5, -0.25, 1 / 3], [0.1, -2.0, 3.0], 2, 1.0, 0.5, 1e-3)
+        path = tmp_path / "svm.model"
+        save_model(model, path)
+        assert path.read_bytes() == (
+            b"nblgc-model 2\nkind svm\ndegree 2\nC 1\noffset 0.5\ntol 0.001\nclasses\ta\tb\tc\n"
+            b"vector\t0\t1\nvector\t2.5\t-3\nvector\t0.10000000000000001\t9.9999999999999995e-08\n"
+            b"machine\ta\tb\t0.10000000000000001\t2\nsv\t0\t0.5\nsv\t1\t-0.25\n"
+            b"machine\ta\tc\t-2\t0\n"
+            b"machine\tb\tc\t3\t1\nsv\t2\t0.33333333333333331\n"
+        )
 
 
 def _svm_model_lines(tmp_path):

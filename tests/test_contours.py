@@ -125,8 +125,3 @@ class TestDispatch:
         ring = STAIR[0, 1:].tolist()
         for variant in ContourVariant:
             assert g(STAIR, variant) == pytest.approx(naive_contour(ring, variant.value), rel=1e-12)
-
-    def test_variant_from_string(self):
-        assert ContourVariant.from_string("G2") is ContourVariant.G2
-        with pytest.raises(ValueError, match="unknown contour variant"):
-            ContourVariant.from_string("g4")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nblgc import evaluation
 from nblgc import (
     ClassifierConfig,
     EvalReport,
@@ -185,6 +186,15 @@ class TestKfold:
             kfold(data, k=1)
         with pytest.raises(ValueError, match="at least k"):
             kfold(data, k=5)
+
+    @pytest.mark.parametrize("zscore", [False, True])
+    def test_empty_fold_is_refused_before_any_training(self, monkeypatch, zscore):
+        calls = []
+        monkeypatch.setattr(evaluation, "svm_train", lambda *args: calls.append(args))
+        data = [LabeledSample(np.array([float(i)]), f"c{i % 3}") for i in range(6)]  # 2 per class
+        with pytest.raises(ValueError, match="fold 2 is empty"):
+            kfold(data, 3, ClassifierConfig(kind="svm", zscore=zscore))
+        assert calls == []
 
     def test_deterministic(self):
         data = forty_by_ten(seed=6)[:80]  # 8 classes x 10

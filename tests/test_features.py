@@ -221,6 +221,17 @@ class TestFeatureCsv:
             assert bref is FuzzifierRef.MAXIMUM
             assert np.allclose(bvals, fv.values, rtol=1e-11, atol=1e-14)
 
+    def test_read_takes_the_exact_values_written(self, tmp_path):
+        fv = FeatureVector(np.array([1.0]), ContourVariant.G2, FuzzifierRef.MAXIMUM, (1, 1))
+        path = tmp_path / "f.csv"
+        write_features_csv(path, [("p", "c", fv)])
+        text = path.read_text()
+        assert read_features_csv(path)[0][2:4] == (ContourVariant.G2, FuzzifierRef.MAXIMUM)
+        for written, other in ((",g2,", ",G2,"), (",max,", ",MAX,"), (",max,", ", max,")):
+            path.write_text(text.replace(written, other))
+            with pytest.raises(ValueError, match="is not a valid"):
+                read_features_csv(path)
+
     def test_twelve_significant_digits(self, tmp_path):
         fv = FeatureVector(
             np.array([0.12345678901234567, 100.0 / 3.0]),

@@ -42,12 +42,6 @@ class TestReference:
         assert reference_values(w, FuzzifierRef.MINIMUM)[0] == 0.0
         assert reference_values(w, FuzzifierRef.AVERAGE)[0] == pytest.approx(3.7 / 9, rel=1e-15)
 
-    def test_from_string(self):
-        assert FuzzifierRef.from_string(" AVG ") is FuzzifierRef.AVERAGE
-        assert FuzzifierRef.from_string("max") is FuzzifierRef.MAXIMUM
-        with pytest.raises(ValueError, match="unknown reference"):
-            FuzzifierRef.from_string("mean")
-
 
 class TestFuzzifier:
     def test_constant_window_degenerates(self):
