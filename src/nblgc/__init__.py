@@ -18,8 +18,8 @@ _EXPORTS = {
                  "load_model", "save_model", "svm_predict", "svm_train"),
     "evaluation": ("ClassifierConfig", "EvalReport", "RocPoint", "SplitSpec", "evaluate", "kfold", "roc_far_gar",
                    "split_per_class", "write_folds_csv", "write_report_csv", "write_roc_csv"),
-    "features": ("FeatureVector", "block_features", "block_values", "entropy_features", "extract", "extract_many",
-                 "read_features_csv", "write_features_csv"),
+    "features": ("FeatureVector", "block_features", "block_values", "entropy_features", "extract", "extract_dataset",
+                 "extract_many", "read_features_csv", "write_features_csv"),
     "image_io": ("DatasetEntry", "GrayImage", "RawImage", "load_dataset", "normalize_unit", "parse_pgm",
                  "resize_bilinear", "write_pgm"),
     "infoset": ("center_memberships", "contours", "fuzzifiers", "reference_values"),

@@ -9,6 +9,7 @@ Importing this module loads every pipeline layer.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from .classify import LabeledSample
 from .evaluation import (
@@ -22,8 +23,7 @@ from .evaluation import (
     write_report_csv,
     write_roc_csv,
 )
-from .features import extract_many, write_features_csv
-from .image_io import load_dataset
+from .features import _write_rows, extract_dataset
 from .options import ContourVariant, FuzzifierRef, _config_echo
 from .options import main, run  # noqa: F401  (nblgc.cli.main and nblgc.cli:run stay entry points)
 
@@ -34,11 +34,19 @@ def _size(cfg: argparse.Namespace) -> tuple[int, int]:
 
 
 def _load_samples(cfg: argparse.Namespace):
-    entries = load_dataset(cfg.data, _size(cfg), skip_errors=cfg.skip_errors)
+    """(source paths, class labels, feature matrix) of the dataset; the
+    skipped files and an empty root are reported on stderr."""
     variant, ref = ContourVariant(cfg.variant), FuzzifierRef(cfg.ref)
-    vectors = extract_many([e.image for e in entries], variant, ref, cfg.workers)
-    samples = [LabeledSample(fv.values, e.class_label) for e, fv in zip(entries, vectors)]
-    return entries, vectors, samples
+    paths, labels, matrix, notices = extract_dataset(cfg.data, _size(cfg), variant, ref,
+                                                     cfg.skip_errors, cfg.workers)
+    for notice in notices:
+        print(f"nblgc: {notice}", file=sys.stderr)
+    return paths, labels, matrix
+
+
+def _samples(cfg: argparse.Namespace) -> list[LabeledSample]:
+    _, labels, matrix = _load_samples(cfg)
+    return [LabeledSample(row, label) for row, label in zip(matrix, labels)]
 
 
 def _classifier_config(cfg: argparse.Namespace) -> ClassifierConfig:
@@ -51,16 +59,15 @@ def _split_spec(cfg: argparse.Namespace) -> SplitSpec:
 
 
 def cmd_extract(cfg: argparse.Namespace) -> None:
-    entries, vectors, _ = _load_samples(cfg)
-    w, h = _size(cfg)
+    paths, labels, matrix = _load_samples(cfg)
     out_path = cfg.out / "features.csv"
-    rows = [(e.source_path, e.class_label, fv) for e, fv in zip(entries, vectors)]
-    write_features_csv(out_path, rows, n_features=(w // 3) * (h // 3))
-    print(f"wrote {len(entries)} feature rows to {out_path}")
+    _write_rows(out_path, matrix.shape[1],
+                ((p, label, cfg.variant, cfg.ref, row) for p, label, row in zip(paths, labels, matrix)))
+    print(f"wrote {len(paths)} feature rows to {out_path}")
 
 
 def cmd_evaluate(cfg: argparse.Namespace) -> None:
-    _, _, samples = _load_samples(cfg)
+    samples = _samples(cfg)
     train, test = split_per_class(samples, _split_spec(cfg))
     report = evaluate(train, test, _classifier_config(cfg))
     out_path = cfg.out / "report.csv"
@@ -69,7 +76,7 @@ def cmd_evaluate(cfg: argparse.Namespace) -> None:
 
 
 def cmd_kfold(cfg: argparse.Namespace) -> None:
-    _, _, samples = _load_samples(cfg)
+    samples = _samples(cfg)
     report = kfold(samples, cfg.folds, _classifier_config(cfg))
     out_path = cfg.out / "folds.csv"
     write_folds_csv(report, _config_echo(cfg), out_path)
@@ -78,7 +85,7 @@ def cmd_kfold(cfg: argparse.Namespace) -> None:
 
 
 def cmd_roc(cfg: argparse.Namespace) -> None:
-    _, _, samples = _load_samples(cfg)
+    samples = _samples(cfg)
     train, test = split_per_class(samples, _split_spec(cfg))
     points = roc_far_gar(train, test, cfg.distance, cfg.thresholds)
     out_path = cfg.out / "roc.csv"

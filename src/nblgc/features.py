@@ -10,15 +10,18 @@ arrays over the image's (n_blocks, 9) block array.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .image_io import GrayImage
+from .image_io import GrayImage, _class_files, _load_file
 from .infoset import center_memberships, contours
-from .options import ContourVariant, FuzzifierRef
+from .options import ContourVariant, FuzzifierRef, check_resize_target
 
 FLOAT_DIGITS = 12  # significant digits in the feature CSV
 
@@ -92,9 +95,32 @@ def _extract_task(args: tuple[GrayImage, ContourVariant, FuzzifierRef]) -> Featu
     return extract(image, variant, ref)
 
 
-def pool_size(workers: int, n_images: int) -> int:
-    """Processes extract_many starts: no more than the images or the cores."""
-    return min(workers, n_images, os.cpu_count() or 1)
+def _file_features(
+    path: Path, size: tuple[int, int], variant: ContourVariant, ref: FuzzifierRef, skip_errors: bool
+) -> np.ndarray | str:
+    """One file's feature values, or with skip_errors the message that says it was skipped."""
+    image = _load_file(path, size, skip_errors)
+    if isinstance(image, str):
+        return image
+    return block_features(block_values(image), variant, ref)
+
+
+def pool_size(workers: int, n_tasks: int) -> int:
+    """Processes a pool starts: no more than the tasks or the cores."""
+    return min(workers, n_tasks, os.cpu_count() or 1)
+
+
+def _map(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """[fn(t) for t in tasks], run in contiguous chunks across up to
+    pool_size processes when workers > 1; fn must pickle by name."""
+    workers = pool_size(workers, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import: only when a pool starts
+
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def extract_many(
@@ -108,15 +134,57 @@ def extract_many(
     Results always come back in input order; the worker count never
     changes the values. The pool is clamped by pool_size.
     """
-    workers = pool_size(workers, len(images))
-    if workers <= 1:
-        return [extract(img, variant, ref) for img in images]
-    from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import: only when a pool starts
+    return _map(_extract_task, [(img, variant, ref) for img in images], workers)
 
-    tasks = [(img, variant, ref) for img in images]
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_extract_task, tasks, chunksize=chunk))
+
+def extract_dataset(
+    root: str | Path,
+    size: tuple[int, int] = (63, 63),
+    variant: ContourVariant = ContourVariant.G1,
+    ref: FuzzifierRef = FuzzifierRef.AVERAGE,
+    skip_errors: bool = False,
+    workers: int = 1,
+) -> tuple[list[str], list[str], np.ndarray, list[str]]:
+    """Features of every ``root/<class>/*.pgm``, one file at a time.
+
+    Returns (source paths, class labels, (n, blocks) feature matrix,
+    notices). Rows, labels and errors are those of load_dataset then
+    extract on each image, but no image is kept, and with workers > 1
+    each pool process reads its own files. Where load_dataset warns,
+    this returns the message among the notices, in file order: one per
+    file skip_errors skipped, or one for a root without class directories.
+    """
+    size = check_resize_target(*size)
+    root = Path(root)
+    classes = _class_files(root)
+    files = [(label, path) for label, paths in classes for path in paths]
+    task = partial(_file_features, size=size, variant=variant, ref=ref, skip_errors=skip_errors)
+    results = _map(task, [path for _, path in files], workers)
+    notices = [r for r in results if isinstance(r, str)]
+    if not classes:
+        notices.append(f"dataset root {root} contains no class directories")
+    kept = [(str(path), label, r) for (label, path), r in zip(files, results) if not isinstance(r, str)]
+    paths, labels, rows = zip(*kept) if kept else ((), (), ())
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), (size[0] // 3) * (size[1] // 3))
+    return list(paths), list(labels), matrix, notices
+
+
+def _write_rows(path, n_features: int, rows: Iterable[tuple[str, str, str, str, np.ndarray]]) -> None:
+    """Write the feature CSV: a header, then per (source path, class
+    label, variant value, ref value, values) row the csv-quoted text
+    fields and the values with FLOAT_DIGITS significant digits."""
+    values = f",%.{FLOAT_DIGITS}g" * n_features + "\n"
+    text = io.StringIO()  # one row's text fields, quoted as csv quotes them before its line break
+    writer = csv.writer(text, lineterminator="\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(n_features)]) + "\n")
+        for source, label, variant, ref, vals in rows:
+            if len(vals) != n_features:
+                raise ValueError("inconsistent feature vector lengths")
+            text.seek(0)
+            text.truncate()
+            writer.writerow([source, label, variant, ref])
+            fh.write(text.getvalue()[:-1] + values % tuple(vals.tolist()))
 
 
 def write_features_csv(
@@ -134,17 +202,8 @@ def write_features_csv(
         n_features = len(rows[0][2])
     elif n_features is None:
         raise ValueError("n_features is required when there are no rows")
-    fmt = f"{{:.{FLOAT_DIGITS}g}}".format  # applied to Python floats: same text as numpy scalars, faster
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(n_features)])
-        for source, label, fv in rows:
-            if len(fv) != n_features:
-                raise ValueError("inconsistent feature vector lengths")
-            writer.writerow(
-                [source, label, fv.variant.value, fv.ref.value]
-                + list(map(fmt, fv.values.tolist()))
-            )
+    _write_rows(path, n_features,
+                ((source, label, fv.variant.value, fv.ref.value, fv.values) for source, label, fv in rows))
 
 
 def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef, np.ndarray]]:

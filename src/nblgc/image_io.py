@@ -11,6 +11,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -246,6 +247,24 @@ def normalize_unit(image: RawImage) -> GrayImage:
     return GrayImage(grid / peak)
 
 
+@lru_cache(maxsize=32)
+def _resize_plan(width: int, height: int, out_width: int, out_height: int) -> tuple[np.ndarray, ...]:
+    """Source columns x0, x1, rows y0, y1 and weights fx, fy (a column)
+    of each output pixel, read-only: every image of one size shares them."""
+    xs = (np.arange(out_width) + 0.5) * (width / out_width) - 0.5
+    ys = (np.arange(out_height) + 0.5) * (height / out_height) - 0.5
+    xs = np.clip(xs, 0.0, width - 1)
+    ys = np.clip(ys, 0.0, height - 1)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
+    plan = (x0, x1, y0, y1, xs - x0, (ys - y0)[:, None])
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayImage:
     """Resize with bilinear interpolation, pixel centers aligned.
 
@@ -256,16 +275,7 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
     if out_width == image.width and out_height == image.height:
         return image
     src = image.pixels
-    xs = (np.arange(out_width) + 0.5) * (image.width / out_width) - 0.5
-    ys = (np.arange(out_height) + 0.5) * (image.height / out_height) - 0.5
-    xs = np.clip(xs, 0.0, image.width - 1)
-    ys = np.clip(ys, 0.0, image.height - 1)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, image.width - 1)
-    y1 = np.minimum(y0 + 1, image.height - 1)
-    fx = xs - x0
-    fy = (ys - y0)[:, None]
+    x0, x1, y0, y1, fx, fy = _resize_plan(image.width, image.height, out_width, out_height)
     r0, r1 = src[y0], src[y1]
     a0, a1 = r0[:, x0], r1[:, x0]
     # lerp form keeps constants exact: v0 + f*(v1 - v0)
@@ -273,6 +283,39 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
     bottom = a1 + fx * (r1[:, x1] - a1)
     out = top + fy * (bottom - top)
     return GrayImage(np.clip(out, 0.0, 1.0))
+
+
+def _class_files(root: Path) -> list[tuple[str, list[Path]]]:
+    """(class label, its *.pgm files) for each subdirectory of root, both
+    sorted by name; empty when root has no subdirectory. Raises
+    DatasetError, before any file is read, for a missing root or a class
+    name that no model file could hold (see check_label)."""
+    if not root.is_dir():
+        raise DatasetError(f"dataset root {root} is not a directory")
+    classes = []
+    for class_dir in sorted((p for p in root.iterdir() if p.is_dir()), key=lambda p: p.name):
+        try:
+            check_label(class_dir.name)
+        except ValueError as err:
+            raise DatasetError(f"{class_dir}: {err}") from None
+        files = sorted(
+            (p for p in class_dir.iterdir() if p.is_file() and p.suffix.lower() == ".pgm"),
+            key=lambda p: p.name,
+        )
+        classes.append((class_dir.name, files))
+    return classes
+
+
+def _load_file(path: Path, size: tuple[int, int], skip_errors: bool) -> GrayImage | str:
+    """The file's image, normalized and resized to size (width, height).
+    A file that fails to load raises DatasetError naming it, or with
+    skip_errors yields the message that says it was skipped."""
+    try:
+        return resize_bilinear(normalize_unit(parse_pgm(path.read_bytes())), *size)
+    except (PgmParseError, OSError, ValueError) as err:
+        if skip_errors:
+            return f"skipping {path}: {err}"
+        raise DatasetError(f"failed to load {path}: {err}") from err
 
 
 def load_dataset(
@@ -287,36 +330,22 @@ def load_dataset(
     A target that check_resize_target refuses raises ValueError before
     any file is read. A bad file aborts the load unless skip_errors is
     set, which downgrades it to a warning. A class name that no model
-    file could hold (see check_label) always aborts.
+    file could hold (see check_label) always aborts, before any file is
+    read.
     """
-    out_w, out_h = check_resize_target(*resize_to)
+    size = check_resize_target(*resize_to)
     root = Path(root)
-    if not root.is_dir():
-        raise DatasetError(f"dataset root {root} is not a directory")
-    class_dirs = sorted((p for p in root.iterdir() if p.is_dir()), key=lambda p: p.name)
-    if not class_dirs:
+    classes = _class_files(root)
+    if not classes:
         warnings.warn(f"dataset root {root} contains no class directories")
-        return []
     entries: list[DatasetEntry] = []
-    for class_dir in class_dirs:
-        try:
-            check_label(class_dir.name)
-        except ValueError as err:
-            raise DatasetError(f"{class_dir}: {err}") from None
-        files = sorted(
-            (p for p in class_dir.iterdir() if p.is_file() and p.suffix.lower() == ".pgm"),
-            key=lambda p: p.name,
-        )
+    for label, files in classes:
         index = 0
         for path in files:
-            try:
-                raw = parse_pgm(path.read_bytes())
-                gray = resize_bilinear(normalize_unit(raw), out_w, out_h)
-            except (PgmParseError, OSError, ValueError) as err:
-                if skip_errors:
-                    warnings.warn(f"skipping {path}: {err}")
-                    continue
-                raise DatasetError(f"failed to load {path}: {err}") from err
-            entries.append(DatasetEntry(class_dir.name, index, gray, str(path)))
+            image = _load_file(path, size, skip_errors)
+            if isinstance(image, str):
+                warnings.warn(image)
+                continue
+            entries.append(DatasetEntry(label, index, image, str(path)))
             index += 1
     return entries

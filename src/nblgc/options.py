@@ -44,6 +44,10 @@ class PgmParseError(ValueError):
         super().__init__(f"{message} at byte offset {offset}")
         self.offset = offset
 
+    def __reduce__(self):
+        # pickle (a pool worker's error) rebuilds it through __init__, which takes both arguments
+        return type(self), (str(self).removesuffix(f" at byte offset {self.offset}"), self.offset)
+
 
 class DatasetError(ValueError):
     """A dataset file could not be loaded; message includes the file path."""

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -9,7 +8,7 @@ import nblgc.cli as cli
 import nblgc.options as options
 from nblgc.classify import DISTANCES
 from nblgc.cli import main
-from nblgc.features import extract_many
+from nblgc.features import extract_dataset
 from conftest import run_python
 
 
@@ -186,14 +185,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "failed to load" in err
 
-    def test_skip_errors_downgrades(self, small_tree, tmp_path):
+    def test_skip_errors_downgrades(self, small_tree, tmp_path, capsys):
         victim = sorted(small_tree.rglob("*.pgm"))[0]
         victim.write_bytes(b"not a pgm at all")
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="skipping"):
-            assert run_cli(extract_args(small_tree, out, "--skip-errors")) == 0
+        assert run_cli(extract_args(small_tree, out, "--skip-errors")) == 0
+        assert f"nblgc: skipping {victim}: " in capsys.readouterr().err
         lines = (out / "features.csv").read_text().splitlines()
         assert len(lines) == 1 + 23
+
+    def test_corrupt_pgm_in_a_worker_is_data_error(self, small_tree, tmp_path, capsys):
+        victim = sorted(small_tree.rglob("*.pgm"))[-1]
+        victim.write_bytes(b"P5\n9 9\n255\n")  # truncated: the parse error carries an offset
+        args = ["extract", "--data", str(small_tree), "--resize", "9x9", "--out", str(tmp_path / "out"),
+                "--workers", "2"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert f"data error: failed to load {victim}: truncated pixel data" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("case", ["empty root", "every file skipped"])
+    def test_skip_notices_go_to_stderr_also_under_warnings_as_errors(self, small_tree, tmp_path, case):
+        if case == "empty root":
+            data = tmp_path / "empty"
+            data.mkdir()
+            notice = f"nblgc: dataset root {data} contains no class directories\n"
+        else:
+            data = small_tree
+            for victim in small_tree.rglob("*.pgm"):
+                victim.write_bytes(b"junk")
+            notice = f"nblgc: skipping {sorted(small_tree.rglob('*.pgm'))[0]}: malformed magic number"
+        out = tmp_path / "out"
+        proc = run_python("-W", "error", "-m", "nblgc", *extract_args(data, out, "--skip-errors"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith(notice)
+        assert (out / "features.csv").read_text().count("\n") == 1  # the header alone
 
     def test_train_per_class_too_large_is_data_error(self, small_tree, tmp_path, capsys):
         args = eval_args(small_tree, tmp_path / "out")
@@ -205,10 +231,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, extra", [("roc", ["--train-per-class", "4"]), ("kfold", ["--folds", "3"])])
     def test_overflowing_distance_is_data_error(self, small_tree, tmp_path, monkeypatch, capsys,
                                                 command, extra):
-        def huge(images, *args):
-            return [replace(fv, values=fv.values * 1e200) for fv in extract_many(images, *args)]
+        def huge(*args):
+            paths, labels, matrix, notices = extract_dataset(*args)
+            return paths, labels, matrix * 1e200, notices
 
-        monkeypatch.setattr(cli, "extract_many", huge)
+        monkeypatch.setattr(cli, "extract_dataset", huge)
         args = [command, "--data", str(small_tree), "--resize", "9x9", "--out", str(tmp_path / "out"),
                 "--workers", "1", "--distance", "euclidean", *extra]
         assert run_cli(args) == 2
@@ -316,7 +343,7 @@ class TestOptionValues:
     )
     def test_bad_flag_value_is_usage(self, small_tree, tmp_path, capsys, monkeypatch, flag, value):
         # refused before any data is loaded, so a huge value allocates nothing
-        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("data was loaded"))
+        monkeypatch.setattr(cli, "extract_dataset", lambda *a, **k: pytest.fail("data was loaded"))
         command = {"--folds": "kfold", "--thresholds": "roc"}.get(flag, "evaluate")
         svm = [] if command == "roc" else ["--classifier", "svm"]
         args = ["--data", str(small_tree), "--resize", "9x9", *svm,
@@ -389,13 +416,21 @@ class TestDeterminism:
         assert (out1 / "features.csv").read_bytes() == (out2 / "features.csv").read_bytes()
         assert (out1 / "config.json").read_bytes() == (out2 / "config.json").read_bytes()
 
-    def test_worker_count_does_not_change_output(self, small_tree, tmp_path):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert run_cli(extract_args(small_tree, out1)) == 0
-        args = ["extract", "--data", str(small_tree), "--resize", "9x9",
-                "--out", str(out2), "--workers", "2"]
-        assert run_cli(args) == 0
-        assert (out1 / "features.csv").read_bytes() == (out2 / "features.csv").read_bytes()
+    def test_worker_count_does_not_change_output(self, small_tree, tmp_path, capsys):
+        victims = sorted(small_tree.rglob("*.pgm"))[::5]  # spread over the chunks a 2-process pool takes
+        for broken in ([], victims):
+            for victim in broken:
+                victim.write_bytes(b"junk")
+            runs = []
+            for workers in ("1", "2"):
+                out = tmp_path / f"{len(broken)}-{workers}"
+                args = ["extract", "--data", str(small_tree), "--resize", "9x9",
+                        "--out", str(out), "--workers", workers, "--skip-errors"]
+                assert run_cli(args) == 0
+                runs.append(((out / "features.csv").read_bytes(), capsys.readouterr().err))
+            assert runs[0] == runs[1]
+            assert runs[0][1] == "".join(f"nblgc: skipping {v}: malformed magic number b'ju' at byte offset 0\n"
+                                         for v in broken)
 
     def test_shuffled_split_reruns_agree(self, small_tree, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from nblgc import (
     ContourVariant,
+    DatasetError,
     FeatureVector,
     FuzzifierRef,
     GrayImage,
@@ -13,12 +17,15 @@ from nblgc import (
     block_values,
     entropy_features,
     extract,
+    extract_dataset,
     extract_many,
+    load_dataset,
     normalize_unit,
     read_features_csv,
     write_features_csv,
 )
 from nblgc.features import pool_size
+from conftest import make_pgm_tree
 from oracles import naive_feature_vector
 
 VARIANTS = list(ContourVariant)
@@ -178,6 +185,40 @@ class TestExtract:
             assert np.array_equal(a.values, b.values)
 
 
+class TestExtractDataset:
+    def test_matches_load_dataset_then_extract_many(self, tmp_path):
+        root = tmp_path / "ds"
+        make_pgm_tree(root, n_classes=3, per_class=4, size=(12, 6), seed=15)
+        (root / "s02" / "img01.pgm").write_bytes(b"junk")
+        with pytest.warns(UserWarning, match="skipping") as caught:
+            entries = load_dataset(root, (9, 9), skip_errors=True)
+        vectors = extract_many([e.image for e in entries], ContourVariant.G2, FuzzifierRef.MINIMUM)
+        for workers in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                paths, labels, matrix, notices = extract_dataset(
+                    root, (9, 9), ContourVariant.G2, FuzzifierRef.MINIMUM, skip_errors=True, workers=workers)
+            assert paths == [e.source_path for e in entries]
+            assert labels == [e.class_label for e in entries]
+            assert np.array_equal(matrix, np.stack([fv.values for fv in vectors]))
+            assert notices == [str(w.message) for w in caught]
+
+    def test_bad_file_aborts_with_path(self, tmp_path):
+        root = tmp_path / "ds"
+        make_pgm_tree(root, n_classes=2, per_class=4, seed=16)
+        (root / "s02" / "img03.pgm").write_bytes(b"P5\n9 9\n255\n")
+        for workers in (1, 2):
+            with pytest.raises(DatasetError, match="failed to load .*img03.pgm: truncated pixel data"):
+                extract_dataset(root, (9, 9), workers=workers)
+
+    def test_empty_root_is_a_notice(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths, labels, matrix, notices = extract_dataset(tmp_path, (9, 6))
+        assert (paths, labels, matrix.shape) == ([], [], (0, 6))
+        assert notices == [f"dataset root {tmp_path} contains no class directories"]
+
+
 class TestPoolSize:
     # arithmetic only: no pool is started here
     @pytest.mark.parametrize(
@@ -246,14 +287,30 @@ class TestFeatureCsv:
 
     def test_values_format_like_numpy_scalars(self, tmp_path):
         values = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
-                           -1.7976931348623157e308, 1 / 3, 1e-5, 123456789012.5])
+                           -1.7976931348623157e308, 1 / 3, 1e-5, 123456789012.5, 1234567890.125, 7.0, 1e15])
         fv = FeatureVector(values, ContourVariant.G1, FuzzifierRef.AVERAGE, (1, values.size))
         path = tmp_path / "f.csv"
         write_features_csv(path, [("p", "c", fv)])
         expected = ",".join(["p", "c", fv.variant.value, fv.ref.value] + [f"{v:.12g}" for v in values])
         assert path.read_bytes().split(b"\n")[1] == expected.encode()
         assert expected.endswith(",0,-0,4.94065645841e-324,-4.94065645841e-324,1.79769313486e+308,"
-                                 "-1.79769313486e+308,0.333333333333,1e-05,123456789012")
+                                 "-1.79769313486e+308,0.333333333333,1e-05,123456789012,1234567890.12,7,1e+15")
+
+    def test_matches_the_csv_module_writing_every_field(self, tmp_path):
+        # the reference: csv.writer quotes and joins all fields, values formatted by str.format
+        rng = np.random.default_rng(14)
+        edge = np.array([-0.0, 5e-324, 1e308, 3.0, 123456789012.5, 1234567890.125, 0.5])
+        rows = [(source, "c,1", FeatureVector(values, ContourVariant.G3, FuzzifierRef.MINIMUM, (1, 7)))
+                for source, values in (('a,"b"\nc.pgm', edge), ("plain.pgm", rng.random(7)))]
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(7)])
+            for source, label, fv in rows:
+                writer.writerow([source, label, "g3", "min"] + ["{:.12g}".format(v) for v in fv.values.tolist()])
+        path = tmp_path / "f.csv"
+        write_features_csv(path, rows)
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_empty_needs_feature_count(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from nblgc import (
     resize_bilinear,
     write_pgm,
 )
+from nblgc.image_io import _resize_plan
 from nblgc.options import MAX_RESIZE_PIXELS
 
 
@@ -305,6 +307,36 @@ class TestResize:
             resize_bilinear(img, 0, 3)
 
 
+def uncached_resize(image, out_width, out_height):
+    """resize_bilinear's math, every index and weight computed afresh."""
+    src = image.pixels
+    xs = np.clip((np.arange(out_width) + 0.5) * (image.width / out_width) - 0.5, 0.0, image.width - 1)
+    ys = np.clip((np.arange(out_height) + 0.5) * (image.height / out_height) - 0.5, 0.0, image.height - 1)
+    x0, y0 = np.floor(xs).astype(np.intp), np.floor(ys).astype(np.intp)
+    x1, y1 = np.minimum(x0 + 1, image.width - 1), np.minimum(y0 + 1, image.height - 1)
+    fx, fy = xs - x0, (ys - y0)[:, None]
+    top = src[y0][:, x0] + fx * (src[y0][:, x1] - src[y0][:, x0])
+    bottom = src[y1][:, x0] + fx * (src[y1][:, x1] - src[y1][:, x0])
+    return np.clip(top + fy * (bottom - top), 0.0, 1.0)
+
+
+class TestResizePlan:
+    @pytest.mark.parametrize("source,target", [((92, 112), (63, 63)), ((6, 9), (9, 6)), ((9, 6), (9, 6)),
+                                               ((1, 2), (3, 1)), ((12, 15), (7, 11))])
+    def test_cached_plan_gives_the_uncached_result(self, source, target):
+        rng = np.random.default_rng(22)
+        for _ in range(3):  # the later images of a size reuse its plan
+            image = GrayImage(rng.random(source[::-1]))
+            assert np.array_equal(resize_bilinear(image, *target).pixels, uncached_resize(image, *target))
+
+    def test_plan_is_read_only(self):
+        plan = _resize_plan(92, 112, 63, 63)
+        assert plan is _resize_plan(92, 112, 63, 63)
+        for array in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
 class TestLoadDataset:
     def test_sorted_order_and_labels(self, tmp_path):
         root = tmp_path / "ds"
@@ -383,6 +415,11 @@ class TestLoadDataset:
 
 
 class TestTypes:
+    def test_parse_error_survives_pickle(self):
+        err = pickle.loads(pickle.dumps(PgmParseError("bad", 7)))
+        assert type(err) is PgmParseError
+        assert (str(err), err.offset) == ("bad at byte offset 7", 7)
+
     def test_raw_image_validation(self):
         with pytest.raises(ValueError):
             RawImage(2, 2, 255, np.array([1, 2, 3], dtype=np.uint16))
