@@ -174,7 +174,9 @@ def _write_rows(path, n_features: int, rows: Iterable[tuple[str, str, str, str, 
     label, variant value, ref value, values) row the csv-quoted text
     fields and the values with FLOAT_DIGITS significant digits."""
     values = f",%.{FLOAT_DIGITS}g" * n_features + "\n"
-    text = io.StringIO()  # one row's text fields, quoted as csv quotes them before its line break
+    # csv quotes a field by what its line terminator holds, so each row's text fields
+    # are written with the real "\n" into a buffer, which is then cut before the values
+    text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(n_features)]) + "\n")
