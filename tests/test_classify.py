@@ -691,6 +691,17 @@ class TestModelSerialization:
             b"machine\tb\tc\t3\t1\nsv\t2\t0.33333333333333331\n"
         )
 
+    def test_knn_file_bytes(self, tmp_path):
+        model = KnnModel(tuple(samples([([0.0, 1.0], "a"), ([2.5, -3.0], "b"), ([0.1, 1e-7], "a b"),
+                                        ([-0.0, 5e-324], "b")])), neighbors_k=2, distance="euclidean")
+        path = tmp_path / "knn.model"
+        save_model(model, path)
+        assert path.read_bytes() == (
+            b"nblgc-model 2\nkind knn\nneighbors_k 2\ndistance euclidean\n"
+            b"sample\ta\t0\t1\nsample\tb\t2.5\t-3\nsample\ta b\t0.10000000000000001\t9.9999999999999995e-08\n"
+            b"sample\tb\t-0\t4.9406564584124654e-324\n"
+        )
+
 
 def _svm_model_lines(tmp_path):
     rng = np.random.default_rng(14)
