@@ -17,7 +17,7 @@ through a line-oriented text format without changing any prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat, takewhile
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .options import DISTANCES, check_label, check_svm_settings
 
 MODEL_FORMAT = "nblgc-model 2"
-_REAL = "{:.17g}"  # 17 significant digits: exact float round-trip
+_REAL = "%.17g"  # 17 significant digits: exact float round-trip
 
 
 @dataclass(frozen=True)
@@ -362,15 +362,30 @@ def svm_predict(model: SvmModel, query) -> str:
 
 # --- model text format -------------------------------------------------
 #
-# Line 1 is the format tag, line 2 the model kind. Hyperparameters are
-# "name value" lines; vectors are tab-separated records. 17 significant
-# digits reproduce every float exactly. An SVM file holds its classes,
-# one "vector" record per training row, then each machine's record, in pair
-# order, followed by one "sv <index> <coefficient>" record per support vector.
+# Line 1 is the format tag, line 2 the model kind, then "name value"
+# settings, then tab-separated records. Reals are _REAL: 17 significant
+# digits in plain ASCII decimal reproduce every float. KNN: one "sample
+# <label> <values>" record per training row. SVM: the classes, one "vector
+# <values>" record per training row, then per machine, in pair order, its
+# record and one "sv <index> <coefficient>" record per support vector. One
+# np.loadtxt reads each block of values; unlike float() it refuses "1_0".
 
 
-def _fmt(x: float) -> str:
-    return _REAL.format(float(x))
+def _format_rows(heads, matrix: np.ndarray) -> list[str]:
+    """One record per row of matrix: its head, then its values, tab-separated."""
+    values = ("\t" + _REAL) * matrix.shape[1]
+    return [head + values % tuple(row) for head, row in zip(heads, matrix.tolist())]
+
+
+def _parse_rows(texts: list[str], ragged: str) -> np.ndarray:
+    """The matrix of rows of tab-separated values; ValueError(ragged) if rows differ in length."""
+    if len({text.count("\t") for text in texts}) > 1:
+        raise ValueError(ragged)
+    if "" in texts:  # np.loadtxt would skip the row
+        raise ValueError("could not convert string '' to float64: a record has no values")
+    if not texts:
+        return np.empty((0, 0))
+    return np.loadtxt(texts, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
 
 
 def save_model(model: KnnModel | SvmModel, path) -> None:
@@ -378,23 +393,17 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
     that check_label refuses."""
     lines = [MODEL_FORMAT]
     if isinstance(model, KnnModel):
-        lines.append("kind knn")
-        lines.append(f"neighbors_k {model.neighbors_k}")
-        lines.append(f"distance {model.distance}")
-        for s in model.training:
-            lines.append("sample\t" + check_label(s.label) + "\t" + "\t".join(_fmt(v) for v in s.vector))
+        lines += ["kind knn", f"neighbors_k {model.neighbors_k}", f"distance {model.distance}"]
+        lines += _format_rows(["sample\t" + check_label(s.label) for s in model.training], model.matrix)
     elif isinstance(model, SvmModel):
-        lines.append("kind svm")
-        lines.append(f"degree {model.degree}")
-        lines.append(f"C {_fmt(model.c)}")
-        lines.append(f"offset {_fmt(model.offset)}")
-        lines.append(f"tol {_fmt(model.tol)}")
-        lines.append("classes\t" + "\t".join(check_label(c) for c in model.classes))
-        lines += ["vector\t" + "\t".join(map(_fmt, row)) for row in model.vectors.tolist()]
+        lines += ["kind svm", f"degree {model.degree}", f"C {_REAL % model.c}", f"offset {_REAL % model.offset}",
+                  f"tol {_REAL % model.tol}", "classes\t" + "\t".join(check_label(c) for c in model.classes)]
+        lines += _format_rows(repeat("vector"), model.vectors)
         entries = zip(model.sv_index.tolist(), model.sv_coef.tolist())  # machine after machine
+        sv = "sv\t%d\t" + _REAL
         for (pos, neg), bias, n in zip(combinations(model.classes, 2), model.biases.tolist(), model.sv_count.tolist()):
-            lines.append(f"machine\t{pos}\t{neg}\t{_fmt(bias)}\t{n}")
-            lines += [f"sv\t{i}\t{_fmt(c)}" for i, c in islice(entries, n)]
+            lines.append(f"machine\t{pos}\t{neg}\t{_REAL % bias}\t{n}")
+            lines += [sv % entry for entry in islice(entries, n)]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     with open(path, "w", newline="") as fh:
@@ -407,53 +416,44 @@ def load_model(path) -> KnnModel | SvmModel:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_FORMAT:
         raise ValueError(f"{path} is not a recognized model file")
-    pos = 1
-    while pos < len(lines) and "\t" not in lines[pos]:
-        pos += 1
+    pos = 1 + sum(1 for _ in takewhile(lambda line: "\t" not in line, lines[1:]))
     fields: dict[str, str] = {}
     for name, _, value in (line.partition(" ") for line in lines[1:pos]):  # "name value" lines
         if name in fields:
             raise ValueError(f"{path}: setting {name!r} is named twice")
         fields[name] = value
-    records = [line.split("\t") for line in lines[pos:]]
     try:
-        return _parse_model(fields, records)
+        return _parse_model(fields, lines[pos:])
     except (KeyError, IndexError) as err:
         raise ValueError(f"{path}: missing field or value {err}") from None
 
 
-def _parse_model(fields: dict[str, str], records: list[list[str]]) -> KnnModel | SvmModel:
+def _parse_model(fields: dict[str, str], lines: list[str]) -> KnnModel | SvmModel:
     kind = fields.get("kind")
     if kind == "knn":
-        training = []
-        for parts in records:
-            if parts[0] != "sample":
-                raise ValueError(f"unexpected record {parts[0]!r} in knn model")
-            training.append(LabeledSample(np.array([float(v) for v in parts[2:]]), parts[1]))
-        return KnnModel(tuple(training), int(fields["neighbors_k"]), fields["distance"])
+        records = [line.split("\t", 2) for line in lines]  # tag, label, values
+        if unexpected := [tag for tag, *_ in records if tag != "sample"]:
+            raise ValueError(f"unexpected record {unexpected[0]!r} in knn model")
+        matrix = _parse_rows([parts[2] for parts in records], "training vectors must share one dimension")
+        training = tuple(LabeledSample(row, parts[1]) for row, parts in zip(matrix, records))
+        return KnnModel(training, int(fields["neighbors_k"]), fields["distance"])
     if kind != "svm":
         raise ValueError(f"unknown model kind {kind!r}")
-    if not records or records[0][0] != "classes":
+    tag, *classes = lines[0].split("\t") if lines else [None]
+    if tag != "classes":
         raise ValueError("svm model has no classes record")
-    classes = tuple(records[0][1:])
-    vectors = []
-    pos = 1
-    while pos < len(records) and records[pos][0] == "vector":
-        vectors.append([float(v) for v in records[pos][1:]])
-        pos += 1
-    if len({len(v) for v in vectors}) > 1:
-        raise ValueError("vector records differ in length")
+    end = 1 + sum(1 for _ in takewhile(lambda line: line.startswith("vector\t"), lines[1:]))
+    vectors = _parse_rows([line[len("vector\t"):] for line in lines[1:end]], "vector records differ in length")
+    records = iter([line.split("\t") for line in lines[end:]])
     heads, svs = [], []
-    while pos < len(records):
-        if records[pos][0] != "machine" or len(records[pos]) != 5:
-            raise ValueError(f"unexpected record {records[pos][0]!r} in svm model")
-        _, pos_label, neg_label, _, n_sv = records[pos]
-        machine_svs = records[pos + 1 : pos + 1 + int(n_sv)]
-        if len(machine_svs) != int(n_sv) or any(r[0] != "sv" or len(r) != 3 for r in machine_svs):
-            raise ValueError(f"machine {pos_label}/{neg_label} is not followed by {n_sv} sv records")
-        heads.append(records[pos])
+    for head in records:  # a machine record, then its sv records
+        if head[0] != "machine" or len(head) != 5:
+            raise ValueError(f"unexpected record {head[0]!r} in svm model")
+        machine_svs = list(islice(records, max(int(head[4]), 0)))
+        if len(machine_svs) != int(head[4]) or any(r[0] != "sv" or len(r) != 3 for r in machine_svs):
+            raise ValueError(f"machine {head[1]}/{head[2]} is not followed by {head[4]} sv records")
+        heads.append(head)
         svs += machine_svs
-        pos += 1 + len(machine_svs)
     model = SvmModel(classes, vectors, [int(m[4]) for m in heads], [int(r[1]) for r in svs],
                      [float(r[2]) for r in svs], [float(m[3]) for m in heads], int(fields["degree"]),
                      float(fields["C"]), float(fields["offset"]), float(fields["tol"]))

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 from dataclasses import replace
+from decimal import Decimal
 from itertools import combinations
 from pathlib import Path
 
@@ -703,6 +704,64 @@ class TestModelSerialization:
         )
 
 
+# 17-digit ties: each value's exact decimal expansion has 18 significant digits, the last a 5
+_TIES = [m / 4 for m in (5_000_000_000_000_001, 5_000_000_000_000_003, 7_777_777_777_777_779, 9_007_199_254_740_991)]
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 2.0**53 + 2.0, 1e16, 1e17,
+                123456789012345680.0, 0.1, 1 / 3, 0.1 + 0.2, *_TIES, *(-t for t in _TIES)]
+
+
+class TestModelNumbers:
+    """The writer's %-format and the reader's np.loadtxt against str.format and float()."""
+
+    def test_ties_are_ties(self):
+        for value in _TIES:
+            digits = Decimal(value).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+
+    def test_writer_matches_str_format_on_edge_values(self, tmp_path):
+        text = ["{:.17g}".format(v) for v in _EDGE_VALUES]
+        n = len(text)
+        knn = KnnModel((LabeledSample(_EDGE_VALUES, "a"),))
+        svm = SvmModel(("a", "b"), [_EDGE_VALUES], [n], [0] * n, _EDGE_VALUES, [-0.0], 1, 1.0, -0.0, 5e-324)
+        path = tmp_path / "edge.model"
+        save_model(knn, path)
+        assert path.read_text().splitlines()[-1] == "\t".join(["sample", "a", *text])
+        save_model(svm, path)
+        lines = path.read_text().splitlines()
+        assert lines[4:6] == ["offset -0", "tol 4.9406564584124654e-324"]
+        assert lines[7:9] == ["\t".join(["vector", *text]), f"machine\ta\tb\t-0\t{n}"]
+        assert lines[9:] == [f"sv\t0\t{value}" for value in text]
+
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_reader_is_bit_equal_to_float(self, tmp_path, kind):
+        strings = ["{:.17g}".format(v) for v in _EDGE_VALUES] + [
+            "-0", "0", "1e308", "5e-324", "4.9e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+            "2.2250738585072011e-308", "1.7976931348623158e308", "9007199254740993", "0.30000000000000004",
+            "1250000000000000.25", "+1.5", "1E5", "123456789012345678901234567890", ".5", "5."]
+        values = "\t".join(strings)
+        body = (f"kind knn\nneighbors_k 1\ndistance log\nsample\ta\t{values}\n" if kind == "knn" else
+                f"kind svm\ndegree 1\nC 1\noffset 1\ntol 0.001\nclasses\ta\tb\nvector\t{values}\n"
+                "machine\ta\tb\t0\t0\n")
+        path = tmp_path / "hand.model"
+        path.write_text("nblgc-model 2\n" + body)
+        loaded = load_model(path)
+        stored = loaded.matrix if kind == "knn" else loaded.vectors
+        assert np.array_equal(stored.view(np.int64), np.array([[float(s) for s in strings]]).view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_save_load_save_is_byte_stable_at_benchmark_size(self, tmp_path, kind):
+        rng = np.random.default_rng(17)
+        scale = 10.0 ** rng.integers(-30, 30, size=(280, 441))  # every row spans many magnitudes
+        train = samples([(rng.normal(size=441) * scale[i], f"s{i % 40:02d}") for i in range(280)])
+        model = KnnModel(tuple(train)) if kind == "knn" else svm_train(train)
+        first, second = tmp_path / "first.model", tmp_path / "second.model"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_text().count("\n") > 280
+
+
 def _svm_model_lines(tmp_path):
     rng = np.random.default_rng(14)
     train = samples([(rng.normal(i % 3, 0.8, size=3), f"c{i % 3}") for i in range(18)])
@@ -750,6 +809,14 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "count above records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) + 1)), "not followed by"),
     "count below records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) - 1)), "unexpected record 'sv'"),
     "short vector": (lambda ls: _edit(ls, "vector", -1, lambda v: None), "differ in length"),
+    "vector with an extra field": (lambda ls: _edit(ls, "vector", -1, lambda v: v + "\t1"), "differ in length"),
+    "non-numeric vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "x"), "could not convert"),
+    # float() takes the next two; np.loadtxt, and so load_model, reads plain ASCII decimal only
+    "underscore in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "1_0"), "could not convert"),
+    "non-ASCII digits in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "\u0967\u0968"),
+                                           "could not convert"),
+    "vectors without values": (lambda ls: [line.split("\t")[0] + "\t" if line.startswith("vector\t") else line
+                                           for line in ls], "could not convert"),
     "label not in classes": (lambda ls: _edit(ls, "machine", 1, lambda v: "c9"), "machine 0 is c9/c1, not the class pair"),
     "cut at a machine boundary": (
         lambda ls: ls[: max(i for i, line in enumerate(ls) if line.startswith("machine\t"))],
@@ -784,6 +851,21 @@ def test_malformed_svm_model_is_a_value_error(tmp_path, corruption):
         load_model(path)
     assert type(err.value) is ValueError
 
+
+
+@pytest.mark.parametrize("record, message", [
+    ("sample\tb\t1", "training vectors must share one dimension"),
+    ("sample\tb\t1\tx", "could not convert"),
+    ("sample\tb", "missing field or value"),
+    ("vector\t1\t2", "unexpected record 'vector' in knn model"),
+])
+def test_malformed_knn_model_is_a_value_error(tmp_path, record, message):
+    path = tmp_path / "bad.model"
+    save_model(KnnModel(tuple(samples([([0.0, 1.0], "a")]))), path)
+    path.write_text(path.read_text() + record + "\n")
+    with pytest.raises(ValueError, match=message) as err:
+        load_model(path)
+    assert type(err.value) is ValueError
 
 _VALUES = st.floats(-3.0, 3.0, allow_nan=False, width=64)
 
