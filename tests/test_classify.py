@@ -714,12 +714,8 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2
 class TestModelNumbers:
     """The writer's %-format and the reader's np.loadtxt against str.format and float()."""
 
-    def test_ties_are_ties(self):
-        for value in _TIES:
-            digits = Decimal(value).as_tuple().digits
-            assert len(digits) == 18 and digits[-1] == 5
-
     def test_writer_matches_str_format_on_edge_values(self, tmp_path):
+        assert all(Decimal(t).as_tuple().digits[17:] == (5,) for t in _TIES)
         text = ["{:.17g}".format(v) for v in _EDGE_VALUES]
         n = len(text)
         knn = KnnModel((LabeledSample(_EDGE_VALUES, "a"),))
@@ -759,7 +755,6 @@ class TestModelNumbers:
         save_model(model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
-        assert first.read_text().count("\n") > 280
 
 
 def _svm_model_lines(tmp_path):
@@ -815,8 +810,8 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "underscore in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "1_0"), "could not convert"),
     "non-ASCII digits in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "\u0967\u0968"),
                                            "could not convert"),
-    "vectors without values": (lambda ls: [line.split("\t")[0] + "\t" if line.startswith("vector\t") else line
-                                           for line in ls], "could not convert"),
+    "vectors without values": (lambda ls: ["vector\t" if line.startswith("vector\t") else line for line in ls],
+                               "could not convert"),
     "label not in classes": (lambda ls: _edit(ls, "machine", 1, lambda v: "c9"), "machine 0 is c9/c1, not the class pair"),
     "cut at a machine boundary": (
         lambda ls: ls[: max(i for i, line in enumerate(ls) if line.startswith("machine\t"))],
@@ -852,7 +847,6 @@ def test_malformed_svm_model_is_a_value_error(tmp_path, corruption):
     assert type(err.value) is ValueError
 
 
-
 @pytest.mark.parametrize("record, message", [
     ("sample\tb\t1", "training vectors must share one dimension"),
     ("sample\tb\t1\tx", "could not convert"),
@@ -866,6 +860,7 @@ def test_malformed_knn_model_is_a_value_error(tmp_path, record, message):
     with pytest.raises(ValueError, match=message) as err:
         load_model(path)
     assert type(err.value) is ValueError
+
 
 _VALUES = st.floats(-3.0, 3.0, allow_nan=False, width=64)
 
