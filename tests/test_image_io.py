@@ -235,6 +235,13 @@ class TestProperties:
 
 
 class TestRoundTrip:
+    def test_write_pgm_bytes(self):
+        raw = RawImage(3, 2, 65535, np.array([0, 7, 65535, 10, 255, 256], dtype=np.uint16))
+        assert write_pgm(raw) == b"P2\n3 2\n65535\n0 7 65535\n10 255 256\n"
+        assert write_pgm(raw, binary=True) == b"P5\n3 2\n65535\n\x00\x00\x00\x07\xff\xff\x00\x0a\x00\xff\x01\x00"
+        one = RawImage(1, 1, 9, np.array([9], dtype=np.uint16))
+        assert (write_pgm(one), write_pgm(one, binary=True)) == (b"P2\n1 1\n9\n9\n", b"P5\n1 1\n9\n\x09")
+
     def test_p2_roundtrip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
