@@ -46,13 +46,25 @@ class RawImage:
             raise ValueError("image dimensions must be positive")
         if not 1 <= self.max_gray <= MAX_GRAY_LIMIT:
             raise ValueError(f"max_gray must be in [1, {MAX_GRAY_LIMIT}]")
-        px = np.array(self.pixels, dtype=np.uint16)  # a copy: the caller's array stays writeable
+        px = np.asarray(self.pixels)
         if px.ndim != 1 or px.size != self.width * self.height:
             raise ValueError("pixel count does not match width*height")
-        if px.size and int(px.max()) > self.max_gray:
-            raise ValueError("pixel value exceeds max_gray")
+        # checked before the cast, which would wrap 65541 to 5, -1 to 65535 and 2.7 to 2
+        whole = px.dtype.kind in "bui" or (px.dtype.kind == "f" and (px == np.floor(px)).all())
+        if not (whole and ((px >= 0) & (px <= self.max_gray)).all()):
+            raise ValueError(f"pixel values must be integers in [0, max_gray {self.max_gray}]")
+        px = px.astype(np.uint16)  # a copy: the caller's array stays writeable
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
+
+    @classmethod
+    def _own(cls, width: int, height: int, max_gray: int, pixels: np.ndarray) -> RawImage:
+        """The image of a 1-D uint16 array this module has just made and
+        checked: the array is frozen in place, with no copy and no check."""
+        pixels.flags.writeable = False
+        image = object.__new__(cls)
+        vars(image).update(width=width, height=height, max_gray=max_gray, pixels=pixels)
+        return image
 
     def __eq__(self, other):
         if not isinstance(other, RawImage):
@@ -80,6 +92,15 @@ class GrayImage:
             raise ValueError("pixels must lie in [0, 1]")
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
+
+    @classmethod
+    def _own(cls, pixels: np.ndarray) -> GrayImage:
+        """The image of a non-empty 2-D float64 array in [0, 1] this module
+        has just made: the array is frozen in place, with no copy and no check."""
+        pixels.flags.writeable = False
+        image = object.__new__(cls)
+        vars(image).update(pixels=pixels)
+        return image
 
     @property
     def height(self) -> int:
@@ -120,39 +141,53 @@ def _uint(token: re.Match, what: str) -> int:
         raise PgmParseError(f"{what} token of {len(text)} digits is too long", token.start()) from None
 
 
-def _p2_values(raster: bytes, count: int, max_gray: int) -> np.ndarray | None:
-    """The first count tokens of a comment-blanked P2 raster as int64
-    values, in one numpy pass over its bytes; None when there are fewer,
-    or one is not a decimal number int() converts, or one exceeds max_gray.
-    Memory is a few times the raster's bytes, whatever count says.
+def _p2_values(text: bytes, start: int, count: int, max_gray: int) -> np.ndarray | None:
+    """The first count tokens of the comment-blanked P2 raster text[start:],
+    which starts with whitespace, as uint16 values, in one translate and a
+    few numpy passes over its bytes; None when there are fewer, or one is
+    not a decimal number int() converts, or one exceeds max_gray.
+
+    Memory is a few times the raster's bytes, whatever count says. The
+    byte masks take one byte per raster byte, flatnonzero's int64 output
+    8 bytes per token, and token positions, lengths and values are int32
+    arrays of count entries. So no temporary reaches glibc's 128 KiB mmap
+    threshold, above which its pages would fault in again for every
+    image, while the raster is under 128 KiB and holds under 16,384
+    tokens. An ORL image of 92x112 (10,304 pixels, about 40 KB of text)
+    decodes with temporaries of at most 82 KB.
     """
-    v = np.frombuffer(raster.translate(_BYTE_CLASS), np.uint8)
+    v = np.frombuffer(text.translate(_BYTE_CLASS), np.uint8)[start:]
     token = v != _SPACE
-    # tokens are the runs of non-whitespace: edges alternate start, end
-    edges = np.flatnonzero(np.diff(token, prepend=False, append=False))
-    if len(edges) < 2 * count:
+    # tokens are the runs of non-whitespace; v[0] is whitespace, so each
+    # token starts right after an index of before, and ends at one of last
+    before = np.flatnonzero(token[1:] > token[:-1])[:count]
+    if len(before) < count:
         return None
-    starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
-    v, token = v[: ends[-1]], token[: ends[-1]]  # bytes after the last needed token stay unread
+    last = np.flatnonzero(token[:-1] > token[1:])[:count]
+    if len(last) < count:  # the count-th token runs to the end of the raster
+        last = np.append(last, len(v) - 1)
+    index = np.int32 if len(v) <= np.iinfo(np.int32).max else np.int64
+    before, last = before.astype(index), last.astype(index)
+    v, token = v[: last[-1] + 1], token[: last[-1] + 1]  # bytes after the last needed token stay unread
     if (v == _OTHER).any():
         return None
-    length = ends - starts
+    length = last - before
     longest = int(length.max())
     limit = getattr(sys, "get_int_max_str_digits", int)()  # int()'s digit limit; 0: none, as before 3.10.7
     if limit and longest > limit:
         return None
-    values = np.zeros(count, np.int64)
+    values = np.zeros(count, np.int32)
     nonzero = 0  # nonzero digits among the tokens' last five
     for place in reversed(range(min(longest, 5))):  # most significant first
         # a byte left of a token's start is masked out; clip keeps a read in range
-        digit = v.take(ends - (1 + place), mode="clip") * (length > place)
+        digit = v.take(last - place, mode="clip") * (length > place)
         values *= 10
         values += digit
         nonzero += np.count_nonzero(digit)
     # a nonzero digit before a token's last five makes it >= 100000 > MAX_GRAY_LIMIT
     if nonzero < np.count_nonzero(token & (v != 0)) or int(values.max()) > max_gray:
         return None
-    return values
+    return values.astype(np.uint16)
 
 
 def parse_pgm(data: bytes) -> RawImage:
@@ -190,9 +225,11 @@ def parse_pgm(data: bytes) -> RawImage:
     end = mg_tok.end()
     count = width * height
     if magic == b"P2":
-        values = _p2_values(_COMMENT.sub(b" ", data[end:]), count, max_gray)
+        # the raster starts at end with whitespace or a #: the max_gray token ended there
+        text, start = (data, end) if data.find(b"#", end) < 0 else (_COMMENT.sub(b" ", data[end:]), 0)
+        values = _p2_values(text, start, count, max_gray)
         if values is not None:
-            return RawImage(width, height, max_gray, values)
+            return RawImage._own(width, height, max_gray, values)
         # the raster is bad: walk it again to name the first bad token
         for _, token in zip(range(count), _tokens(data, end)):
             value = _uint(token, "raster value")
@@ -208,16 +245,14 @@ def parse_pgm(data: bytes) -> RawImage:
     need = count * (2 if two_byte else 1)
     if len(data) - start < need:
         raise PgmParseError("truncated pixel data", len(data))
-    raw = data[start : start + need]
-    # RawImage copies the raster to native uint16
-    values = np.frombuffer(raw, dtype=">u2" if two_byte else np.uint8)
+    values = np.frombuffer(data, ">u2" if two_byte else np.uint8, count=count, offset=start)
     if int(values.max()) > max_gray:
         bad = int(np.argmax(values > max_gray))
         offset = start + bad * (2 if two_byte else 1)
         raise PgmParseError(
             f"pixel value {int(values[bad])} exceeds max_gray {max_gray}", offset
         )
-    return RawImage(width, height, max_gray, values)
+    return RawImage._own(width, height, max_gray, values.astype(np.uint16))
 
 
 def write_pgm(image: RawImage, binary: bool = False) -> bytes:
@@ -230,7 +265,7 @@ def write_pgm(image: RawImage, binary: bool = False) -> bytes:
         dtype = ">u2" if image.max_gray > 255 else np.uint8
         return header.encode("ascii") + image.pixels.astype(dtype).tobytes()
     rows = image.pixels.reshape(image.height, image.width)
-    body = "\n".join(" ".join(str(int(v)) for v in row) for row in rows)
+    body = "\n".join(" ".join(map(str, row)) for row in rows.tolist())
     return (header + body + "\n").encode("ascii")
 
 
@@ -240,11 +275,10 @@ def normalize_unit(image: RawImage) -> GrayImage:
     The header max_gray is deliberately not used. An all-zero image maps
     to all zeros.
     """
-    grid = image.pixels.reshape(image.height, image.width).astype(np.float64)
-    peak = float(grid.max())
-    if peak == 0.0:
-        return GrayImage(grid)
-    return GrayImage(grid / peak)
+    grid = image.pixels.reshape(image.height, image.width)
+    peak = int(grid.max())
+    # uint16 / int divides in float64: the same bits as a float64 grid / float(peak)
+    return GrayImage._own(grid / peak if peak else grid.astype(np.float64))
 
 
 @lru_cache(maxsize=32)
@@ -282,7 +316,7 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
     top = a0 + fx * (r0[:, x1] - a0)
     bottom = a1 + fx * (r1[:, x1] - a1)
     out = top + fy * (bottom - top)
-    return GrayImage(np.clip(out, 0.0, 1.0))
+    return GrayImage._own(np.clip(out, 0.0, 1.0, out=out))
 
 
 def _class_files(root: Path) -> list[tuple[str, list[Path]]]:
