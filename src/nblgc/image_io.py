@@ -278,7 +278,7 @@ def normalize_unit(image: RawImage) -> GrayImage:
     grid = image.pixels.reshape(image.height, image.width)
     peak = int(grid.max())
     # uint16 / int divides in float64: the same bits as a float64 grid / float(peak)
-    return GrayImage._own(grid / peak if peak else grid.astype(np.float64))
+    return GrayImage._own(grid / (peak or 1))
 
 
 @lru_cache(maxsize=32)
