@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
@@ -57,15 +57,6 @@ class RawImage:
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
-    @classmethod
-    def _own(cls, width: int, height: int, max_gray: int, pixels: np.ndarray) -> RawImage:
-        """The image of a 1-D uint16 array this module has just made and
-        checked: the array is frozen in place, with no copy and no check."""
-        pixels.flags.writeable = False
-        image = object.__new__(cls)
-        vars(image).update(width=width, height=height, max_gray=max_gray, pixels=pixels)
-        return image
-
     def __eq__(self, other):
         if not isinstance(other, RawImage):
             return NotImplemented
@@ -93,15 +84,6 @@ class GrayImage:
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
-    @classmethod
-    def _own(cls, pixels: np.ndarray) -> GrayImage:
-        """The image of a non-empty 2-D float64 array in [0, 1] this module
-        has just made: the array is frozen in place, with no copy and no check."""
-        pixels.flags.writeable = False
-        image = object.__new__(cls)
-        vars(image).update(pixels=pixels)
-        return image
-
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
@@ -114,6 +96,20 @@ class GrayImage:
         if not isinstance(other, GrayImage):
             return NotImplemented
         return bool(np.array_equal(self.pixels, other.pixels))
+
+
+def _owned(cls, **values):
+    """A RawImage or GrayImage over a pixels array this module has just
+    made, whose values already hold what the public constructor checks:
+    the array is frozen in place, with no copy and no second check.
+    Raises TypeError unless values names every field of cls."""
+    names = {f.name for f in fields(cls)}
+    if values.keys() != names:
+        raise TypeError(f"{cls.__name__} takes exactly the fields {sorted(names)}")
+    values["pixels"].flags.writeable = False
+    image = object.__new__(cls)
+    vars(image).update(values)
+    return image
 
 
 @dataclass(frozen=True)
@@ -129,6 +125,10 @@ class DatasetEntry:
 def _tokens(data: bytes, pos: int) -> Iterator[re.Match]:
     """Tokens of data from pos on, found lazily; comments are skipped."""
     return (m for m in _TOKEN.finditer(data, pos) if m[1])
+
+
+def _blank(comment: re.Match) -> bytes:
+    return b" " * len(comment[0])
 
 
 def _uint(token: re.Match, what: str) -> int:
@@ -225,11 +225,11 @@ def parse_pgm(data: bytes) -> RawImage:
     end = mg_tok.end()
     count = width * height
     if magic == b"P2":
-        # the raster starts at end with whitespace or a #: the max_gray token ended there
-        text, start = (data, end) if data.find(b"#", end) < 0 else (_COMMENT.sub(b" ", data[end:]), 0)
-        values = _p2_values(text, start, count, max_gray)
+        # comments are blanked byte for byte, so the raster still starts at end, with
+        # whitespace: the max_gray token ended there. A file with no # is not copied.
+        values = _p2_values(_COMMENT.sub(_blank, data), end, count, max_gray)
         if values is not None:
-            return RawImage._own(width, height, max_gray, values)
+            return _owned(RawImage, width=width, height=height, max_gray=max_gray, pixels=values)
         # the raster is bad: walk it again to name the first bad token
         for _, token in zip(range(count), _tokens(data, end)):
             value = _uint(token, "raster value")
@@ -252,7 +252,7 @@ def parse_pgm(data: bytes) -> RawImage:
         raise PgmParseError(
             f"pixel value {int(values[bad])} exceeds max_gray {max_gray}", offset
         )
-    return RawImage._own(width, height, max_gray, values.astype(np.uint16))
+    return _owned(RawImage, width=width, height=height, max_gray=max_gray, pixels=values.astype(np.uint16))
 
 
 def write_pgm(image: RawImage, binary: bool = False) -> bytes:
@@ -278,7 +278,7 @@ def normalize_unit(image: RawImage) -> GrayImage:
     grid = image.pixels.reshape(image.height, image.width)
     peak = int(grid.max())
     # uint16 / int divides in float64: the same bits as a float64 grid / float(peak)
-    return GrayImage._own(grid / (peak or 1))
+    return _owned(GrayImage, pixels=grid / (peak or 1))
 
 
 @lru_cache(maxsize=32)
@@ -316,7 +316,7 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
     top = a0 + fx * (r0[:, x1] - a0)
     bottom = a1 + fx * (r1[:, x1] - a1)
     out = top + fy * (bottom - top)
-    return GrayImage._own(np.clip(out, 0.0, 1.0, out=out))
+    return _owned(GrayImage, pixels=np.clip(out, 0.0, 1.0, out=out))
 
 
 def _class_files(root: Path) -> list[tuple[str, list[Path]]]:
