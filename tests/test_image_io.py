@@ -157,7 +157,7 @@ class TestParsePgm:
         assert peak < 1 << 20
 
     def test_p2_decode_memory_is_a_few_times_the_input(self):
-        # an ORL-sized image; measured 11.5x with numpy 2.4 (14.9x with a
+        # an ORL-sized image; measured 10.5x with numpy 2.4 (14.9x with a
         # 2*count int64 edges array, 35.0x for a bytes.split and an int() per token)
         data = write_pgm(random_raw(np.random.default_rng(0), width=92, height=112))
         parse_pgm(data)
@@ -167,7 +167,7 @@ class TestParsePgm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 14 * len(data)
+        assert peak < 13 * len(data)
 
 
 @st.composite
