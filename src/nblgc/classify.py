@@ -11,7 +11,8 @@ kernel rows straight from the Gram matrix. Prediction reads a flat
 store of every machine's support entries (owner machine, row,
 coefficient), so one kernel row and one weighted bincount give all
 decision values, and bincounts tally the vote. Both models round-trip
-through a line-oriented text format without changing any prediction.
+through a line-oriented text format that stores every training vector's
+exact bits, so no prediction changes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .options import DISTANCES, check_label, check_svm_settings
 
-MODEL_FORMAT = "nblgc-model 2"
+MODEL_FORMAT = "nblgc-model 3"
 _REAL = "%.17g"  # 17 significant digits: exact float round-trip
 
 
@@ -363,29 +364,44 @@ def svm_predict(model: SvmModel, query) -> str:
 # --- model text format -------------------------------------------------
 #
 # Line 1 is the format tag, line 2 the model kind, then "name value"
-# settings, then tab-separated records. Reals are _REAL: 17 significant
-# digits in plain ASCII decimal reproduce every float. KNN: one "sample
-# <label> <values>" record per training row. SVM: the classes, one "vector
-# <values>" record per training row, then per machine, in pair order, its
-# record and one "sv <index> <coefficient>" record per support vector. One
-# np.loadtxt reads each block of values; unlike float() it refuses "1_0".
+# settings, then tab-separated records. KNN: one "sample <label> <row>"
+# record per training row. SVM: the classes, one "vector <row>" record per
+# training row, then per machine, in pair order, its record and one
+# "sv <index> <coefficient>" record per support vector. A row is one field,
+# the base64 (RFC 4648) of its values as little-endian float64; the
+# settings, biases and coefficients are _REAL: 17 significant digits in
+# plain ASCII decimal reproduce every float.
 
 
 def _format_rows(heads, matrix: np.ndarray) -> list[str]:
-    """One record per row of matrix: its head, then its values, tab-separated."""
-    values = ("\t" + _REAL) * matrix.shape[1]
-    return [head + values % tuple(row) for head, row in zip(heads, matrix.tolist())]
+    """One record per row of matrix: its head, a tab, then the row as base64 of little-endian float64."""
+    from base64 import b64encode  # only a model file needs it: CLI commands never import it
+
+    rows = np.ascontiguousarray(matrix, dtype="<f8")
+    return [head + "\t" + b64encode(row).decode("ascii") for head, row in zip(heads, rows)]
 
 
-def _parse_rows(texts: list[str], ragged: str) -> np.ndarray:
-    """The matrix of rows of tab-separated values; ValueError(ragged) if rows differ in length."""
-    if len({text.count("\t") for text in texts}) > 1:
+def _parse_rows(tag: str, texts: list[str], ragged: str) -> np.ndarray:
+    """The matrix whose rows the tag records' texts hold, as _format_rows
+    writes them. Raises ValueError naming the record if a text is not
+    strict base64 or holds no whole float64, ValueError(ragged) if rows
+    differ in length."""
+    from base64 import b64decode
+
+    rows = []
+    for number, text in enumerate(texts, 1):
+        try:
+            row = b64decode(text, validate=True)  # only alphabet characters, padding only at the end
+        except ValueError as err:  # binascii.Error, or a non-ASCII character
+            raise ValueError(f"{tag} record {number} is not base64: {err}") from None
+        if not row or len(row) % 8:
+            raise ValueError(f"{tag} record {number} holds {len(row)} bytes, not one or more float64 values")
+        rows.append(row)
+    if len({len(row) for row in rows}) > 1:
         raise ValueError(ragged)
-    if "" in texts:  # np.loadtxt would skip the row
-        raise ValueError("could not convert string '' to float64: a record has no values")
-    if not texts:
+    if not rows:
         return np.empty((0, 0))
-    return np.loadtxt(texts, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
+    return np.frombuffer(b"".join(rows), dtype="<f8").reshape(len(rows), -1)  # read-only: the models copy it
 
 
 def save_model(model: KnnModel | SvmModel, path) -> None:
@@ -406,13 +422,13 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
             lines += [sv % entry for entry in islice(entries, n)]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> KnnModel | SvmModel:
     """Read a model that save_model wrote; raises ValueError on any malformed file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_FORMAT:
         raise ValueError(f"{path} is not a recognized model file")
@@ -434,7 +450,7 @@ def _parse_model(fields: dict[str, str], lines: list[str]) -> KnnModel | SvmMode
         records = [line.split("\t", 2) for line in lines]  # tag, label, values
         if unexpected := [tag for tag, *_ in records if tag != "sample"]:
             raise ValueError(f"unexpected record {unexpected[0]!r} in knn model")
-        matrix = _parse_rows([parts[2] for parts in records], "training vectors must share one dimension")
+        matrix = _parse_rows("sample", [parts[2] for parts in records], "training vectors must share one dimension")
         training = tuple(LabeledSample(row, parts[1]) for row, parts in zip(matrix, records))
         return KnnModel(training, int(fields["neighbors_k"]), fields["distance"])
     if kind != "svm":
@@ -443,7 +459,8 @@ def _parse_model(fields: dict[str, str], lines: list[str]) -> KnnModel | SvmMode
     if tag != "classes":
         raise ValueError("svm model has no classes record")
     end = 1 + sum(1 for _ in takewhile(lambda line: line.startswith("vector\t"), lines[1:]))
-    vectors = _parse_rows([line[len("vector\t"):] for line in lines[1:end]], "vector records differ in length")
+    vectors = _parse_rows("vector", [line[len("vector\t"):] for line in lines[1:end]],
+                          "vector records differ in length")
     records = iter([line.split("\t") for line in lines[end:]])
     heads, svs = [], []
     for head in records:  # a machine record, then its sv records

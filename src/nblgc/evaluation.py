@@ -304,7 +304,7 @@ def _write_echo(fh, config: dict[str, object]) -> None:
 def write_report_csv(report: EvalReport, config: dict[str, object], path) -> None:
     """Accuracy table: one "# key=value" comment per config item, in key
     order, then class,correct,total,accuracy rows and an overall row."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_echo(fh, config)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "correct", "total", "accuracy"])
@@ -318,7 +318,7 @@ def write_folds_csv(report: EvalReport, config: dict[str, object], path) -> None
     fold,accuracy rows and a mean footer comment."""
     if report.fold_accuracies is None:
         raise ValueError("report has no fold accuracies")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_echo(fh, config)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["fold", "accuracy"])
@@ -331,7 +331,7 @@ def write_folds_csv(report: EvalReport, config: dict[str, object], path) -> None
 def write_roc_csv(points: Sequence[RocPoint], config: dict[str, object], path) -> None:
     """Config comments as in write_report_csv, then threshold,far,gar rows;
     a footer states how GAR is computed."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_echo(fh, config)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["threshold", "far", "gar"])

@@ -178,7 +178,7 @@ def _write_rows(path, n_features: int, rows: Iterable[tuple[str, str, str, str, 
     # are written with the real "\n" into a buffer, which is then cut before the values
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(n_features)]) + "\n")
         for source, label, variant, ref, vals in rows:
             if len(vals) != n_features:
@@ -212,7 +212,7 @@ def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef
     """Read back a feature CSV written by write_features_csv. The variant
     and ref columns must hold the exact values it writes (g1, avg, ...)."""
     out = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:4] != ["path", "class", "variant", "ref"]:

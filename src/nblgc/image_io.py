@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .options import DatasetError, PgmParseError, check_label, check_resize_target
+from .options import DatasetError, PgmParseError, check_label, check_resize_target, is_utf8
 
 MAX_GRAY_LIMIT = 65535
 
@@ -322,20 +322,24 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
 def _class_files(root: Path) -> list[tuple[str, list[Path]]]:
     """(class label, its *.pgm files) for each subdirectory of root, both
     sorted by name; empty when root has no subdirectory. Raises
-    DatasetError, before any file is read, for a missing root or a class
-    name that no model file could hold (see check_label)."""
+    DatasetError, before any file is read, for a missing root, a class
+    name that no model file could hold (see check_label) or a file name
+    that is not UTF-8, which no output file could hold."""
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
     classes = []
     for class_dir in sorted((p for p in root.iterdir() if p.is_dir()), key=lambda p: p.name):
         try:
             check_label(class_dir.name)
-        except ValueError as err:
-            raise DatasetError(f"{class_dir}: {err}") from None
+        except ValueError as err:  # the path as a repr: its name may not print
+            raise DatasetError(f"{str(class_dir)!r}: {err}") from None
         files = sorted(
             (p for p in class_dir.iterdir() if p.is_file() and p.suffix.lower() == ".pgm"),
             key=lambda p: p.name,
         )
+        for path in files:
+            if not is_utf8(path.name):
+                raise DatasetError(f"{str(path)!r}: file name is not UTF-8")
         classes.append((class_dir.name, files))
     return classes
 
@@ -364,8 +368,8 @@ def load_dataset(
     A target that check_resize_target refuses raises ValueError before
     any file is read. A bad file aborts the load unless skip_errors is
     set, which downgrades it to a warning. A class name that no model
-    file could hold (see check_label) always aborts, before any file is
-    read.
+    file could hold (see check_label) or a file name that is not UTF-8
+    always aborts, before any file is read.
     """
     size = check_resize_target(*resize_to)
     root = Path(root)

@@ -92,10 +92,23 @@ def check_resize_target(width: int, height: int) -> tuple[int, int]:
 
 def check_label(label: str) -> str:
     """Return label, or raise ValueError if the model file cannot hold it:
-    a tab would split its record and a line break its line."""
+    a tab would split its record, a line break its line, and a name that
+    is not UTF-8 (an undecodable byte arrives as a lone surrogate) could
+    not be written."""
     if "\t" in label or "".join(label.splitlines()) != label:
         raise ValueError(f"class label {label!r} contains a tab or line break")
+    if not is_utf8(label):
+        raise ValueError(f"class label {label!r} is not UTF-8")
     return label
+
+
+def is_utf8(name: str) -> bool:
+    """Whether name encodes as UTF-8, so the UTF-8 files nblgc writes can hold it."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def check_svm_settings(degree: int, c: float, offset: float, tol: float) -> None:
@@ -252,7 +265,7 @@ def _read_config(path: Path) -> dict:
     if not path.is_file():
         raise UsageError(f"config file {path} not found")
     try:
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise UsageError(f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(loaded, dict):
@@ -312,7 +325,7 @@ def main(argv=None) -> int:
         cfg.out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[cfg.command](cfg)
         echo = json.dumps(_config_echo(cfg), indent=2, sort_keys=True, default=str)
-        (cfg.out / "config.json").write_text(echo + "\n")
+        (cfg.out / "config.json").write_text(echo + "\n", encoding="utf-8")
         return EXIT_OK
     except UsageError as err:
         print(f"nblgc: error: {err}", file=sys.stderr)
