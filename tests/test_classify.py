@@ -1,3 +1,4 @@
+import base64
 import importlib.util
 import math
 from dataclasses import replace
@@ -35,6 +36,11 @@ def flat_svm(classes, vectors, machines, degree=1, offset=1.0):
     return SvmModel(classes, vectors, [len(idx) for idx, _, _ in machines],
                     [i for idx, _, _ in machines for i in idx], [c for _, coef, _ in machines for c in coef],
                     [bias for _, _, bias in machines], degree, 1.0, offset, 1e-3)
+
+
+def b64(values):
+    """A row as a model file stores it: the base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def distance(a, b, kind="log"):
@@ -626,7 +632,7 @@ class TestModelSerialization:
         assert isinstance(loaded, SvmModel)
         assert loaded.classes == model.classes
         assert (loaded.degree, loaded.c, loaded.offset) == (2, 1.5, 0.5)
-        assert np.array_equal(loaded.vectors, model.vectors)
+        assert np.array_equal(loaded.vectors.view(np.int64), model.vectors.view(np.int64))
         assert path.read_text().count("\nvector\t") == len(train)
         for ma, mb in zip(model.machines, loaded.machines):
             assert np.array_equal(ma.coefficients, mb.coefficients)
@@ -658,6 +664,16 @@ class TestModelSerialization:
                 save_model(model, path)
             assert not path.exists()
 
+    def test_refuses_a_label_that_is_not_utf8(self, tmp_path):
+        # a directory named b"s\xe9" reaches Python as "s\udce9", which no UTF-8 file can hold
+        pairs = [([0.0], "s\udce9"), ([1.0], "b")]
+        for model in (KnnModel(tuple(samples(pairs))), svm_train(samples(pairs))):
+            path = tmp_path / "bad.model"
+            with pytest.raises(ValueError, match="is not UTF-8") as err:
+                save_model(model, path)
+            assert type(err.value) is ValueError
+            assert not path.exists()
+
     def test_rejects_unknown_file(self, tmp_path):
         path = tmp_path / "junk.model"
         path.write_text("not a model\n")
@@ -684,9 +700,10 @@ class TestModelSerialization:
                          [0.5, -0.25, 1 / 3], [0.1, -2.0, 3.0], 2, 1.0, 0.5, 1e-3)
         path = tmp_path / "svm.model"
         save_model(model, path)
+        # rows [0, 1], [2.5, -3] and [0.1, 1e-7] as base64 of little-endian float64
         assert path.read_bytes() == (
-            b"nblgc-model 2\nkind svm\ndegree 2\nC 1\noffset 0.5\ntol 0.001\nclasses\ta\tb\tc\n"
-            b"vector\t0\t1\nvector\t2.5\t-3\nvector\t0.10000000000000001\t9.9999999999999995e-08\n"
+            b"nblgc-model 3\nkind svm\ndegree 2\nC 1\noffset 0.5\ntol 0.001\nclasses\ta\tb\tc\n"
+            b"vector\tAAAAAAAAAAAAAAAAAADwPw==\nvector\tAAAAAAAABEAAAAAAAAAIwA==\nvector\tmpmZmZmZuT9Ir7ya8td6Pg==\n"
             b"machine\ta\tb\t0.10000000000000001\t2\nsv\t0\t0.5\nsv\t1\t-0.25\n"
             b"machine\ta\tc\t-2\t0\n"
             b"machine\tb\tc\t3\t1\nsv\t2\t0.33333333333333331\n"
@@ -697,11 +714,19 @@ class TestModelSerialization:
                                         ([-0.0, 5e-324], "b")])), neighbors_k=2, distance="euclidean")
         path = tmp_path / "knn.model"
         save_model(model, path)
+        # the fourth row, [-0, 5e-324], keeps the sign bit and the smallest subnormal
         assert path.read_bytes() == (
-            b"nblgc-model 2\nkind knn\nneighbors_k 2\ndistance euclidean\n"
-            b"sample\ta\t0\t1\nsample\tb\t2.5\t-3\nsample\ta b\t0.10000000000000001\t9.9999999999999995e-08\n"
-            b"sample\tb\t-0\t4.9406564584124654e-324\n"
+            b"nblgc-model 3\nkind knn\nneighbors_k 2\ndistance euclidean\n"
+            b"sample\ta\tAAAAAAAAAAAAAAAAAADwPw==\nsample\tb\tAAAAAAAABEAAAAAAAAAIwA==\n"
+            b"sample\ta b\tmpmZmZmZuT9Ir7ya8td6Pg==\nsample\tb\tAAAAAAAAAIABAAAAAAAAAA==\n"
         )
+
+    def test_refuses_a_format_2_file(self, tmp_path):
+        path = tmp_path / "old.model"
+        path.write_text("nblgc-model 2\nkind knn\nneighbors_k 1\ndistance log\nsample\ta\t0\t1\n")
+        with pytest.raises(ValueError, match="not a recognized model file") as err:
+            load_model(path)
+        assert type(err.value) is ValueError
 
 
 # 17-digit ties: each value's exact decimal expansion has 18 significant digits, the last a 5
@@ -712,7 +737,7 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2
 
 
 class TestModelNumbers:
-    """The writer's %-format and the reader's np.loadtxt against str.format and float()."""
+    """Rows travel as their float64 bits; settings, biases and coefficients as %.17g, read back with float()."""
 
     def test_writer_matches_str_format_on_edge_values(self, tmp_path):
         assert all(Decimal(t).as_tuple().digits[17:] == (5,) for t in _TIES)
@@ -720,14 +745,21 @@ class TestModelNumbers:
         n = len(text)
         knn = KnnModel((LabeledSample(_EDGE_VALUES, "a"),))
         svm = SvmModel(("a", "b"), [_EDGE_VALUES], [n], [0] * n, _EDGE_VALUES, [-0.0], 1, 1.0, -0.0, 5e-324)
+        bits = np.array([_EDGE_VALUES]).view(np.int64)
         path = tmp_path / "edge.model"
         save_model(knn, path)
-        assert path.read_text().splitlines()[-1] == "\t".join(["sample", "a", *text])
+        assert path.read_text().splitlines()[-1] == f"sample\ta\t{b64(_EDGE_VALUES)}"
+        assert np.array_equal(load_model(path).matrix.view(np.int64), bits)
         save_model(svm, path)
         lines = path.read_text().splitlines()
         assert lines[4:6] == ["offset -0", "tol 4.9406564584124654e-324"]
-        assert lines[7:9] == ["\t".join(["vector", *text]), f"machine\ta\tb\t-0\t{n}"]
+        assert lines[7:9] == [f"vector\t{b64(_EDGE_VALUES)}", f"machine\ta\tb\t-0\t{n}"]
         assert lines[9:] == [f"sv\t0\t{value}" for value in text]
+        loaded = load_model(path)
+        assert np.array_equal(loaded.vectors.view(np.int64), bits)
+        assert np.array_equal(loaded.sv_coef.view(np.int64), bits[0])
+        assert math.copysign(1.0, loaded.biases[0]) == math.copysign(1.0, loaded.offset) == -1.0
+        assert loaded.tol == 5e-324
 
     @pytest.mark.parametrize("kind", ["knn", "svm"])
     def test_reader_is_bit_equal_to_float(self, tmp_path, kind):
@@ -735,15 +767,19 @@ class TestModelNumbers:
             "-0", "0", "1e308", "5e-324", "4.9e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
             "2.2250738585072011e-308", "1.7976931348623158e308", "9007199254740993", "0.30000000000000004",
             "1250000000000000.25", "+1.5", "1E5", "123456789012345678901234567890", ".5", "5."]
-        values = "\t".join(strings)
-        body = (f"kind knn\nneighbors_k 1\ndistance log\nsample\ta\t{values}\n" if kind == "knn" else
-                f"kind svm\ndegree 1\nC 1\noffset 1\ntol 0.001\nclasses\ta\tb\nvector\t{values}\n"
-                "machine\ta\tb\t0\t0\n")
+        values = [float(v) for v in strings]
+        # the row travels as bits; on svm, each value is also a coefficient, read back with float()
+        body = (f"kind knn\nneighbors_k 1\ndistance log\nsample\ta\t{b64(values)}\n" if kind == "knn" else
+                f"kind svm\ndegree 1\nC 1\noffset 1\ntol 0.001\nclasses\ta\tb\nvector\t{b64(values)}\n"
+                f"machine\ta\tb\t0\t{len(strings)}\n" + "".join(f"sv\t0\t{v}\n" for v in strings))
         path = tmp_path / "hand.model"
-        path.write_text("nblgc-model 2\n" + body)
+        path.write_text("nblgc-model 3\n" + body)
         loaded = load_model(path)
+        bits = np.array([values]).view(np.int64)
         stored = loaded.matrix if kind == "knn" else loaded.vectors
-        assert np.array_equal(stored.view(np.int64), np.array([[float(s) for s in strings]]).view(np.int64))
+        assert np.array_equal(stored.view(np.int64), bits)
+        if kind == "svm":
+            assert np.array_equal(loaded.sv_coef[None].view(np.int64), bits)
 
     @pytest.mark.parametrize("kind", ["knn", "svm"])
     def test_save_load_save_is_byte_stable_at_benchmark_size(self, tmp_path, kind):
@@ -753,8 +789,15 @@ class TestModelNumbers:
         model = KnnModel(tuple(train)) if kind == "knn" else svm_train(train)
         first, second = tmp_path / "first.model", tmp_path / "second.model"
         save_model(model, first)
-        save_model(load_model(first), second)
+        loaded = load_model(first)
+        save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+        stored, reloaded = (m.matrix if kind == "knn" else m.vectors for m in (model, loaded))
+        assert np.array_equal(stored.view(np.int64), reloaded.view(np.int64))
+        # 441 float64 values are 3528 bytes, 4704 base64 characters with no padding
+        tag = "sample" if kind == "knn" else "vector"
+        rows = [line.rsplit("\t", 1)[1] for line in first.read_text().splitlines() if line.startswith(tag + "\t")]
+        assert len(rows) == 280 and {len(row) for row in rows} == {4704}
 
 
 def _svm_model_lines(tmp_path):
@@ -781,6 +824,11 @@ def _edit(lines, tag, field, value):
     return lines[:at] + ["\t".join(parts)] + lines[at + 1 :]
 
 
+def _row(text):
+    """The values of a base64 row."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+
+
 def _swap_first_machines(lines):
     """The first two machine records, each with its sv records, in swapped order."""
     first, second, third = [i for i, line in enumerate(lines) if line.startswith("machine\t")][:3]
@@ -803,15 +851,26 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "bad coefficient": (lambda ls: _edit(ls, "sv", 2, lambda v: "x"), "could not convert"),
     "count above records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) + 1)), "not followed by"),
     "count below records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) - 1)), "unexpected record 'sv'"),
-    "short vector": (lambda ls: _edit(ls, "vector", -1, lambda v: None), "differ in length"),
-    "vector with an extra field": (lambda ls: _edit(ls, "vector", -1, lambda v: v + "\t1"), "differ in length"),
-    "non-numeric vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "x"), "could not convert"),
-    # float() takes the next two; np.loadtxt, and so load_model, reads plain ASCII decimal only
-    "underscore in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "1_0"), "could not convert"),
-    "non-ASCII digits in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "\u0967\u0968"),
-                                           "could not convert"),
+    # each vector row is 3 float64 values: 24 bytes, 32 base64 characters with no padding
+    "short vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64(_row(v)[:2])), "differ in length"),
+    "vector with an extra field": (lambda ls: _edit(ls, "vector", 1, lambda v: v + "\t" + v),
+                                   "vector record 1 is not base64"),
+    "non-numeric vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "x"), "vector record 1 is not base64"),
+    # base64url's underscore, whitespace and misplaced padding are each outside strict RFC 4648 base64
+    "underscore in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "_" + v[1:]),
+                                     "vector record 1 is not base64"),
+    "space in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: v[:16] + " " + v[16:]),
+                                "vector record 1 is not base64"),
+    "padding inside a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: v[:6] + "==" + v[8:]),
+                                      "vector record 1 is not base64"),
+    "non-ASCII digits in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "\u0967" + v[1:]),
+                                           "vector record 1 is not base64"),
+    "vector of 12 bytes": (lambda ls: _edit(ls, "vector", 1, lambda v: v[:16]),
+                           "vector record 1 holds 12 bytes, not one or more float64 values"),
     "vectors without values": (lambda ls: ["vector\t" if line.startswith("vector\t") else line for line in ls],
-                               "could not convert"),
+                               "vector record 1 holds 0 bytes"),
+    "nan in a vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64([0.0, np.nan, 0.0])), "vectors must be a finite"),
+    "inf in a vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64([0.0, 0.0, -np.inf])), "vectors must be a finite"),
     "label not in classes": (lambda ls: _edit(ls, "machine", 1, lambda v: "c9"), "machine 0 is c9/c1, not the class pair"),
     "cut at a machine boundary": (
         lambda ls: ls[: max(i for i, line in enumerate(ls) if line.startswith("machine\t"))],
@@ -848,8 +907,10 @@ def test_malformed_svm_model_is_a_value_error(tmp_path, corruption):
 
 
 @pytest.mark.parametrize("record, message", [
-    ("sample\tb\t1", "training vectors must share one dimension"),
-    ("sample\tb\t1\tx", "could not convert"),
+    ("sample\tb\t" + b64([1.0]), "training vectors must share one dimension"),
+    ("sample\tb\t" + b64([1.0, 2.0]) + "\tx", "sample record 2 is not base64"),
+    ("sample\tb\t", "sample record 2 holds 0 bytes"),
+    ("sample\tb\t" + b64([1.0, np.nan]), "vector must be finite"),
     ("sample\tb", "missing field or value"),
     ("vector\t1\t2", "unexpected record 'vector' in knn model"),
 ])

@@ -399,6 +399,19 @@ class TestOptionValues:
         assert run_cli(extract_args(small_tree, tmp_path / "out")) == 2
         assert "tab or line break" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [extract_args, eval_args], ids=["extract", "evaluate"])
+    @pytest.mark.parametrize("source, target, message", [
+        ("s02", "s\udce9", "class label 's\\udce9' is not UTF-8"),
+        ("s02/img03.pgm", "s02/img\udce9.pgm", "img\\udce9.pgm': file name is not UTF-8"),
+    ], ids=["class directory", "file"])
+    def test_name_that_is_not_utf8_is_data_error_before_any_output(self, small_tree, tmp_path, capsys, args,
+                                                                   source, target, message):
+        # the byte 0xe9 alone is not UTF-8: Python names the path with the lone surrogate U+DCE9
+        (small_tree / source).rename(small_tree / target)
+        assert run_cli(args(small_tree, tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("command", ["extract", "evaluate", "kfold", "roc"])
     def test_help_lists_every_row_of_its_command(self, command, capsys):
         assert run_cli([command, "--help"]) == 0
@@ -478,3 +491,33 @@ class TestStartup:
         layers = [f"nblgc.{m}" for m in ("image_io", "features", "classify", "evaluation")]
         proc = run_python("-c", f"import sys, nblgc.cli; print([m for m in {layers!r} if m not in sys.modules])")
         assert proc.stdout == "[]\n", proc.stderr
+
+
+# every command on one tree, each reading a --config file, the feature CSV read back, and a
+# KNN and an SVM model saved and loaded: a text file opened without an encoding raises here
+EVERY_TEXT_FILE = """
+import sys
+import numpy as np
+from nblgc import KnnModel, LabeledSample, load_model, read_features_csv, save_model, svm_train
+from nblgc.options import main
+
+data, out = sys.argv[1:]
+common = ["--data", data, "--resize", "9x9", "--workers", "1", "--config", out + "/cfg.json"]
+for name, *extra in (["extract"], ["evaluate"], ["kfold", "--folds", "2"], ["roc"],
+                     ["evaluate", "--classifier", "svm"]):
+    assert main([name, *common, "--out", f"{out}/{name}", *extra]) == 0, name
+read_features_csv(out + "/extract/features.csv")
+train = [LabeledSample(np.array([0.0, 1.0]), "a"), LabeledSample(np.array([1.0, 0.0]), "b")]
+for model in (KnnModel(tuple(train)), svm_train(train)):
+    save_model(model, out + "/m.model")
+    load_model(out + "/m.model")
+print("done")
+"""
+
+
+def test_no_text_file_is_opened_in_the_locale_encoding(small_tree, tmp_path):
+    (tmp_path / "cfg.json").write_text('{"train_per_class": 4}', encoding="utf-8")
+    proc = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                      "-c", EVERY_TEXT_FILE, str(small_tree), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("done\n")

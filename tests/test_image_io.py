@@ -419,6 +419,18 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="tab or line break"):
             load_dataset(root, resize_to=(9, 9))
 
+    @pytest.mark.parametrize("source, target, message", [
+        ("s01", "s\udce9", "class label .* is not UTF-8"),
+        ("s01/img00.pgm", "s01/img\udce9.pgm", "file name is not UTF-8"),
+    ], ids=["class directory", "file"])
+    def test_rejects_names_that_are_not_utf8(self, tmp_path, source, target, message):
+        # the byte 0xe9 alone is not UTF-8: Python names the path with the lone surrogate U+DCE9
+        root = tmp_path / "ds"
+        make_pgm_tree(root, n_classes=1, per_class=1, seed=6)
+        (root / source).rename(root / target)
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(root, resize_to=(9, 9))
+
     @pytest.mark.parametrize("target", [(10, 9), (9, 10), (0, 9), (2, 2)])
     def test_rejects_bad_resize_target(self, tmp_path, target):
         root = tmp_path / "ds"
