@@ -11,21 +11,21 @@ kernel rows straight from the Gram matrix. Prediction reads a flat
 store of every machine's support entries (owner machine, row,
 coefficient), so one kernel row and one weighted bincount give all
 decision values, and bincounts tally the vote. Both models round-trip
-through a line-oriented text format that stores every training vector's
-exact bits, so no prediction changes.
+through a line-oriented text format that stores the exact bits of every
+array the model holds, so no prediction changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice, repeat, takewhile
+from itertools import combinations, takewhile
 from typing import Sequence
 
 import numpy as np
 
 from .options import DISTANCES, check_label, check_svm_settings
 
-MODEL_FORMAT = "nblgc-model 3"
+MODEL_FORMAT = "nblgc-model 4"
 _REAL = "%.17g"  # 17 significant digits: exact float round-trip
 
 
@@ -364,72 +364,75 @@ def svm_predict(model: SvmModel, query) -> str:
 # --- model text format -------------------------------------------------
 #
 # Line 1 is the format tag, line 2 the model kind, then "name value"
-# settings, then tab-separated records. KNN: one "sample <label> <row>"
-# record per training row. SVM: the classes, one "vector <row>" record per
-# training row, then per machine, in pair order, its record and one
-# "sv <index> <coefficient>" record per support vector. A row is one field,
-# the base64 (RFC 4648) of its values as little-endian float64; the
-# settings, biases and coefficients are _REAL: 17 significant digits in
-# plain ASCII decimal reproduce every float.
+# settings, then tab-separated records: the names (KNN: "labels", one per
+# row; SVM: "classes"), one "vector" record per training row and, for the
+# SVM, one record per array of its store, in _STORE order. An array is one
+# field, the base64 (RFC 4648) of its little-endian 8-byte values. The
+# settings are _REAL: 17 significant digits in plain ASCII decimal
+# reproduce every float.
+
+_STORE = {"biases": "<f8", "sv_coef": "<f8", "sv_count": "<i8", "sv_index": "<i8"}
 
 
-def _format_rows(heads, matrix: np.ndarray) -> list[str]:
-    """One record per row of matrix: its head, a tab, then the row as base64 of little-endian float64."""
+def _record(name: str, values, dtype: str = "<f8") -> str:
+    """name, a tab, then values as base64 of their dtype bytes."""
     from base64 import b64encode  # only a model file needs it: CLI commands never import it
 
-    rows = np.ascontiguousarray(matrix, dtype="<f8")
-    return [head + "\t" + b64encode(row).decode("ascii") for head, row in zip(heads, rows)]
+    return name + "\t" + b64encode(np.ascontiguousarray(values, dtype=dtype)).decode("ascii")
 
 
-def _parse_rows(tag: str, texts: list[str], ragged: str) -> np.ndarray:
-    """The matrix whose rows the tag records' texts hold, as _format_rows
-    writes them. Raises ValueError naming the record if a text is not
-    strict base64 or holds no whole float64, ValueError(ragged) if rows
-    differ in length."""
+def _unpack(name: str, text: str, dtype: str = "<f8") -> np.ndarray:
+    """The read-only 1-D array that _record wrote as text. Raises
+    ValueError with name if text is not strict base64 or holds no whole
+    number of 8-byte values."""
     from base64 import b64decode
 
-    rows = []
-    for number, text in enumerate(texts, 1):
-        try:
-            row = b64decode(text, validate=True)  # only alphabet characters, padding only at the end
-        except ValueError as err:  # binascii.Error, or a non-ASCII character
-            raise ValueError(f"{tag} record {number} is not base64: {err}") from None
-        if not row or len(row) % 8:
-            raise ValueError(f"{tag} record {number} holds {len(row)} bytes, not one or more float64 values")
-        rows.append(row)
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError(ragged)
-    if not rows:
-        return np.empty((0, 0))
-    return np.frombuffer(b"".join(rows), dtype="<f8").reshape(len(rows), -1)  # read-only: the models copy it
+    try:
+        data = b64decode(text, validate=True)  # only alphabet characters, padding only at the end
+    except ValueError as err:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{name} is not base64: {err}") from None
+    if len(data) % 8:
+        raise ValueError(f"{name} holds {len(data)} bytes, not whole 8-byte values")
+    return np.frombuffer(data, dtype=dtype)
+
+
+def _parse_rows(tag: str, texts: list[str]) -> np.ndarray:
+    """The matrix whose rows the tag records' texts hold. Raises
+    ValueError naming the record if a row is malformed or empty, or if
+    rows differ in length."""
+    rows = [_unpack(f"{tag} record {number}", text) for number, text in enumerate(texts, 1)]
+    if empty := next((number for number, row in enumerate(rows, 1) if not row.size), None):
+        raise ValueError(f"{tag} record {empty} holds no values")
+    if len({row.size for row in rows}) > 1:
+        raise ValueError(f"{tag} records differ in length")
+    return np.stack(rows) if rows else np.empty((0, 0))  # the models copy and check it
 
 
 def save_model(model: KnnModel | SvmModel, path) -> None:
     """Write model as text; raises ValueError, writing nothing, on a label
     that check_label refuses."""
-    lines = [MODEL_FORMAT]
     if isinstance(model, KnnModel):
-        lines += ["kind knn", f"neighbors_k {model.neighbors_k}", f"distance {model.distance}"]
-        lines += _format_rows(["sample\t" + check_label(s.label) for s in model.training], model.matrix)
+        lines = ["kind knn", f"neighbors_k {model.neighbors_k}", f"distance {model.distance}",
+                 "\t".join(["labels", *(check_label(s.label) for s in model.training)])]
+        matrix, store = model.matrix, []
     elif isinstance(model, SvmModel):
-        lines += ["kind svm", f"degree {model.degree}", f"C {_REAL % model.c}", f"offset {_REAL % model.offset}",
-                  f"tol {_REAL % model.tol}", "classes\t" + "\t".join(check_label(c) for c in model.classes)]
-        lines += _format_rows(repeat("vector"), model.vectors)
-        entries = zip(model.sv_index.tolist(), model.sv_coef.tolist())  # machine after machine
-        sv = "sv\t%d\t" + _REAL
-        for (pos, neg), bias, n in zip(combinations(model.classes, 2), model.biases.tolist(), model.sv_count.tolist()):
-            lines.append(f"machine\t{pos}\t{neg}\t{_REAL % bias}\t{n}")
-            lines += [sv % entry for entry in islice(entries, n)]
+        lines = ["kind svm", f"degree {model.degree}", f"C {_REAL % model.c}", f"offset {_REAL % model.offset}",
+                 f"tol {_REAL % model.tol}", "\t".join(["classes", *map(check_label, model.classes)])]
+        matrix, store = model.vectors, [_record(name, getattr(model, name), dtype) for name, dtype in _STORE.items()]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    lines = [MODEL_FORMAT, *lines, *(_record("vector", row) for row in matrix), *store]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> KnnModel | SvmModel:
     """Read a model that save_model wrote; raises ValueError on any malformed file."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path} is not UTF-8 text: {err}") from None
     if not lines or lines[0] != MODEL_FORMAT:
         raise ValueError(f"{path} is not a recognized model file")
     pos = 1 + sum(1 for _ in takewhile(lambda line: "\t" not in line, lines[1:]))
@@ -440,41 +443,29 @@ def load_model(path) -> KnnModel | SvmModel:
         fields[name] = value
     try:
         return _parse_model(fields, lines[pos:])
-    except (KeyError, IndexError) as err:
-        raise ValueError(f"{path}: missing field or value {err}") from None
+    except KeyError as err:
+        raise ValueError(f"{path}: missing setting {err}") from None
 
 
 def _parse_model(fields: dict[str, str], lines: list[str]) -> KnnModel | SvmModel:
     kind = fields.get("kind")
-    if kind == "knn":
-        records = [line.split("\t", 2) for line in lines]  # tag, label, values
-        if unexpected := [tag for tag, *_ in records if tag != "sample"]:
-            raise ValueError(f"unexpected record {unexpected[0]!r} in knn model")
-        matrix = _parse_rows("sample", [parts[2] for parts in records], "training vectors must share one dimension")
-        training = tuple(LabeledSample(row, parts[1]) for row, parts in zip(matrix, records))
-        return KnnModel(training, int(fields["neighbors_k"]), fields["distance"])
-    if kind != "svm":
+    if kind not in ("knn", "svm"):
         raise ValueError(f"unknown model kind {kind!r}")
-    tag, *classes = lines[0].split("\t") if lines else [None]
-    if tag != "classes":
-        raise ValueError("svm model has no classes record")
+    names_tag = "labels" if kind == "knn" else "classes"
+    tag, *names = lines[0].split("\t") if lines else [None]
+    if tag != names_tag:
+        raise ValueError(f"{kind} model has no {names_tag} record")
     end = 1 + sum(1 for _ in takewhile(lambda line: line.startswith("vector\t"), lines[1:]))
-    vectors = _parse_rows("vector", [line[len("vector\t"):] for line in lines[1:end]],
-                          "vector records differ in length")
-    records = iter([line.split("\t") for line in lines[end:]])
-    heads, svs = [], []
-    for head in records:  # a machine record, then its sv records
-        if head[0] != "machine" or len(head) != 5:
-            raise ValueError(f"unexpected record {head[0]!r} in svm model")
-        machine_svs = list(islice(records, max(int(head[4]), 0)))
-        if len(machine_svs) != int(head[4]) or any(r[0] != "sv" or len(r) != 3 for r in machine_svs):
-            raise ValueError(f"machine {head[1]}/{head[2]} is not followed by {head[4]} sv records")
-        heads.append(head)
-        svs += machine_svs
-    model = SvmModel(classes, vectors, [int(m[4]) for m in heads], [int(r[1]) for r in svs],
-                     [float(r[2]) for r in svs], [float(m[3]) for m in heads], int(fields["degree"]),
-                     float(fields["C"]), float(fields["offset"]), float(fields["tol"]))
-    for b, (m, pair) in enumerate(zip(heads, combinations(model.classes, 2))):
-        if (m[1], m[2]) != pair:  # machine b must be class pair b, in that orientation
-            raise ValueError(f"machine {b} is {m[1]}/{m[2]}, not the class pair {pair[0]}/{pair[1]}")
-    return model
+    vectors = _parse_rows("vector", [line[len("vector\t"):] for line in lines[1:end]])
+    store = [line.split("\t") for line in lines[end:]]
+    if kind == "knn":
+        if store:
+            raise ValueError(f"unexpected record {store[0][0]!r} in knn model")
+        if len(names) != len(vectors):
+            raise ValueError(f"knn model has {len(names)} labels for {len(vectors)} vectors")
+        return KnnModel(tuple(map(LabeledSample, vectors, names)), int(fields["neighbors_k"]), fields["distance"])
+    if [parts[0] for parts in store] != list(_STORE) or any(len(parts) != 2 for parts in store):
+        raise ValueError("svm model must end with the records " + ", ".join(_STORE) + ", one field each")
+    arrays = {name: _unpack(f"{name} record", text, dtype) for (name, text), dtype in zip(store, _STORE.values())}
+    return SvmModel(names, vectors, degree=int(fields["degree"]), c=float(fields["C"]),
+                    offset=float(fields["offset"]), tol=float(fields["tol"]), **arrays)

@@ -23,7 +23,7 @@ from .evaluation import (
     write_report_csv,
     write_roc_csv,
 )
-from .features import _write_rows, extract_dataset
+from .features import extract_dataset, write_features_csv
 from .options import ContourVariant, FuzzifierRef, _config_echo
 from .options import main, run  # noqa: F401  (nblgc.cli.main and nblgc.cli:run stay entry points)
 
@@ -61,8 +61,9 @@ def _split_spec(cfg: argparse.Namespace) -> SplitSpec:
 def cmd_extract(cfg: argparse.Namespace) -> None:
     paths, labels, matrix = _load_samples(cfg)
     out_path = cfg.out / "features.csv"
-    _write_rows(out_path, matrix.shape[1],
-                ((p, label, cfg.variant, cfg.ref, row) for p, label, row in zip(paths, labels, matrix)))
+    variant, ref = ContourVariant(cfg.variant), FuzzifierRef(cfg.ref)
+    write_features_csv(out_path, [(p, label, variant, ref, row) for p, label, row in zip(paths, labels, matrix)],
+                       matrix.shape[1])
     print(f"wrote {len(paths)} feature rows to {out_path}")
 
 

@@ -169,10 +169,23 @@ def extract_dataset(
     return list(paths), list(labels), matrix, notices
 
 
-def _write_rows(path, n_features: int, rows: Iterable[tuple[str, str, str, str, np.ndarray]]) -> None:
-    """Write the feature CSV: a header, then per (source path, class
-    label, variant value, ref value, values) row the csv-quoted text
-    fields and the values with FLOAT_DIGITS significant digits."""
+def write_features_csv(
+    path,
+    rows: Iterable[tuple[str, str, ContourVariant, FuzzifierRef, np.ndarray]],
+    n_features: int | None = None,
+) -> None:
+    """Write (source path, class label, variant, ref, values) rows, as
+    read_features_csv returns them, as CSV.
+
+    Header is path,class,variant,ref,v0..v{n-1}; text fields are
+    csv-quoted and values carry FLOAT_DIGITS significant digits.
+    n_features sizes the header when rows is empty.
+    """
+    rows = list(rows)
+    if rows:
+        n_features = len(rows[0][4])
+    elif n_features is None:
+        raise ValueError("n_features is required when there are no rows")
     values = f",%.{FLOAT_DIGITS}g" * n_features + "\n"
     # csv quotes a field by what its line terminator holds, so each row's text fields
     # are written with the real "\n" into a buffer, which is then cut before the values
@@ -185,32 +198,14 @@ def _write_rows(path, n_features: int, rows: Iterable[tuple[str, str, str, str, 
                 raise ValueError("inconsistent feature vector lengths")
             text.seek(0)
             text.truncate()
-            writer.writerow([source, label, variant, ref])
+            writer.writerow([source, label, variant.value, ref.value])
             fh.write(text.getvalue()[:-1] + values % tuple(vals.tolist()))
 
 
-def write_features_csv(
-    path,
-    rows: Iterable[tuple[str, str, FeatureVector]],
-    n_features: int | None = None,
-) -> None:
-    """Write (source path, class label, features) rows as CSV.
-
-    Header is path,class,variant,ref,v0..v{n-1}; values carry 12
-    significant digits. n_features sizes the header when rows is empty.
-    """
-    rows = list(rows)
-    if rows:
-        n_features = len(rows[0][2])
-    elif n_features is None:
-        raise ValueError("n_features is required when there are no rows")
-    _write_rows(path, n_features,
-                ((source, label, fv.variant.value, fv.ref.value, fv.values) for source, label, fv in rows))
-
-
 def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef, np.ndarray]]:
-    """Read back a feature CSV written by write_features_csv. The variant
-    and ref columns must hold the exact values it writes (g1, avg, ...)."""
+    """Read back a feature CSV written by write_features_csv, as the rows
+    it takes. The variant and ref columns must hold the exact values it
+    writes (g1, avg, ...)."""
     out = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

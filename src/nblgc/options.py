@@ -183,6 +183,13 @@ def _path(value) -> Path:
     return Path(value)
 
 
+def _data_root(value) -> Path:
+    root = _path(value)
+    if not is_utf8(value):  # the CSVs and config.json echo the data root, and they are UTF-8
+        raise ValueError("wants a path that is UTF-8")
+    return root
+
+
 def _resize(value) -> str:
     try:
         w, h = (int(n) for n in value.lower().split("x"))
@@ -213,7 +220,7 @@ _FIT = ("evaluate", "kfold")
 _SPLIT = ("evaluate", "roc")
 
 OPTIONS = (
-    Option("data", _path, None, _ALL, "dataset root: one subdirectory per class, PGM images inside"),
+    Option("data", _data_root, None, _ALL, "dataset root: one subdirectory per class, PGM images inside"),
     Option("resize", _resize, "63x63", _ALL, f"resize target WxH, multiples of 3, <= {MAX_RESIZE_PIXELS} pixels"),
     Option("variant", _choice(*(v.value for v in ContourVariant)), "g1", _ALL,
            "gradient contour variant: g1, g2 or g3"),

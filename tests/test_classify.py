@@ -38,9 +38,19 @@ def flat_svm(classes, vectors, machines, degree=1, offset=1.0):
                     [bias for _, _, bias in machines], degree, 1.0, offset, 1e-3)
 
 
-def b64(values):
-    """A row as a model file stores it: the base64 of its little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def b64(values, dtype="<f8"):
+    """An array as a model file stores it: the base64 of its little-endian 8-byte values."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+STORE = {"biases": "<f8", "sv_coef": "<f8", "sv_count": "<i8", "sv_index": "<i8"}  # svm store records, in order
+
+
+def assert_same_svm(a, b):
+    """Every array of two SVM models is bit-equal, with the same dtype kind."""
+    for name in ("vectors", *STORE):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype.kind == y.dtype.kind and x.tobytes() == y.tobytes(), name
 
 
 def distance(a, b, kind="log"):
@@ -634,10 +644,7 @@ class TestModelSerialization:
         assert (loaded.degree, loaded.c, loaded.offset) == (2, 1.5, 0.5)
         assert np.array_equal(loaded.vectors.view(np.int64), model.vectors.view(np.int64))
         assert path.read_text().count("\nvector\t") == len(train)
-        for ma, mb in zip(model.machines, loaded.machines):
-            assert np.array_equal(ma.coefficients, mb.coefficients)
-            assert np.array_equal(ma.indices, mb.indices)
-            assert ma.bias == mb.bias
+        assert_same_svm(model, loaded)
         for _ in range(20):
             q = rng.normal(size=5)
             assert svm_predict(loaded, q) == svm_predict(model, q)
@@ -691,8 +698,10 @@ class TestModelSerialization:
         model = flat_svm(("a", "b"), np.zeros((1, 1)), [([], [], -0.75)])
         path = tmp_path / "deg.model"
         save_model(model, path)
+        assert path.read_text().endswith("\nsv_coef\t\nsv_count\tAAAAAAAAAAA=\nsv_index\t\n")
         loaded = load_model(path)
-        assert loaded.machines[0].bias == -0.75
+        assert_same_svm(model, loaded)
+        assert loaded.biases.tolist() == [-0.75] and loaded.sv_index.size == loaded.sv_coef.size == 0
         assert svm_predict(loaded, [5.0]) == "b"
 
     def test_svm_file_bytes(self, tmp_path):
@@ -700,13 +709,14 @@ class TestModelSerialization:
                          [0.5, -0.25, 1 / 3], [0.1, -2.0, 3.0], 2, 1.0, 0.5, 1e-3)
         path = tmp_path / "svm.model"
         save_model(model, path)
-        # rows [0, 1], [2.5, -3] and [0.1, 1e-7] as base64 of little-endian float64
+        # rows [0, 1], [2.5, -3] and [0.1, 1e-7], biases [0.1, -2, 3] and coefficients
+        # [0.5, -0.25, 1/3] as base64 of little-endian float64; counts [2, 0, 1] and
+        # indices [0, 1, 2] as base64 of little-endian int64
         assert path.read_bytes() == (
-            b"nblgc-model 3\nkind svm\ndegree 2\nC 1\noffset 0.5\ntol 0.001\nclasses\ta\tb\tc\n"
+            b"nblgc-model 4\nkind svm\ndegree 2\nC 1\noffset 0.5\ntol 0.001\nclasses\ta\tb\tc\n"
             b"vector\tAAAAAAAAAAAAAAAAAADwPw==\nvector\tAAAAAAAABEAAAAAAAAAIwA==\nvector\tmpmZmZmZuT9Ir7ya8td6Pg==\n"
-            b"machine\ta\tb\t0.10000000000000001\t2\nsv\t0\t0.5\nsv\t1\t-0.25\n"
-            b"machine\ta\tc\t-2\t0\n"
-            b"machine\tb\tc\t3\t1\nsv\t2\t0.33333333333333331\n"
+            b"biases\tmpmZmZmZuT8AAAAAAAAAwAAAAAAAAAhA\nsv_coef\tAAAAAAAA4D8AAAAAAADQv1VVVVVVVdU/\n"
+            b"sv_count\tAgAAAAAAAAAAAAAAAAAAAAEAAAAAAAAA\nsv_index\tAAAAAAAAAAABAAAAAAAAAAIAAAAAAAAA\n"
         )
 
     def test_knn_file_bytes(self, tmp_path):
@@ -716,15 +726,33 @@ class TestModelSerialization:
         save_model(model, path)
         # the fourth row, [-0, 5e-324], keeps the sign bit and the smallest subnormal
         assert path.read_bytes() == (
-            b"nblgc-model 3\nkind knn\nneighbors_k 2\ndistance euclidean\n"
-            b"sample\ta\tAAAAAAAAAAAAAAAAAADwPw==\nsample\tb\tAAAAAAAABEAAAAAAAAAIwA==\n"
-            b"sample\ta b\tmpmZmZmZuT9Ir7ya8td6Pg==\nsample\tb\tAAAAAAAAAIABAAAAAAAAAA==\n"
+            b"nblgc-model 4\nkind knn\nneighbors_k 2\ndistance euclidean\nlabels\ta\tb\ta b\tb\n"
+            b"vector\tAAAAAAAAAAAAAAAAAADwPw==\nvector\tAAAAAAAABEAAAAAAAAAIwA==\n"
+            b"vector\tmpmZmZmZuT9Ir7ya8td6Pg==\nvector\tAAAAAAAAAIABAAAAAAAAAA==\n"
         )
 
     def test_refuses_a_format_2_file(self, tmp_path):
         path = tmp_path / "old.model"
         path.write_text("nblgc-model 2\nkind knn\nneighbors_k 1\ndistance log\nsample\ta\t0\t1\n")
         with pytest.raises(ValueError, match="not a recognized model file") as err:
+            load_model(path)
+        assert type(err.value) is ValueError
+
+    def test_refuses_a_format_3_file(self, tmp_path):
+        path = tmp_path / "old.model"
+        path.write_text("nblgc-model 3\nkind knn\nneighbors_k 1\ndistance log\nsample\ta\tAAAAAAAA8D8=\n")
+        with pytest.raises(ValueError, match="not a recognized model file") as err:
+            load_model(path)
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_bytes_that_are_not_utf8_are_a_value_error(self, tmp_path, kind):
+        # a label stored as the byte 0xe9 alone: no UTF-8 text holds it
+        pairs = [([0.0], "a"), ([1.0], "b")]
+        path = tmp_path / "bad.model"
+        save_model(KnnModel(tuple(samples(pairs))) if kind == "knn" else svm_train(samples(pairs)), path)
+        path.write_bytes(path.read_bytes().replace(b"\tb\n", b"\t\xe9\n", 1))
+        with pytest.raises(ValueError, match="bad.model is not UTF-8 text") as err:
             load_model(path)
         assert type(err.value) is ValueError
 
@@ -737,25 +765,28 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2
 
 
 class TestModelNumbers:
-    """Rows travel as their float64 bits; settings, biases and coefficients as %.17g, read back with float()."""
+    """Arrays travel as their 8-byte bits; settings as %.17g, read back with float()."""
 
     def test_writer_matches_str_format_on_edge_values(self, tmp_path):
         assert all(Decimal(t).as_tuple().digits[17:] == (5,) for t in _TIES)
-        text = ["{:.17g}".format(v) for v in _EDGE_VALUES]
-        n = len(text)
+        n = len(_EDGE_VALUES)
         knn = KnnModel((LabeledSample(_EDGE_VALUES, "a"),))
         svm = SvmModel(("a", "b"), [_EDGE_VALUES], [n], [0] * n, _EDGE_VALUES, [-0.0], 1, 1.0, -0.0, 5e-324)
         bits = np.array([_EDGE_VALUES]).view(np.int64)
         path = tmp_path / "edge.model"
         save_model(knn, path)
-        assert path.read_text().splitlines()[-1] == f"sample\ta\t{b64(_EDGE_VALUES)}"
+        assert path.read_text().splitlines()[-2:] == ["labels\ta", f"vector\t{b64(_EDGE_VALUES)}"]
         assert np.array_equal(load_model(path).matrix.view(np.int64), bits)
+        for value in (svm.offset, svm.tol, *_EDGE_VALUES):  # every setting is written as str.format writes it
+            save_model(replace(svm, offset=value), path)
+            assert path.read_text().splitlines()[4] == "offset {:.17g}".format(value)
         save_model(svm, path)
         lines = path.read_text().splitlines()
         assert lines[4:6] == ["offset -0", "tol 4.9406564584124654e-324"]
-        assert lines[7:9] == [f"vector\t{b64(_EDGE_VALUES)}", f"machine\ta\tb\t-0\t{n}"]
-        assert lines[9:] == [f"sv\t0\t{value}" for value in text]
+        assert lines[7:] == [f"vector\t{b64(_EDGE_VALUES)}", f"biases\t{b64([-0.0])}", f"sv_coef\t{b64(_EDGE_VALUES)}",
+                             f"sv_count\t{b64([n], '<i8')}", f"sv_index\t{b64([0] * n, '<i8')}"]
         loaded = load_model(path)
+        assert_same_svm(svm, loaded)
         assert np.array_equal(loaded.vectors.view(np.int64), bits)
         assert np.array_equal(loaded.sv_coef.view(np.int64), bits[0])
         assert math.copysign(1.0, loaded.biases[0]) == math.copysign(1.0, loaded.offset) == -1.0
@@ -768,18 +799,23 @@ class TestModelNumbers:
             "2.2250738585072011e-308", "1.7976931348623158e308", "9007199254740993", "0.30000000000000004",
             "1250000000000000.25", "+1.5", "1E5", "123456789012345678901234567890", ".5", "5."]
         values = [float(v) for v in strings]
-        # the row travels as bits; on svm, each value is also a coefficient, read back with float()
-        body = (f"kind knn\nneighbors_k 1\ndistance log\nsample\ta\t{b64(values)}\n" if kind == "knn" else
-                f"kind svm\ndegree 1\nC 1\noffset 1\ntol 0.001\nclasses\ta\tb\nvector\t{b64(values)}\n"
-                f"machine\ta\tb\t0\t{len(strings)}\n" + "".join(f"sv\t0\t{v}\n" for v in strings))
+        n = len(values)
+        body = (f"kind knn\nneighbors_k 1\ndistance log\nlabels\ta\nvector\t{b64(values)}\n" if kind == "knn" else
+                f"kind svm\ndegree 1\nC 1\noffset {{}}\ntol 0.001\nclasses\ta\tb\nvector\t{b64(values)}\n"
+                f"biases\t{b64([0.0])}\nsv_coef\t{b64(values)}\nsv_count\t{b64([n], '<i8')}\n"
+                f"sv_index\t{b64([0] * n, '<i8')}\n")
         path = tmp_path / "hand.model"
-        path.write_text("nblgc-model 3\n" + body)
-        loaded = load_model(path)
         bits = np.array([values]).view(np.int64)
-        stored = loaded.matrix if kind == "knn" else loaded.vectors
-        assert np.array_equal(stored.view(np.int64), bits)
-        if kind == "svm":
-            assert np.array_equal(loaded.sv_coef[None].view(np.int64), bits)
+        # the row travels as bits; on svm, so do the coefficients, and the offset setting
+        # takes each string in turn, read back with float()
+        for string, value in zip(strings, values):
+            path.write_text("nblgc-model 4\n" + body.format(string))
+            loaded = load_model(path)
+            stored = loaded.matrix if kind == "knn" else loaded.vectors
+            assert np.array_equal(stored.view(np.int64), bits)
+            if kind == "svm":
+                assert np.array_equal(loaded.sv_coef[None].view(np.int64), bits)
+                assert loaded.offset == value and math.copysign(1.0, loaded.offset) == math.copysign(1.0, value)
 
     @pytest.mark.parametrize("kind", ["knn", "svm"])
     def test_save_load_save_is_byte_stable_at_benchmark_size(self, tmp_path, kind):
@@ -792,11 +828,13 @@ class TestModelNumbers:
         loaded = load_model(first)
         save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
-        stored, reloaded = (m.matrix if kind == "knn" else m.vectors for m in (model, loaded))
-        assert np.array_equal(stored.view(np.int64), reloaded.view(np.int64))
+        if kind == "knn":
+            assert loaded.matrix.tobytes() == model.matrix.tobytes()
+            assert [s.label for s in loaded.training] == [s.label for s in model.training]
+        else:
+            assert_same_svm(model, loaded)
         # 441 float64 values are 3528 bytes, 4704 base64 characters with no padding
-        tag = "sample" if kind == "knn" else "vector"
-        rows = [line.rsplit("\t", 1)[1] for line in first.read_text().splitlines() if line.startswith(tag + "\t")]
+        rows = [line[len("vector\t"):] for line in first.read_text().splitlines() if line.startswith("vector\t")]
         assert len(rows) == 280 and {len(row) for row in rows} == {4704}
 
 
@@ -810,29 +848,37 @@ def _svm_model_lines(tmp_path):
 
 
 def _edit(lines, tag, field, value):
-    """Set parts[field] of the first record tagged tag to value(parts[field]),
-    dropping it when that is None. Tag 'owner' picks the machine record that
-    owns the first support vector."""
-    first_sv = next(i for i, line in enumerate(lines) if line.startswith("sv\t"))
-    if tag == "owner":
-        at = max(i for i in range(first_sv) if lines[i].startswith("machine\t"))
-    else:
-        at = next(i for i, line in enumerate(lines) if line.startswith(tag + "\t"))
+    """Set parts[field] of the first record tagged tag to value(parts[field])."""
+    at = next(i for i, line in enumerate(lines) if line.startswith(tag + "\t"))
     parts = lines[at].split("\t")
     parts[field] = value(parts[field])
-    parts = [part for part in parts if part is not None]
     return lines[:at] + ["\t".join(parts)] + lines[at + 1 :]
 
 
-def _row(text):
-    """The values of a base64 row."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+def _row(text, dtype="<f8"):
+    """The values of a base64 array."""
+    return np.frombuffer(base64.b64decode(text), dtype=dtype)
 
 
-def _swap_first_machines(lines):
-    """The first two machine records, each with its sv records, in swapped order."""
-    first, second, third = [i for i, line in enumerate(lines) if line.startswith("machine\t")][:3]
-    return lines[:first] + lines[second:third] + lines[first:second] + lines[third:]
+def _store(name, change):
+    """An edit that sets the store record name to change(its values), written as save_model writes it."""
+    return lambda lines: _edit(lines, name, 1, lambda text: b64(change(_row(text, STORE[name])), STORE[name]))
+
+
+def _swap(first, second):
+    """An edit that swaps the records tagged first and second."""
+    def edit(lines):
+        i, j = (next(k for k, line in enumerate(lines) if line.startswith(tag + "\t")) for tag in (first, second))
+        lines = list(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+        return lines
+    return edit
+
+
+def _one_class(lines):
+    """One class and an empty store: no machines at all."""
+    return ["classes\tc0" if line.startswith("classes\t") else
+            line.split("\t")[0] + "\t" if line.startswith(tuple(STORE)) else line for line in lines]
 
 
 def _setting(name, *values):
@@ -843,16 +889,27 @@ def _setting(name, *values):
     return edit
 
 
+_STORE_ORDER = "must end with the records biases, sv_coef, sv_count, sv_index, one field each"
 _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
-    "missing header field": (lambda ls: [line for line in ls if not line.startswith("tol ")],
-                             "missing field or value 'tol'"),
-    "sv index past vectors": (lambda ls: _edit(ls, "sv", 1, lambda v: "18"), "index outside vectors"),
-    "negative sv index": (lambda ls: _edit(ls, "sv", 1, lambda v: "-1"), "index outside vectors"),
-    "bad coefficient": (lambda ls: _edit(ls, "sv", 2, lambda v: "x"), "could not convert"),
-    "count above records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) + 1)), "not followed by"),
-    "count below records": (lambda ls: _edit(ls, "owner", 4, lambda v: str(int(v) - 1)), "unexpected record 'sv'"),
+    "missing header field": (lambda ls: [line for line in ls if not line.startswith("tol ")], "missing setting 'tol'"),
+    "sv index past vectors": (_store("sv_index", lambda a: np.r_[18, a[1:]]), "index outside vectors"),
+    "negative sv index": (_store("sv_index", lambda a: np.r_[-1, a[1:]]), "index outside vectors"),
+    "bad coefficient": (lambda ls: _edit(ls, "sv_coef", 1, lambda v: "!" + v[1:]), "sv_coef record is not base64"),
+    "coefficients of 12 bytes": (lambda ls: _edit(ls, "sv_coef", 1, lambda v: v[:16]),
+                                 "sv_coef record holds 12 bytes, not whole 8-byte values"),
+    "nan coefficient": (_store("sv_coef", lambda a: np.r_[np.nan, a[1:]]), "coefficients and bias must be finite"),
+    "inf bias": (_store("biases", lambda a: np.r_[np.inf, a[1:]]), "coefficients and bias must be finite"),
+    "count above records": (_store("sv_count", lambda a: np.r_[a[0] + 1, a[1:]]), "sv_count needs"),
+    "count below records": (_store("sv_count", lambda a: np.r_[a[0] - 1, a[1:]]), "sv_count needs"),
+    "too few biases": (_store("biases", lambda a: a[:-1]), "2 machines for 3 classes"),
+    "too many biases": (_store("biases", lambda a: np.r_[a, 0.0]), "4 machines for 3 classes"),
+    "store record missing": (lambda ls: [line for line in ls if not line.startswith("sv_index\t")], _STORE_ORDER),
+    "store records reordered": (_swap("sv_count", "sv_index"), _STORE_ORDER),
+    "store record with an extra field": (lambda ls: _edit(ls, "biases", 1, lambda v: v + "\t" + v), _STORE_ORDER),
+    "record after the store": (lambda ls: ls + [next(line for line in ls if line.startswith("vector\t"))],
+                               _STORE_ORDER),
     # each vector row is 3 float64 values: 24 bytes, 32 base64 characters with no padding
-    "short vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64(_row(v)[:2])), "differ in length"),
+    "short vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64(_row(v)[:2])), "vector records differ in length"),
     "vector with an extra field": (lambda ls: _edit(ls, "vector", 1, lambda v: v + "\t" + v),
                                    "vector record 1 is not base64"),
     "non-numeric vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "x"), "vector record 1 is not base64"),
@@ -866,26 +923,14 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "non-ASCII digits in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "\u0967" + v[1:]),
                                            "vector record 1 is not base64"),
     "vector of 12 bytes": (lambda ls: _edit(ls, "vector", 1, lambda v: v[:16]),
-                           "vector record 1 holds 12 bytes, not one or more float64 values"),
+                           "vector record 1 holds 12 bytes, not whole 8-byte values"),
     "vectors without values": (lambda ls: ["vector\t" if line.startswith("vector\t") else line for line in ls],
-                               "vector record 1 holds 0 bytes"),
+                               "vector record 1 holds no values"),
     "nan in a vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64([0.0, np.nan, 0.0])), "vectors must be a finite"),
     "inf in a vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64([0.0, 0.0, -np.inf])), "vectors must be a finite"),
-    "label not in classes": (lambda ls: _edit(ls, "machine", 1, lambda v: "c9"), "machine 0 is c9/c1, not the class pair"),
-    "cut at a machine boundary": (
-        lambda ls: ls[: max(i for i, line in enumerate(ls) if line.startswith("machine\t"))],
-        "2 machines for 3 classes"),
     "no classes record": (lambda ls: [line for line in ls if not line.startswith("classes\t")], "no classes record"),
-    "one class, no machines": (
-        lambda ls: [line if not line.startswith("classes\t") else "classes\tc0"
-                    for line in ls if not line.startswith(("machine\t", "sv\t"))],
-        "at least two classes"),
+    "one class, no machines": (_one_class, "at least two classes"),
     "class label twice": (lambda ls: _edit(ls, "classes", 2, lambda v: "c0"), "class labels must be distinct"),
-    "machine label twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c0"), "machine 0 is c0/c0, not the class pair"),
-    "class pair twice": (lambda ls: _edit(ls, "machine", 2, lambda v: "c2"), "machine 0 is c0/c2, not the class pair"),
-    "machines swapped": (_swap_first_machines, "machine 0 is c0/c2, not the class pair c0/c1"),
-    "labels flipped": (lambda ls: _edit(_edit(ls, "machine", 1, lambda v: "c1"), "machine", 2, lambda v: "c0"),
-                       "machine 0 is c1/c0, not the class pair c0/c1"),
     "degree 0": (_setting("degree", 0), "degree must be 1 or 2"),
     "degree 3": (_setting("degree", 3), "degree must be 1 or 2"),
     "C -1": (_setting("C", -1), "C must be positive"),
@@ -906,18 +951,28 @@ def test_malformed_svm_model_is_a_value_error(tmp_path, corruption):
     assert type(err.value) is ValueError
 
 
-@pytest.mark.parametrize("record, message", [
-    ("sample\tb\t" + b64([1.0]), "training vectors must share one dimension"),
-    ("sample\tb\t" + b64([1.0, 2.0]) + "\tx", "sample record 2 is not base64"),
-    ("sample\tb\t", "sample record 2 holds 0 bytes"),
-    ("sample\tb\t" + b64([1.0, np.nan]), "vector must be finite"),
-    ("sample\tb", "missing field or value"),
-    ("vector\t1\t2", "unexpected record 'vector' in knn model"),
-])
-def test_malformed_knn_model_is_a_value_error(tmp_path, record, message):
+_KNN_CORRUPTIONS = {  # name: (edit of a saved two-sample file's lines, expected message)
+    "label without a vector": (lambda ls: ls[:-1], "knn model has 2 labels for 1 vectors"),
+    "vector without a label": (lambda ls: ["labels\ta" if line.startswith("labels\t") else line for line in ls],
+                               "knn model has 1 labels for 2 vectors"),
+    "no labels record": (lambda ls: [line for line in ls if not line.startswith("labels\t")], "no labels record"),
+    "short vector": (lambda ls: ls[:-1] + ["vector\t" + b64([1.0])], "vector records differ in length"),
+    "vector with an extra field": (lambda ls: ls[:-1] + ["vector\t" + b64([1.0, 2.0]) + "\tx"],
+                                   "vector record 2 is not base64"),
+    "vector without values": (lambda ls: ls[:-1] + ["vector\t"], "vector record 2 holds no values"),
+    "nan in a vector": (lambda ls: ls[:-1] + ["vector\t" + b64([1.0, np.nan])], "vector must be finite"),
+    "store record in a knn model": (lambda ls: ls + ["biases\t" + b64([0.0])], "unexpected record 'biases' in knn"),
+    "missing setting": (lambda ls: [line for line in ls if not line.startswith("neighbors_k ")],
+                        "missing setting 'neighbors_k'"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_KNN_CORRUPTIONS))
+def test_malformed_knn_model_is_a_value_error(tmp_path, corruption):
+    edit, message = _KNN_CORRUPTIONS[corruption]
     path = tmp_path / "bad.model"
-    save_model(KnnModel(tuple(samples([([0.0, 1.0], "a")]))), path)
-    path.write_text(path.read_text() + record + "\n")
+    save_model(KnnModel(tuple(samples([([0.0, 1.0], "a"), ([2.0, 3.0], "b")]))), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match=message) as err:
         load_model(path)
     assert type(err.value) is ValueError

@@ -8,7 +8,7 @@ import nblgc.cli as cli
 import nblgc.options as options
 from nblgc.classify import DISTANCES
 from nblgc.cli import main
-from nblgc.features import extract_dataset
+from nblgc.features import extract_dataset, read_features_csv, write_features_csv
 from conftest import run_python
 
 
@@ -51,6 +51,13 @@ class TestHappyPaths:
         assert echo["resize"] == "9x9"
         assert "out" not in echo and "workers" not in echo
         assert "wrote 24 feature rows" in capsys.readouterr().out
+
+    def test_features_csv_read_back_writes_the_same_bytes(self, small_tree, tmp_path):
+        # one writer: the library's write_features_csv, given what read_features_csv returns
+        out = tmp_path / "out"
+        assert run_cli(extract_args(small_tree, out)) == 0
+        write_features_csv(tmp_path / "again.csv", read_features_csv(out / "features.csv"))
+        assert (tmp_path / "again.csv").read_bytes() == (out / "features.csv").read_bytes()
 
     def test_evaluate(self, small_tree, tmp_path, capsys):
         out = tmp_path / "out"
@@ -393,6 +400,26 @@ class TestOptionValues:
     def test_line_break_in_data_path_is_usage(self, small_tree, tmp_path, capsys):
         assert run_cli(extract_args(f"{small_tree}\nx", tmp_path / "out")) == 1
         assert "line breaks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config key"])
+    def test_data_path_that_is_not_utf8_is_usage_before_any_file_is_read(self, small_tree, tmp_path, capsys,
+                                                                         monkeypatch, source):
+        # every output echoes the data root, and a lone surrogate (the byte 0xe9 alone) cannot be UTF-8
+        root = small_tree.rename(tmp_path / "d\udce9ta")
+        monkeypatch.setattr(cli, "extract_dataset", lambda *a: pytest.fail("the dataset was read"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(root)}))
+        argv = eval_args(root, tmp_path / "out") if source == "flag" else [
+            "evaluate", "--config", str(cfg), "--resize", "9x9", "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 1
+        assert "wants a path that is UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_path_that_is_not_utf8_is_accepted(self, small_tree, tmp_path):
+        # nothing echoes the output directory
+        out = tmp_path / "o\udce9t"
+        assert run_cli(extract_args(small_tree, out)) == 0
+        assert (out / "features.csv").is_file()
 
     def test_bad_class_label_is_data_error(self, small_tree, tmp_path, capsys):
         (small_tree / "s01").rename(small_tree / "s\t01")

@@ -32,6 +32,11 @@ VARIANTS = list(ContourVariant)
 REFS = list(FuzzifierRef)
 
 
+def csv_row(source, label, fv):
+    """A write_features_csv row: the shape read_features_csv returns."""
+    return source, label, fv.variant, fv.ref, fv.values
+
+
 def entropy_term(membership, contour):
     return float(entropy_features(np.array([membership]), np.array([contour]))[0])
 
@@ -247,7 +252,7 @@ class TestFeatureCsv:
         rng = np.random.default_rng(12)
         imgs = [GrayImage(rng.random((6, 6))) for _ in range(3)]
         rows = [
-            (f"/data/c{i}/img.pgm", f"c{i}", extract(img, ContourVariant.G2, FuzzifierRef.MAXIMUM))
+            csv_row(f"/data/c{i}/img.pgm", f"c{i}", extract(img, ContourVariant.G2, FuzzifierRef.MAXIMUM))
             for i, img in enumerate(imgs)
         ]
         path = tmp_path / "features.csv"
@@ -256,16 +261,16 @@ class TestFeatureCsv:
         assert header == "path,class,variant,ref," + ",".join(f"v{i}" for i in range(4))
         back = read_features_csv(path)
         assert [b[1] for b in back] == ["c0", "c1", "c2"]
-        for (src, label, fv), (bsrc, blabel, bvariant, bref, bvals) in zip(rows, back):
+        for (src, label, _, _, vals), (bsrc, blabel, bvariant, bref, bvals) in zip(rows, back):
             assert (src, label) == (bsrc, blabel)
             assert bvariant is ContourVariant.G2
             assert bref is FuzzifierRef.MAXIMUM
-            assert np.allclose(bvals, fv.values, rtol=1e-11, atol=1e-14)
+            assert np.allclose(bvals, vals, rtol=1e-11, atol=1e-14)
 
     def test_read_takes_the_exact_values_written(self, tmp_path):
         fv = FeatureVector(np.array([1.0]), ContourVariant.G2, FuzzifierRef.MAXIMUM, (1, 1))
         path = tmp_path / "f.csv"
-        write_features_csv(path, [("p", "c", fv)])
+        write_features_csv(path, [csv_row("p", "c", fv)])
         text = path.read_text()
         assert read_features_csv(path)[0][2:4] == (ContourVariant.G2, FuzzifierRef.MAXIMUM)
         for written, other in ((",g2,", ",G2,"), (",max,", ",MAX,"), (",max,", ", max,")):
@@ -281,7 +286,7 @@ class TestFeatureCsv:
             (1, 2),
         )
         path = tmp_path / "f.csv"
-        write_features_csv(path, [("p", "c", fv)])
+        write_features_csv(path, [csv_row("p", "c", fv)])
         row = path.read_text().splitlines()[1]
         assert row.endswith("0.123456789012,33.3333333333")
 
@@ -290,7 +295,7 @@ class TestFeatureCsv:
                            -1.7976931348623157e308, 1 / 3, 1e-5, 123456789012.5, 1234567890.125, 7.0, 1e15])
         fv = FeatureVector(values, ContourVariant.G1, FuzzifierRef.AVERAGE, (1, values.size))
         path = tmp_path / "f.csv"
-        write_features_csv(path, [("p", "c", fv)])
+        write_features_csv(path, [csv_row("p", "c", fv)])
         expected = ",".join(["p", "c", fv.variant.value, fv.ref.value] + [f"{v:.12g}" for v in values])
         assert path.read_bytes().split(b"\n")[1] == expected.encode()
         assert expected.endswith(",0,-0,4.94065645841e-324,-4.94065645841e-324,1.79769313486e+308,"
@@ -300,14 +305,14 @@ class TestFeatureCsv:
         # the reference: csv.writer quotes and joins all fields, values formatted by str.format
         rng = np.random.default_rng(14)
         edge = np.array([-0.0, 5e-324, 1e308, 3.0, 123456789012.5, 1234567890.125, 0.5])
-        rows = [(source, "c,1", FeatureVector(values, ContourVariant.G3, FuzzifierRef.MINIMUM, (1, 7)))
+        rows = [csv_row(source, "c,1", FeatureVector(values, ContourVariant.G3, FuzzifierRef.MINIMUM, (1, 7)))
                 for source, values in (('a,"b"\nc.pgm', edge), ("plain.pgm", rng.random(7)))]
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(7)])
-            for source, label, fv in rows:
-                writer.writerow([source, label, "g3", "min"] + ["{:.12g}".format(v) for v in fv.values.tolist()])
+            for source, label, _, _, values in rows:
+                writer.writerow([source, label, "g3", "min"] + ["{:.12g}".format(v) for v in values.tolist()])
         path = tmp_path / "f.csv"
         write_features_csv(path, rows)
         assert path.read_bytes() == expected.read_bytes()
@@ -325,8 +330,8 @@ class TestFeatureCsv:
         rng = np.random.default_rng(13)
         fv = extract(GrayImage(rng.random((6, 6))))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_features_csv(a, [("p", "c", fv)])
-        write_features_csv(b, [("p", "c", fv)])
+        write_features_csv(a, [csv_row("p", "c", fv)])
+        write_features_csv(b, [csv_row("p", "c", fv)])
         assert a.read_bytes() == b.read_bytes()
 
     def test_reader_rejects_other_csv(self, tmp_path):
