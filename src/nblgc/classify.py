@@ -29,7 +29,7 @@ MODEL_FORMAT = "nblgc-model 4"
 _REAL = "%.17g"  # 17 significant digits: exact float round-trip
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class LabeledSample:
     """One feature vector with its class label."""
 
@@ -85,14 +85,14 @@ def check_knn_settings(n_train: int, neighbors_k: int, distance: str) -> None:
         raise ValueError(f"unknown distance {distance!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class KnnModel:
     """All training samples plus the vote size and distance choice."""
 
     training: tuple[LabeledSample, ...]
     neighbors_k: int = 1
     distance: str = "log"
-    matrix: np.ndarray = field(init=False, compare=False, repr=False)  # training vectors as rows
+    matrix: np.ndarray = field(init=False, repr=False)  # training vectors as rows
 
     def __post_init__(self):
         training = tuple(self.training)

@@ -10,7 +10,9 @@ Accuracies, FAR, and GAR are percentages.
 from __future__ import annotations
 
 import csv
+import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -178,13 +180,8 @@ def kfold(
         raise ValueError("k must be at least 2")
     if len(data) < k:
         raise ValueError(f"need at least k={k} samples, got {len(data)}")
-    positions: dict[str, list[int]] = {}
-    for i, sample in enumerate(data):
-        positions.setdefault(sample.label, []).append(i)
-    fold_of = [0] * len(data)
-    for label in sorted(positions):
-        for j, i in enumerate(positions[label]):
-            fold_of[i] = j % k
+    seen = defaultdict(itertools.count)  # each class runs its own round robin, in load order
+    fold_of = [next(seen[s.label]) % k for s in data]
     folds = [[i for i, f in enumerate(fold_of) if f == fold] for fold in range(k)]
     # vectors of mixed length take the per-fold path, which raises for the first fold they break
     walk = cfg.kind == "knn" and not cfg.zscore and len({s.vector.size for s in data}) == 1
@@ -210,42 +207,26 @@ def _knn_cross_guesses(
     """Each sample's knn_predict vote over the samples of the other folds.
 
     Row i of the upper triangle, distance_rows(X[i+1:], X[i]), scores
-    each pair once; |a - b| == |b - a| exactly, so every distance equals
-    the one knn_predict computes. Each sample keeps its neighbors_k
-    nearest other-fold rows by (distance, index): the order
-    knn_predict's stable argsort gives over a fold's training list. At
-    step i row i merges the later rows into the earlier ones it holds,
-    and row i is the largest index every later row holds, so it takes
-    a slot there only on a strictly smaller distance. Memory: the
-    (n, neighbors_k) candidates plus one distance row; the rows shrink,
-    so after the first one glibc serves their temporaries from the heap
-    instead of mapping fresh pages. Each fold must hold at most
-    n - neighbors_k samples, so every slot fills.
+    each pair once and fills both halves of one zeroed (n, n) matrix;
+    |a - b| == |b - a| exactly, so every distance equals the one
+    knn_predict computes. Same-fold pairs become inf, which marks nothing
+    else because distance_rows refuses any distance that is not finite.
+    Each row's stable argsort then ranks the other folds by (distance,
+    index): the order knn_predict gives over a fold's training list. Each
+    fold holds at most n - neighbors_k samples, so the first neighbors_k
+    are finite. Memory: the (n, n) float64 matrix, 1.28 MB at n = 400, the
+    same order as the Gram matrix svm_train builds over the same rows.
     """
     matrix = np.stack([s.vector for s in data])
     fold = np.array(fold_of)
-    n, slots = len(data), np.arange(neighbors_k)
-    best_d = np.full((n, neighbors_k), np.inf)  # an unfilled slot: every distance is finite
-    best_i = np.zeros((n, neighbors_k), dtype=np.intp)
+    n = len(data)
+    dist = np.zeros((n, n))
     for i in range(n - 1):
-        other = fold[i + 1 :] != fold[i]
-        d = distance_rows(matrix[i + 1 :], matrix[i], distance)[other]
-        later = np.flatnonzero(other) + i + 1
-        # held rows come first, so a stable sort keeps the smaller index of a tie
-        cand_d, cand_i = np.concatenate([best_d[i], d]), np.concatenate([best_i[i], later])
-        keep = np.argsort(cand_d, kind="stable")[:neighbors_k]
-        best_d[i], best_i[i] = cand_d[keep], cand_i[keep]
-        win = d < best_d[later, -1]
-        if win.any():
-            rows, new = later[win], d[win][:, None]
-            at = (best_d[rows] <= new).sum(axis=1)[:, None]  # after its ties
-            src = rows[:, None], slots - (slots > at)  # slots past `at` move one right
-            best_d[rows] = np.where(slots == at, new, best_d[src])
-            best_i[rows] = np.where(slots == at, i, best_i[src])
+        dist[i, i + 1 :] = dist[i + 1 :, i] = distance_rows(matrix[i + 1 :], matrix[i], distance)
+    dist[fold[:, None] == fold] = np.inf
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :neighbors_k]
     labels = [s.label for s in data]
-    return [
-        vote([(labels[j], float(dj)) for dj, j in zip(best_d[r], best_i[r])]) for r in range(n)
-    ]
+    return [vote([(labels[j], float(dist[r, j])) for j in row]) for r, row in enumerate(nearest)]
 
 
 def roc_far_gar(

@@ -26,7 +26,7 @@ from .options import ContourVariant, FuzzifierRef, check_resize_target
 FLOAT_DIGITS = 12  # significant digits in the feature CSV
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class FeatureVector:
     """Per-block features of one image, row-major over the block grid."""
 
@@ -205,7 +205,7 @@ def write_features_csv(
 def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef, np.ndarray]]:
     """Read back a feature CSV written by write_features_csv, as the rows
     it takes. The variant and ref columns must hold the exact values it
-    writes (g1, avg, ...)."""
+    writes (g1, avg, ...), and every row as many fields as the header."""
     out = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -213,6 +213,8 @@ def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef
         if header is None or header[:4] != ["path", "class", "variant", "ref"]:
             raise ValueError(f"{path} is not a feature CSV")
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path} line {reader.line_num}: {len(row)} fields, the header has {len(header)}")
             source, label, variant, ref = row[:4]
             values = np.array([float(v) for v in row[4:]], dtype=np.float64)
             out.append((source, label, ContourVariant(variant), FuzzifierRef(ref), values))

@@ -273,7 +273,7 @@ def _read_config(path: Path) -> dict:
         raise UsageError(f"config file {path} not found")
     try:
         loaded = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:  # JSON text is UTF-8
         raise UsageError(f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(loaded, dict):
         raise UsageError(f"config file {path} must hold a JSON object")

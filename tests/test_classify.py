@@ -12,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nblgc import (
+    ContourVariant,
+    FeatureVector,
+    FuzzifierRef,
     KnnModel,
     LabeledSample,
     SvmModel,
@@ -127,6 +130,18 @@ class TestKnn:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 knn_predict(model, [bad])
+
+    @pytest.mark.parametrize("make", [
+        lambda: LabeledSample(np.array([1.0, 2.0]), "a"),
+        lambda: KnnModel((LabeledSample(np.array([1.0]), "a"),)),
+        lambda: FeatureVector(np.ones(2), ContourVariant.G1, FuzzifierRef.AVERAGE, (1, 2)),
+    ], ids=["LabeledSample", "KnnModel", "FeatureVector"])
+    def test_compares_by_identity(self, make):
+        # arrays have no single truth value: == and `in` once raised ValueError, hash TypeError
+        a, b = make(), make()
+        assert a in [a] and b not in [a]
+        assert (a == b) is False
+        assert len({a, a, b}) == 2
 
     def test_samples_must_be_finite(self):
         for bad in (np.nan, -np.inf):

@@ -312,6 +312,9 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"no_such_option": 5}))
         assert run_cli(extract_args(small_tree, tmp_path / "out", "--config", str(cfg))) == 1
         assert "unknown keys" in capsys.readouterr().err
+        cfg.write_bytes(b'{"variant": "g\xe9"}')  # Latin-1, not UTF-8
+        assert run_cli(extract_args(small_tree, tmp_path / "out", "--config", str(cfg))) == 1
+        assert f"config file {cfg} is not valid JSON" in capsys.readouterr().err
 
     def test_bad_variant_via_config(self, small_tree, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -196,6 +196,15 @@ class TestKfold:
             kfold(data, 3, ClassifierConfig(kind="svm", zscore=zscore))
         assert calls == []
 
+    def test_knn_scores_each_pair_once(self, monkeypatch):
+        # one shrinking upper-triangle row per sample: n - 1 calls over n - 1, n - 2, ..., 1 rows
+        rows, real = [], evaluation.distance_rows
+        monkeypatch.setattr(evaluation, "distance_rows", lambda m, q, d: rows.append(len(m)) or real(m, q, d))
+        data = forty_by_ten(seed=9)[:50]
+        cfg = ClassifierConfig(neighbors_k=3)
+        assert kfold(data, 5, cfg) == per_fold_knn_kfold(data, 5, cfg)
+        assert rows == list(range(len(data) - 1, 0, -1))
+
     def test_deterministic(self):
         data = forty_by_ten(seed=6)[:80]  # 8 classes x 10
         r1 = kfold(data, k=10)

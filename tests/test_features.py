@@ -339,3 +339,9 @@ class TestFeatureCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError, match="not a feature CSV"):
             read_features_csv(path)
+        # every row carries as many values as the header names, as write_features_csv requires
+        header = "path,class,variant,ref,v0,v1\n"
+        for row, fields in (("p,c,g1,avg,1,2,3", 7), ("p,c,g1,avg,1", 5), ("p,c,g1,avg", 4), ("p,c", 2), ("", 0)):
+            path.write_text(header + "p,c,g1,avg,1,2\n" + row + "\n")
+            with pytest.raises(ValueError, match=f"{path} line 3: {fields} fields, the header has 6"):
+                read_features_csv(path)
