@@ -25,7 +25,7 @@ import numpy as np
 
 from .options import DISTANCES, check_label, check_svm_settings
 
-MODEL_FORMAT = "nblgc-model 4"
+MODEL_FORMAT = "nblgc-model 5"
 _REAL = "%.17g"  # 17 significant digits: exact float round-trip
 
 
@@ -87,22 +87,25 @@ def check_knn_settings(n_train: int, neighbors_k: int, distance: str) -> None:
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class KnnModel:
-    """All training samples plus the vote size and distance choice."""
+    """The training vectors as rows, one label each, the vote size and the distance; built as SvmModel is."""
 
-    training: tuple[LabeledSample, ...]
+    vectors: np.ndarray  # (n_train, dim)
+    labels: tuple[str, ...]
     neighbors_k: int = 1
     distance: str = "log"
-    matrix: np.ndarray = field(init=False, repr=False)  # training vectors as rows
 
     def __post_init__(self):
-        training = tuple(self.training)
-        if any(s.vector.size != training[0].vector.size for s in training):
-            raise ValueError("training vectors must share one dimension")
-        check_knn_settings(len(training), self.neighbors_k, self.distance)
-        matrix = np.stack([s.vector for s in training])
-        matrix.flags.writeable = False
-        object.__setattr__(self, "training", training)
-        object.__setattr__(self, "matrix", matrix)
+        try:
+            vectors = np.array(self.vectors, dtype=np.float64)  # a copy: the caller's array stays writeable
+        except ValueError as err:  # rows of several lengths
+            raise ValueError(f"training vectors must share one dimension: {err}") from None
+        labels = tuple(self.labels)
+        check_knn_settings(len(labels), self.neighbors_k, self.distance)
+        if vectors.ndim != 2 or len(vectors) != len(labels) or not np.isfinite(vectors).all():
+            raise ValueError(f"vectors must be a finite 2-D array with one row per label ({len(labels)})")
+        vectors.flags.writeable = False
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "labels", labels)
 
 
 def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
@@ -112,9 +115,9 @@ def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
     the tied class with the smallest summed distance, then to the first
     tied class in sorted label order.
     """
-    dists = distance_rows(model.matrix, _as_query(query), model.distance)
+    dists = distance_rows(model.vectors, _as_query(query), model.distance)
     order = np.argsort(dists, kind="stable")[: model.neighbors_k]
-    nearest = [(model.training[i].label, float(dists[i])) for i in order]
+    nearest = [(model.labels[i], float(dists[i])) for i in order]
     return vote(nearest), [d for _, d in nearest]
 
 
@@ -136,7 +139,7 @@ def _kernel(rows: np.ndarray, other: np.ndarray, offset: float, degree: int) -> 
         return (rows @ other + offset) ** degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class BinaryMachine:
     """A read-only view of one pair machine of an SvmModel: positive label
     vs negative label, with one coefficient per support vector, row
@@ -149,7 +152,7 @@ class BinaryMachine:
     indices: np.ndarray  # (n_sv,) rows of store
     coefficients: np.ndarray  # (n_sv,), multiplier * label sign
     bias: float
-    store: np.ndarray = field(compare=False, repr=False)
+    store: np.ndarray = field(repr=False)
 
     @property
     def support_vectors(self) -> np.ndarray:
@@ -364,14 +367,16 @@ def svm_predict(model: SvmModel, query) -> str:
 # --- model text format -------------------------------------------------
 #
 # Line 1 is the format tag, line 2 the model kind, then "name value"
-# settings, then tab-separated records: the names (KNN: "labels", one per
-# row; SVM: "classes"), one "vector" record per training row and, for the
-# SVM, one record per array of its store, in _STORE order. An array is one
-# field, the base64 (RFC 4648) of its little-endian 8-byte values. The
-# settings are _REAL: 17 significant digits in plain ASCII decimal
+# settings, the last of them "dim", the length of a training row. Then
+# tab-separated records: the names (KNN: "labels", one per row; SVM:
+# "classes"), then one record per array the model holds, in _ARRAYS
+# order, "vectors" holding the training rows one after another. An array
+# is one field, the base64 (RFC 4648) of its little-endian 8-byte values.
+# The settings are _REAL: 17 significant digits in plain ASCII decimal
 # reproduce every float.
 
-_STORE = {"biases": "<f8", "sv_coef": "<f8", "sv_count": "<i8", "sv_index": "<i8"}
+_ARRAYS = {"knn": {"vectors": "<f8"},
+           "svm": {"vectors": "<f8", "biases": "<f8", "sv_coef": "<f8", "sv_count": "<i8", "sv_index": "<i8"}}
 
 
 def _record(name: str, values, dtype: str = "<f8") -> str:
@@ -396,32 +401,20 @@ def _unpack(name: str, text: str, dtype: str = "<f8") -> np.ndarray:
     return np.frombuffer(data, dtype=dtype)
 
 
-def _parse_rows(tag: str, texts: list[str]) -> np.ndarray:
-    """The matrix whose rows the tag records' texts hold. Raises
-    ValueError naming the record if a row is malformed or empty, or if
-    rows differ in length."""
-    rows = [_unpack(f"{tag} record {number}", text) for number, text in enumerate(texts, 1)]
-    if empty := next((number for number, row in enumerate(rows, 1) if not row.size), None):
-        raise ValueError(f"{tag} record {empty} holds no values")
-    if len({row.size for row in rows}) > 1:
-        raise ValueError(f"{tag} records differ in length")
-    return np.stack(rows) if rows else np.empty((0, 0))  # the models copy and check it
-
-
 def save_model(model: KnnModel | SvmModel, path) -> None:
     """Write model as text; raises ValueError, writing nothing, on a label
     that check_label refuses."""
     if isinstance(model, KnnModel):
-        lines = ["kind knn", f"neighbors_k {model.neighbors_k}", f"distance {model.distance}",
-                 "\t".join(["labels", *(check_label(s.label) for s in model.training)])]
-        matrix, store = model.matrix, []
+        kind, names = "knn", ["labels", *model.labels]
+        settings = [f"neighbors_k {model.neighbors_k}", f"distance {model.distance}"]
     elif isinstance(model, SvmModel):
-        lines = ["kind svm", f"degree {model.degree}", f"C {_REAL % model.c}", f"offset {_REAL % model.offset}",
-                 f"tol {_REAL % model.tol}", "\t".join(["classes", *map(check_label, model.classes)])]
-        matrix, store = model.vectors, [_record(name, getattr(model, name), dtype) for name, dtype in _STORE.items()]
+        kind, names = "svm", ["classes", *model.classes]
+        settings = [f"degree {model.degree}", f"C {_REAL % model.c}", f"offset {_REAL % model.offset}",
+                    f"tol {_REAL % model.tol}"]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    lines = [MODEL_FORMAT, *lines, *(_record("vector", row) for row in matrix), *store]
+    lines = [MODEL_FORMAT, f"kind {kind}", *settings, f"dim {model.vectors.shape[1]}", "\t".join(map(check_label, names)),
+             *(_record(name, getattr(model, name), dtype) for name, dtype in _ARRAYS[kind].items())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -449,23 +442,19 @@ def load_model(path) -> KnnModel | SvmModel:
 
 def _parse_model(fields: dict[str, str], lines: list[str]) -> KnnModel | SvmModel:
     kind = fields.get("kind")
-    if kind not in ("knn", "svm"):
+    if kind not in _ARRAYS:
         raise ValueError(f"unknown model kind {kind!r}")
-    names_tag = "labels" if kind == "knn" else "classes"
-    tag, *names = lines[0].split("\t") if lines else [None]
-    if tag != names_tag:
-        raise ValueError(f"{kind} model has no {names_tag} record")
-    end = 1 + sum(1 for _ in takewhile(lambda line: line.startswith("vector\t"), lines[1:]))
-    vectors = _parse_rows("vector", [line[len("vector\t"):] for line in lines[1:end]])
-    store = [line.split("\t") for line in lines[end:]]
+    records = [line.split("\t") for line in lines]
+    order = ["labels" if kind == "knn" else "classes", *_ARRAYS[kind]]
+    if [parts[0] for parts in records] != order or any(len(parts) != 2 for parts in records[1:]):
+        raise ValueError(f"{kind} model must end with the records " + ", ".join(order) + ", each array one field")
+    names, arrays = records[0][1:], {name: _unpack(f"{name} record", text, dtype)
+                                     for (name, text), dtype in zip(records[1:], _ARRAYS[kind].values())}
+    dim, size = int(fields["dim"]), arrays["vectors"].size
+    if dim < 1 or size % dim:
+        raise ValueError(f"vectors record holds {size} values, not whole rows of dim {dim} >= 1")
+    arrays["vectors"] = arrays["vectors"].reshape(-1, dim)
     if kind == "knn":
-        if store:
-            raise ValueError(f"unexpected record {store[0][0]!r} in knn model")
-        if len(names) != len(vectors):
-            raise ValueError(f"knn model has {len(names)} labels for {len(vectors)} vectors")
-        return KnnModel(tuple(map(LabeledSample, vectors, names)), int(fields["neighbors_k"]), fields["distance"])
-    if [parts[0] for parts in store] != list(_STORE) or any(len(parts) != 2 for parts in store):
-        raise ValueError("svm model must end with the records " + ", ".join(_STORE) + ", one field each")
-    arrays = {name: _unpack(f"{name} record", text, dtype) for (name, text), dtype in zip(store, _STORE.values())}
-    return SvmModel(names, vectors, degree=int(fields["degree"]), c=float(fields["C"]),
-                    offset=float(fields["offset"]), tol=float(fields["tol"]), **arrays)
+        return KnnModel(arrays["vectors"], names, int(fields["neighbors_k"]), fields["distance"])
+    return SvmModel(names, degree=int(fields["degree"]), c=float(fields["C"]), offset=float(fields["offset"]),
+                    tol=float(fields["tol"]), **arrays)

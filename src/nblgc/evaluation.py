@@ -132,7 +132,7 @@ def _predict_all(
     if cfg.zscore:
         train, test = _zscore_apply(train, test)
     if cfg.kind == "knn":
-        model = KnnModel(tuple(train), cfg.neighbors_k, cfg.distance)
+        model = KnnModel([s.vector for s in train], [s.label for s in train], cfg.neighbors_k, cfg.distance)
         return [knn_predict(model, s.vector)[0] for s in test]
     if cfg.kind == "svm":
         model = svm_train(train, cfg.degree, cfg.c, cfg.offset, cfg.tol)

@@ -179,7 +179,8 @@ def write_features_csv(
 
     Header is path,class,variant,ref,v0..v{n-1}; text fields are
     csv-quoted and values carry FLOAT_DIGITS significant digits.
-    n_features sizes the header when rows is empty.
+    n_features sizes the header when rows is empty. A row of another
+    length or with a non-finite value raises ValueError before it is written.
     """
     rows = list(rows)
     if rows:
@@ -194,8 +195,8 @@ def write_features_csv(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(n_features)]) + "\n")
         for source, label, variant, ref, vals in rows:
-            if len(vals) != n_features:
-                raise ValueError("inconsistent feature vector lengths")
+            if len(vals) != n_features or not np.isfinite(vals).all():
+                raise ValueError(f"row {source!r} must hold {n_features} finite feature values")
             text.seek(0)
             text.truncate()
             writer.writerow([source, label, variant.value, ref.value])
@@ -205,7 +206,7 @@ def write_features_csv(
 def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef, np.ndarray]]:
     """Read back a feature CSV written by write_features_csv, as the rows
     it takes. The variant and ref columns must hold the exact values it
-    writes (g1, avg, ...), and every row as many fields as the header."""
+    writes (g1, avg, ...), each row the header's field count, each value finite."""
     out = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -217,5 +218,7 @@ def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef
                 raise ValueError(f"{path} line {reader.line_num}: {len(row)} fields, the header has {len(header)}")
             source, label, variant, ref = row[:4]
             values = np.array([float(v) for v in row[4:]], dtype=np.float64)
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path} line {reader.line_num}: feature values must be finite")
             out.append((source, label, ContourVariant(variant), FuzzifierRef(ref), values))
     return out

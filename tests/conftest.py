@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nblgc import ContourVariant, RawImage, contours, write_pgm
+from nblgc import ContourVariant, KnnModel, RawImage, contours, write_pgm
 
 
 def random_window(rng, lo=0.0, hi=1.0):
@@ -46,12 +46,17 @@ def make_pgm_tree(root, n_classes, per_class, size=(9, 9), seed=0, binary=True):
             (cdir / f"img{ii:02d}.pgm").write_bytes(write_pgm(img, binary=binary))
 
 
-def run_python(*args):
+def knn_model(train, *settings, **named):
+    """A KnnModel over a list of LabeledSample."""
+    return KnnModel([s.vector for s in train], [s.label for s in train], *settings, **named)
+
+
+def run_python(*args, cwd=None):
     """Run the interpreter on args with src/ on its path (pytest's
     pythonpath setting does not reach a subprocess)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env, cwd=cwd)
 
 
 @pytest.fixture

@@ -14,14 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import g2_halves, make_pgm_tree, random_raw
+from conftest import g2_halves, knn_model, make_pgm_tree, random_raw
 from oracles import naive_feature_vector
 
 from nblgc import (
     ClassifierConfig,
     ContourVariant,
     FuzzifierRef,
-    KnnModel,
     LabeledSample,
     SplitSpec,
     center_memberships,
@@ -166,7 +165,7 @@ def test_criterion_5_classifier_sanity():
     xor_ok = all(svm_predict(xor_model, s.vector) == s.label for s in xor)
 
     # memorization: 1-NN asked about its own training points
-    self_model = KnnModel(tuple(train))
+    self_model = knn_model(train)
     self_ok = all(knn_predict(self_model, s.vector)[0] == s.label for s in train)
 
     # no signal: 40 classes of pure noise should sit at chance (2.5%)

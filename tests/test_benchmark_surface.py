@@ -11,7 +11,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from nblgc import LabeledSample, save_model, svm_train
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -38,3 +41,20 @@ def test_svm_child_predicts_the_same_after_loading(tmp_path):
     assert child.run_svm(args, result) == 0
     assert len(result["labels"]) == gen.QUICK.classes * (gen.QUICK.per_class - 3)
     assert result["loaded"] == result["trained"]
+
+
+def test_span_counters_read_a_trained_model(tmp_path):
+    # run.py drops every result when a span summary raises, so a model the
+    # counters cannot read would first show as a lost benchmark run
+    spans = bench_module("spans")
+    counts = {name: fn for _, name, fn in spans.TARGETS}
+    rng = np.random.default_rng(17)
+    model = svm_train([LabeledSample(rng.normal(i % 3, 0.8, size=3), f"c{i % 3}") for i in range(18)])
+    assert counts["svm_train"]((), {}, model) == {
+        "machines": len(model.biases),
+        "sv_rows": model.sv_index.size,
+        "sv_distinct": len(np.unique(model.vectors[np.unique(model.sv_index)], axis=0)),
+    }
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    assert counts["save_model"]((model, str(path)), {}, None) == {"bytes": path.stat().st_size}

@@ -1,7 +1,7 @@
 import base64
-import importlib.util
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from decimal import Decimal
 from itertools import combinations
 from pathlib import Path
@@ -26,6 +26,7 @@ from nblgc import (
     svm_predict,
     svm_train,
 )
+from conftest import knn_model
 from nblgc.classify import _decision_values, _kernel, _smo_lockstep
 from oracles import _smo_pair
 
@@ -102,14 +103,14 @@ class TestDistances:
         assert distance(query, 0.1 * spread_one) > distance(query, 0.1 * spread_two)
         train = samples([(spread_one, "one"), (spread_two, "two")])
         scaled = samples([(0.1 * spread_one, "one"), (0.1 * spread_two, "two")])
-        assert knn_predict(KnnModel(tuple(train)), query)[0] == "one"
-        assert knn_predict(KnnModel(tuple(scaled)), query)[0] == "two"
+        assert knn_predict(knn_model(train), query)[0] == "one"
+        assert knn_predict(knn_model(scaled), query)[0] == "two"
 
 
 class TestKnn:
     def test_nearest_neighbor_default(self):
         train = samples([([0.0], "a"), ([10.0], "b")])
-        label, dists = knn_predict(KnnModel(tuple(train)), [1.0])
+        label, dists = knn_predict(knn_model(train), [1.0])
         assert label == "a"
         assert len(dists) == 1
         assert dists[0] == pytest.approx(math.log(2.0))
@@ -121,21 +122,22 @@ class TestKnn:
     ])
     def test_rejects_overflowing_distances(self, distance, rows, query):
         # an infinite distance once tied every row and the first index won
-        model = KnnModel(tuple(samples([(rows[0], "a"), (rows[1], "b")])), distance=distance)
+        model = knn_model(samples([(rows[0], "a"), (rows[1], "b")]), distance=distance)
         with pytest.raises(ValueError, match=f"{distance} distance overflows"):
             knn_predict(model, query)
 
     def test_rejects_non_finite_query(self):
-        model = KnnModel(tuple(samples([([0.0], "a"), ([10.0], "b")])))
+        model = knn_model(samples([([0.0], "a"), ([10.0], "b")]))
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 knn_predict(model, [bad])
 
     @pytest.mark.parametrize("make", [
         lambda: LabeledSample(np.array([1.0, 2.0]), "a"),
-        lambda: KnnModel((LabeledSample(np.array([1.0]), "a"),)),
+        lambda: KnnModel(np.array([[1.0]]), ["a"]),
         lambda: FeatureVector(np.ones(2), ContourVariant.G1, FuzzifierRef.AVERAGE, (1, 2)),
-    ], ids=["LabeledSample", "KnnModel", "FeatureVector"])
+        lambda: svm_train(samples([([0.0], "a"), ([1.0], "b")])).machines[0],
+    ], ids=["LabeledSample", "KnnModel", "FeatureVector", "BinaryMachine"])
     def test_compares_by_identity(self, make):
         # arrays have no single truth value: == and `in` once raised ValueError, hash TypeError
         a, b = make(), make()
@@ -151,13 +153,13 @@ class TestKnn:
     def test_exact_match_wins(self):
         rng = np.random.default_rng(23)
         train = samples([(rng.normal(size=5), f"c{i}") for i in range(10)])
-        model = KnnModel(tuple(train))
+        model = knn_model(train)
         for s in train:
             assert knn_predict(model, s.vector)[0] == s.label
 
     def test_majority_vote(self):
         train = samples([([0.0], "a"), ([0.2], "b"), ([0.3], "b"), ([9.0], "a")])
-        label, dists = knn_predict(KnnModel(tuple(train), neighbors_k=3), [0.1])
+        label, dists = knn_predict(knn_model(train, neighbors_k=3), [0.1])
         assert label == "b"
         assert dists == sorted(dists)
 
@@ -167,33 +169,44 @@ class TestKnn:
             return [math.exp(d) - 1.0]
 
         train = samples([(at(0.1), "a"), (at(0.9), "a"), (at(0.3), "b"), (at(0.5), "b")])
-        label, _ = knn_predict(KnnModel(tuple(train), neighbors_k=4), [0.0])
+        label, _ = knn_predict(knn_model(train, neighbors_k=4), [0.0])
         assert label == "b"
 
     def test_vote_tie_then_class_order(self):
         train = samples([([1.0], "z"), ([-1.0], "a")])
-        label, _ = knn_predict(KnnModel(tuple(train), neighbors_k=2), [0.0])
+        label, _ = knn_predict(knn_model(train, neighbors_k=2), [0.0])
         assert label == "a"
 
     def test_model_validation(self):
         train = samples([([1.0], "a")])
         with pytest.raises(ValueError, match="neighbors_k"):
-            KnnModel(tuple(train), neighbors_k=2)
+            knn_model(train, neighbors_k=2)
         with pytest.raises(ValueError, match="non-empty"):
-            KnnModel(())
+            KnnModel(np.empty((0, 1)), [])
         with pytest.raises(ValueError, match="unknown distance"):
-            KnnModel(tuple(train), distance="cosine")
+            knn_model(train, distance="cosine")
         with pytest.raises(ValueError, match="share one dimension"):
-            KnnModel(tuple(samples([([1.0], "a"), ([1.0, 2.0], "b")])))
+            knn_model(samples([([1.0], "a"), ([1.0, 2.0], "b")]))
+        for vectors, labels in ((np.zeros((2, 1)), ["a"]), (np.zeros(2), ["a", "b"]), ([[0.0], [np.inf]], ["a", "b"])):
+            with pytest.raises(ValueError, match="finite 2-D array with one row per label"):
+                KnnModel(vectors, labels)
+
+    def test_model_is_a_frozen_copy_of_its_arrays(self):
+        vectors = np.array([[0.0, 1.0], [2.0, 3.0]])
+        model = KnnModel(vectors, ["a", "b"])
+        assert [f.name for f in fields(model)] == ["vectors", "labels", "neighbors_k", "distance"]
+        assert vectors.flags.writeable and not model.vectors.flags.writeable
+        vectors[0, 0] = 9.0
+        assert model.vectors.tolist() == [[0.0, 1.0], [2.0, 3.0]] and model.labels == ("a", "b")
 
     def test_query_dimension_checked(self):
-        model = KnnModel(tuple(samples([([1.0, 2.0], "a"), ([0.0, 0.0], "b")])))
+        model = knn_model(samples([([1.0, 2.0], "a"), ([0.0, 0.0], "b")]))
         with pytest.raises(ValueError, match="length mismatch"):
             knn_predict(model, [1.0])
 
     def test_euclidean_option(self):
         train = samples([([0.0, 0.0], "near"), ([10.0, 10.0], "far")])
-        model = KnnModel(tuple(train), distance="euclidean")
+        model = knn_model(train, distance="euclidean")
         assert knn_predict(model, [1.0, 1.0])[0] == "near"
 
 
@@ -546,21 +559,6 @@ class TestSvm:
         assert path.read_bytes() == saved
         assert all(np.array_equal(_decision_values(model, q), d) for q, d in zip(queries, decisions))
 
-    def test_benchmark_span_counters_read_a_trained_model(self):
-        # the traced benchmark counts a trained model's support vectors
-        # through perfbench/spans.py, so a model it cannot read fails here
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("nblgc_bench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
-        rng = np.random.default_rng(17)
-        model = svm_train(samples([(rng.normal(i % 3, 0.8, size=3), f"c{i % 3}") for i in range(18)]))
-        assert spans._svm_counts(None, None, model) == {
-            "machines": 3,
-            "sv_rows": model.sv_index.size,
-            "sv_distinct": len(np.unique(model.sv_index)),
-        }
-
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError, match="each pair of classes exactly once"):
             SvmModel(("a", "b"), np.zeros((1, 1)), [], [], [], [], 1, 1.0, 1.0, 1e-3)
@@ -635,14 +633,13 @@ class TestModelSerialization:
     def test_knn_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         train = samples([(rng.normal(size=6), f"c{i % 4}") for i in range(20)])
-        model = KnnModel(tuple(train), neighbors_k=3, distance="euclidean")
+        model = knn_model(train, neighbors_k=3, distance="euclidean")
         path = tmp_path / "knn.model"
         save_model(model, path)
         loaded = load_model(path)
         assert isinstance(loaded, KnnModel)
         assert loaded.neighbors_k == 3 and loaded.distance == "euclidean"
-        for s, l in zip(model.training, loaded.training):
-            assert np.array_equal(s.vector, l.vector) and s.label == l.label
+        assert loaded.vectors.tobytes() == model.vectors.tobytes() and loaded.labels == model.labels
         for _ in range(20):
             q = rng.normal(size=6)
             assert knn_predict(loaded, q) == knn_predict(model, q)
@@ -658,7 +655,7 @@ class TestModelSerialization:
         assert loaded.classes == model.classes
         assert (loaded.degree, loaded.c, loaded.offset) == (2, 1.5, 0.5)
         assert np.array_equal(loaded.vectors.view(np.int64), model.vectors.view(np.int64))
-        assert path.read_text().count("\nvector\t") == len(train)
+        assert path.read_text().count("\nvectors\t") == 1
         assert_same_svm(model, loaded)
         for _ in range(20):
             q = rng.normal(size=5)
@@ -678,7 +675,7 @@ class TestModelSerialization:
     @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\r", "a\x85b"])
     def test_refuses_labels_that_would_not_load(self, tmp_path, label):
         pairs = [([0.0], label), ([1.0], "b")]
-        knn = KnnModel(tuple(samples(pairs)))
+        knn = knn_model(samples(pairs))
         svm = svm_train(samples(pairs))
         for model in (knn, svm):
             path = tmp_path / "bad.model"
@@ -689,7 +686,7 @@ class TestModelSerialization:
     def test_refuses_a_label_that_is_not_utf8(self, tmp_path):
         # a directory named b"s\xe9" reaches Python as "s\udce9", which no UTF-8 file can hold
         pairs = [([0.0], "s\udce9"), ([1.0], "b")]
-        for model in (KnnModel(tuple(samples(pairs))), svm_train(samples(pairs))):
+        for model in (knn_model(samples(pairs)), svm_train(samples(pairs))):
             path = tmp_path / "bad.model"
             with pytest.raises(ValueError, match="is not UTF-8") as err:
                 save_model(model, path)
@@ -704,7 +701,7 @@ class TestModelSerialization:
 
     def test_refuses_a_setting_named_twice(self, tmp_path):
         path = tmp_path / "knn.model"
-        save_model(KnnModel(tuple(samples([([0.0], "a"), ([1.0], "b")]))), path)
+        save_model(knn_model(samples([([0.0], "a"), ([1.0], "b")])), path)
         path.write_text(path.read_text().replace("\nneighbors_k 1\n", "\nneighbors_k 1\nneighbors_k 2\n"))
         with pytest.raises(ValueError, match="setting 'neighbors_k' is named twice"):
             load_model(path)
@@ -724,26 +721,25 @@ class TestModelSerialization:
                          [0.5, -0.25, 1 / 3], [0.1, -2.0, 3.0], 2, 1.0, 0.5, 1e-3)
         path = tmp_path / "svm.model"
         save_model(model, path)
-        # rows [0, 1], [2.5, -3] and [0.1, 1e-7], biases [0.1, -2, 3] and coefficients
-        # [0.5, -0.25, 1/3] as base64 of little-endian float64; counts [2, 0, 1] and
-        # indices [0, 1, 2] as base64 of little-endian int64
+        # rows [0, 1], [2.5, -3] and [0.1, 1e-7] one after another, biases [0.1, -2, 3] and
+        # coefficients [0.5, -0.25, 1/3] as base64 of little-endian float64; counts [2, 0, 1]
+        # and indices [0, 1, 2] as base64 of little-endian int64
         assert path.read_bytes() == (
-            b"nblgc-model 4\nkind svm\ndegree 2\nC 1\noffset 0.5\ntol 0.001\nclasses\ta\tb\tc\n"
-            b"vector\tAAAAAAAAAAAAAAAAAADwPw==\nvector\tAAAAAAAABEAAAAAAAAAIwA==\nvector\tmpmZmZmZuT9Ir7ya8td6Pg==\n"
+            b"nblgc-model 5\nkind svm\ndegree 2\nC 1\noffset 0.5\ntol 0.001\ndim 2\nclasses\ta\tb\tc\n"
+            b"vectors\tAAAAAAAAAAAAAAAAAADwPwAAAAAAAARAAAAAAAAACMCamZmZmZm5P0ivvJry13o+\n"
             b"biases\tmpmZmZmZuT8AAAAAAAAAwAAAAAAAAAhA\nsv_coef\tAAAAAAAA4D8AAAAAAADQv1VVVVVVVdU/\n"
             b"sv_count\tAgAAAAAAAAAAAAAAAAAAAAEAAAAAAAAA\nsv_index\tAAAAAAAAAAABAAAAAAAAAAIAAAAAAAAA\n"
         )
 
     def test_knn_file_bytes(self, tmp_path):
-        model = KnnModel(tuple(samples([([0.0, 1.0], "a"), ([2.5, -3.0], "b"), ([0.1, 1e-7], "a b"),
-                                        ([-0.0, 5e-324], "b")])), neighbors_k=2, distance="euclidean")
+        model = knn_model(samples([([0.0, 1.0], "a"), ([2.5, -3.0], "b"), ([0.1, 1e-7], "a b"),
+                                        ([-0.0, 5e-324], "b")]), neighbors_k=2, distance="euclidean")
         path = tmp_path / "knn.model"
         save_model(model, path)
         # the fourth row, [-0, 5e-324], keeps the sign bit and the smallest subnormal
         assert path.read_bytes() == (
-            b"nblgc-model 4\nkind knn\nneighbors_k 2\ndistance euclidean\nlabels\ta\tb\ta b\tb\n"
-            b"vector\tAAAAAAAAAAAAAAAAAADwPw==\nvector\tAAAAAAAABEAAAAAAAAAIwA==\n"
-            b"vector\tmpmZmZmZuT9Ir7ya8td6Pg==\nvector\tAAAAAAAAAIABAAAAAAAAAA==\n"
+            b"nblgc-model 5\nkind knn\nneighbors_k 2\ndistance euclidean\ndim 2\nlabels\ta\tb\ta b\tb\n"
+            b"vectors\tAAAAAAAAAAAAAAAAAADwPwAAAAAAAARAAAAAAAAACMCamZmZmZm5P0ivvJry13o+AAAAAAAAAIABAAAAAAAAAA==\n"
         )
 
     def test_refuses_a_format_2_file(self, tmp_path):
@@ -760,12 +756,20 @@ class TestModelSerialization:
             load_model(path)
         assert type(err.value) is ValueError
 
+    def test_refuses_a_format_4_file(self, tmp_path):
+        # format 4 wrote one vector record per training row, and no dim setting
+        path = tmp_path / "old.model"
+        path.write_text("nblgc-model 4\nkind knn\nneighbors_k 1\ndistance log\nlabels\ta\nvector\tAAAAAAAA8D8=\n")
+        with pytest.raises(ValueError, match="not a recognized model file") as err:
+            load_model(path)
+        assert type(err.value) is ValueError
+
     @pytest.mark.parametrize("kind", ["knn", "svm"])
     def test_bytes_that_are_not_utf8_are_a_value_error(self, tmp_path, kind):
         # a label stored as the byte 0xe9 alone: no UTF-8 text holds it
         pairs = [([0.0], "a"), ([1.0], "b")]
         path = tmp_path / "bad.model"
-        save_model(KnnModel(tuple(samples(pairs))) if kind == "knn" else svm_train(samples(pairs)), path)
+        save_model(knn_model(samples(pairs)) if kind == "knn" else svm_train(samples(pairs)), path)
         path.write_bytes(path.read_bytes().replace(b"\tb\n", b"\t\xe9\n", 1))
         with pytest.raises(ValueError, match="bad.model is not UTF-8 text") as err:
             load_model(path)
@@ -785,20 +789,20 @@ class TestModelNumbers:
     def test_writer_matches_str_format_on_edge_values(self, tmp_path):
         assert all(Decimal(t).as_tuple().digits[17:] == (5,) for t in _TIES)
         n = len(_EDGE_VALUES)
-        knn = KnnModel((LabeledSample(_EDGE_VALUES, "a"),))
+        knn = KnnModel([_EDGE_VALUES], ["a"])
         svm = SvmModel(("a", "b"), [_EDGE_VALUES], [n], [0] * n, _EDGE_VALUES, [-0.0], 1, 1.0, -0.0, 5e-324)
         bits = np.array([_EDGE_VALUES]).view(np.int64)
         path = tmp_path / "edge.model"
         save_model(knn, path)
-        assert path.read_text().splitlines()[-2:] == ["labels\ta", f"vector\t{b64(_EDGE_VALUES)}"]
-        assert np.array_equal(load_model(path).matrix.view(np.int64), bits)
+        assert path.read_text().splitlines()[-3:] == [f"dim {n}", "labels\ta", f"vectors\t{b64(_EDGE_VALUES)}"]
+        assert np.array_equal(load_model(path).vectors.view(np.int64), bits)
         for value in (svm.offset, svm.tol, *_EDGE_VALUES):  # every setting is written as str.format writes it
             save_model(replace(svm, offset=value), path)
             assert path.read_text().splitlines()[4] == "offset {:.17g}".format(value)
         save_model(svm, path)
         lines = path.read_text().splitlines()
         assert lines[4:6] == ["offset -0", "tol 4.9406564584124654e-324"]
-        assert lines[7:] == [f"vector\t{b64(_EDGE_VALUES)}", f"biases\t{b64([-0.0])}", f"sv_coef\t{b64(_EDGE_VALUES)}",
+        assert lines[8:] == [f"vectors\t{b64(_EDGE_VALUES)}", f"biases\t{b64([-0.0])}", f"sv_coef\t{b64(_EDGE_VALUES)}",
                              f"sv_count\t{b64([n], '<i8')}", f"sv_index\t{b64([0] * n, '<i8')}"]
         loaded = load_model(path)
         assert_same_svm(svm, loaded)
@@ -815,8 +819,8 @@ class TestModelNumbers:
             "1250000000000000.25", "+1.5", "1E5", "123456789012345678901234567890", ".5", "5."]
         values = [float(v) for v in strings]
         n = len(values)
-        body = (f"kind knn\nneighbors_k 1\ndistance log\nlabels\ta\nvector\t{b64(values)}\n" if kind == "knn" else
-                f"kind svm\ndegree 1\nC 1\noffset {{}}\ntol 0.001\nclasses\ta\tb\nvector\t{b64(values)}\n"
+        body = (f"kind knn\nneighbors_k 1\ndistance log\ndim {n}\nlabels\ta\nvectors\t{b64(values)}\n" if kind == "knn" else
+                f"kind svm\ndegree 1\nC 1\noffset {{}}\ntol 0.001\ndim {n}\nclasses\ta\tb\nvectors\t{b64(values)}\n"
                 f"biases\t{b64([0.0])}\nsv_coef\t{b64(values)}\nsv_count\t{b64([n], '<i8')}\n"
                 f"sv_index\t{b64([0] * n, '<i8')}\n")
         path = tmp_path / "hand.model"
@@ -824,10 +828,9 @@ class TestModelNumbers:
         # the row travels as bits; on svm, so do the coefficients, and the offset setting
         # takes each string in turn, read back with float()
         for string, value in zip(strings, values):
-            path.write_text("nblgc-model 4\n" + body.format(string))
+            path.write_text("nblgc-model 5\n" + body.format(string))
             loaded = load_model(path)
-            stored = loaded.matrix if kind == "knn" else loaded.vectors
-            assert np.array_equal(stored.view(np.int64), bits)
+            assert np.array_equal(loaded.vectors.view(np.int64), bits)
             if kind == "svm":
                 assert np.array_equal(loaded.sv_coef[None].view(np.int64), bits)
                 assert loaded.offset == value and math.copysign(1.0, loaded.offset) == math.copysign(1.0, value)
@@ -837,20 +840,19 @@ class TestModelNumbers:
         rng = np.random.default_rng(17)
         scale = 10.0 ** rng.integers(-30, 30, size=(280, 441))  # every row spans many magnitudes
         train = samples([(rng.normal(size=441) * scale[i], f"s{i % 40:02d}") for i in range(280)])
-        model = KnnModel(tuple(train)) if kind == "knn" else svm_train(train)
+        model = knn_model(train) if kind == "knn" else svm_train(train)
         first, second = tmp_path / "first.model", tmp_path / "second.model"
         save_model(model, first)
         loaded = load_model(first)
         save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
         if kind == "knn":
-            assert loaded.matrix.tobytes() == model.matrix.tobytes()
-            assert [s.label for s in loaded.training] == [s.label for s in model.training]
+            assert loaded.vectors.tobytes() == model.vectors.tobytes() and loaded.labels == model.labels
         else:
             assert_same_svm(model, loaded)
-        # 441 float64 values are 3528 bytes, 4704 base64 characters with no padding
-        rows = [line[len("vector\t"):] for line in first.read_text().splitlines() if line.startswith("vector\t")]
-        assert len(rows) == 280 and {len(row) for row in rows} == {4704}
+        # 280 x 441 float64 values are 987,840 bytes, 1,317,120 base64 characters with no padding
+        records = [line for line in first.read_text().splitlines() if line.startswith("vectors\t")]
+        assert [len(record) for record in records] == [len("vectors\t") + 1_317_120]
 
 
 def _svm_model_lines(tmp_path):
@@ -904,7 +906,8 @@ def _setting(name, *values):
     return edit
 
 
-_STORE_ORDER = "must end with the records biases, sv_coef, sv_count, sv_index, one field each"
+_STORE_ORDER = "must end with the records classes, vectors, biases, sv_coef, sv_count, sv_index, each array one field"
+_NOT_BASE64 = "vectors record is not base64"
 _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "missing header field": (lambda ls: [line for line in ls if not line.startswith("tol ")], "missing setting 'tol'"),
     "sv index past vectors": (_store("sv_index", lambda a: np.r_[18, a[1:]]), "index outside vectors"),
@@ -921,29 +924,32 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "store record missing": (lambda ls: [line for line in ls if not line.startswith("sv_index\t")], _STORE_ORDER),
     "store records reordered": (_swap("sv_count", "sv_index"), _STORE_ORDER),
     "store record with an extra field": (lambda ls: _edit(ls, "biases", 1, lambda v: v + "\t" + v), _STORE_ORDER),
-    "record after the store": (lambda ls: ls + [next(line for line in ls if line.startswith("vector\t"))],
+    "record after the store": (lambda ls: ls + [next(line for line in ls if line.startswith("vectors\t"))],
                                _STORE_ORDER),
-    # each vector row is 3 float64 values: 24 bytes, 32 base64 characters with no padding
-    "short vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64(_row(v)[:2])), "vector records differ in length"),
-    "vector with an extra field": (lambda ls: _edit(ls, "vector", 1, lambda v: v + "\t" + v),
-                                   "vector record 1 is not base64"),
-    "non-numeric vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "x"), "vector record 1 is not base64"),
+    "vectors record missing": (lambda ls: [line for line in ls if not line.startswith("vectors\t")], _STORE_ORDER),
+    # 18 rows of 3 float64 values: 54 values, 432 bytes, 576 base64 characters with no padding
+    "short vector": (lambda ls: _edit(ls, "vectors", 1, lambda v: b64(_row(v)[:-1])),
+                     "vectors record holds 53 values, not whole rows of dim 3"),
+    "vector with an extra field": (lambda ls: _edit(ls, "vectors", 1, lambda v: v + "\t" + v), _STORE_ORDER),
+    "non-numeric vector value": (lambda ls: _edit(ls, "vectors", 1, lambda v: "x"), _NOT_BASE64),
     # base64url's underscore, whitespace and misplaced padding are each outside strict RFC 4648 base64
-    "underscore in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "_" + v[1:]),
-                                     "vector record 1 is not base64"),
-    "space in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: v[:16] + " " + v[16:]),
-                                "vector record 1 is not base64"),
-    "padding inside a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: v[:6] + "==" + v[8:]),
-                                      "vector record 1 is not base64"),
-    "non-ASCII digits in a vector value": (lambda ls: _edit(ls, "vector", 1, lambda v: "\u0967" + v[1:]),
-                                           "vector record 1 is not base64"),
-    "vector of 12 bytes": (lambda ls: _edit(ls, "vector", 1, lambda v: v[:16]),
-                           "vector record 1 holds 12 bytes, not whole 8-byte values"),
-    "vectors without values": (lambda ls: ["vector\t" if line.startswith("vector\t") else line for line in ls],
-                               "vector record 1 holds no values"),
-    "nan in a vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64([0.0, np.nan, 0.0])), "vectors must be a finite"),
-    "inf in a vector": (lambda ls: _edit(ls, "vector", 1, lambda v: b64([0.0, 0.0, -np.inf])), "vectors must be a finite"),
-    "no classes record": (lambda ls: [line for line in ls if not line.startswith("classes\t")], "no classes record"),
+    "underscore in a vector value": (lambda ls: _edit(ls, "vectors", 1, lambda v: "_" + v[1:]), _NOT_BASE64),
+    "space in a vector value": (lambda ls: _edit(ls, "vectors", 1, lambda v: v[:16] + " " + v[16:]), _NOT_BASE64),
+    "padding inside a vector value": (lambda ls: _edit(ls, "vectors", 1, lambda v: v[:6] + "==" + v[8:]), _NOT_BASE64),
+    "non-ASCII digits in a vector value": (lambda ls: _edit(ls, "vectors", 1, lambda v: "\u0967" + v[1:]), _NOT_BASE64),
+    "vector of 12 bytes": (lambda ls: _edit(ls, "vectors", 1, lambda v: v[:16]),
+                           "vectors record holds 12 bytes, not whole 8-byte values"),
+    "vectors without values": (lambda ls: _edit(ls, "vectors", 1, lambda v: ""), "vectors must be a finite, non-empty"),
+    "nan in a vector": (lambda ls: _edit(ls, "vectors", 1, lambda v: b64(np.r_[np.nan, _row(v)[1:]])),
+                        "vectors must be a finite"),
+    "inf in a vector": (lambda ls: _edit(ls, "vectors", 1, lambda v: b64(np.r_[_row(v)[:-1], -np.inf])),
+                        "vectors must be a finite"),
+    "dim 0": (_setting("dim", 0), "not whole rows of dim 0 >= 1"),
+    "dim -3": (_setting("dim", -3), "not whole rows of dim -3 >= 1"),
+    "dim not dividing the vectors": (_setting("dim", 4), "vectors record holds 54 values, not whole rows of dim 4"),
+    "dim that is not a number": (_setting("dim", "3.0"), "invalid literal"),
+    "no dim": (lambda ls: [line for line in ls if not line.startswith("dim ")], "missing setting 'dim'"),
+    "no classes record": (lambda ls: [line for line in ls if not line.startswith("classes\t")], _STORE_ORDER),
     "one class, no machines": (_one_class, "at least two classes"),
     "class label twice": (lambda ls: _edit(ls, "classes", 2, lambda v: "c0"), "class labels must be distinct"),
     "degree 0": (_setting("degree", 0), "degree must be 1 or 2"),
@@ -966,19 +972,23 @@ def test_malformed_svm_model_is_a_value_error(tmp_path, corruption):
     assert type(err.value) is ValueError
 
 
-_KNN_CORRUPTIONS = {  # name: (edit of a saved two-sample file's lines, expected message)
-    "label without a vector": (lambda ls: ls[:-1], "knn model has 2 labels for 1 vectors"),
+_ROWS = "vectors must be a finite 2-D array with one row per label"
+_KNN_ORDER = "knn model must end with the records labels, vectors, each array one field"
+_KNN_CORRUPTIONS = {  # name: (edit of a saved file's lines: two labels, two rows of dim 2)
+    "label without a vector": (lambda ls: ls[:-1] + ["vectors\t" + b64([0.0, 1.0])], _ROWS + " (2)"),
     "vector without a label": (lambda ls: ["labels\ta" if line.startswith("labels\t") else line for line in ls],
-                               "knn model has 1 labels for 2 vectors"),
-    "no labels record": (lambda ls: [line for line in ls if not line.startswith("labels\t")], "no labels record"),
-    "short vector": (lambda ls: ls[:-1] + ["vector\t" + b64([1.0])], "vector records differ in length"),
-    "vector with an extra field": (lambda ls: ls[:-1] + ["vector\t" + b64([1.0, 2.0]) + "\tx"],
-                                   "vector record 2 is not base64"),
-    "vector without values": (lambda ls: ls[:-1] + ["vector\t"], "vector record 2 holds no values"),
-    "nan in a vector": (lambda ls: ls[:-1] + ["vector\t" + b64([1.0, np.nan])], "vector must be finite"),
-    "store record in a knn model": (lambda ls: ls + ["biases\t" + b64([0.0])], "unexpected record 'biases' in knn"),
+                               _ROWS + " (1)"),
+    "no labels record": (lambda ls: [line for line in ls if not line.startswith("labels\t")], _KNN_ORDER),
+    "short vector": (lambda ls: ls[:-1] + ["vectors\t" + b64([0.0, 1.0, 2.0])],
+                     "vectors record holds 3 values, not whole rows of dim 2"),
+    "vector with an extra field": (lambda ls: ls[:-1] + [ls[-1] + "\tx"], _KNN_ORDER),
+    "vector without values": (lambda ls: ls[:-1] + ["vectors\t"], _ROWS + " (2)"),
+    "nan in a vector": (lambda ls: ls[:-1] + ["vectors\t" + b64([0.0, 1.0, 2.0, np.nan])], _ROWS),
+    "store record in a knn model": (lambda ls: ls + ["biases\t" + b64([0.0])], _KNN_ORDER),
     "missing setting": (lambda ls: [line for line in ls if not line.startswith("neighbors_k ")],
                         "missing setting 'neighbors_k'"),
+    "no dim": (lambda ls: [line for line in ls if not line.startswith("dim ")], "missing setting 'dim'"),
+    "dim 0": (_setting("dim", 0), "not whole rows of dim 0 >= 1"),
 }
 
 
@@ -986,9 +996,9 @@ _KNN_CORRUPTIONS = {  # name: (edit of a saved two-sample file's lines, expected
 def test_malformed_knn_model_is_a_value_error(tmp_path, corruption):
     edit, message = _KNN_CORRUPTIONS[corruption]
     path = tmp_path / "bad.model"
-    save_model(KnnModel(tuple(samples([([0.0, 1.0], "a"), ([2.0, 3.0], "b")]))), path)
+    save_model(KnnModel(np.array([[0.0, 1.0], [2.0, 3.0]]), ["a", "b"]), path)
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.raises(ValueError, match=message) as err:
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
         load_model(path)
     assert type(err.value) is ValueError
 
@@ -1025,7 +1035,7 @@ class TestModelRoundTripProperties:
     @given(problem=problems(), k=st.integers(1, 8), distance=st.sampled_from(["log", "euclidean"]))
     def test_knn_predicts_the_same_after_loading(self, tmp_path_factory, problem, k, distance):
         train, queries = problem
-        model = KnnModel(tuple(train), min(k, len(train)), distance)
+        model = knn_model(train, min(k, len(train)), distance)
         path = tmp_path_factory.mktemp("knn") / "m.model"
         save_model(model, path)
         loaded = load_model(path)

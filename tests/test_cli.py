@@ -538,7 +538,7 @@ for name, *extra in (["extract"], ["evaluate"], ["kfold", "--folds", "2"], ["roc
     assert main([name, *common, "--out", f"{out}/{name}", *extra]) == 0, name
 read_features_csv(out + "/extract/features.csv")
 train = [LabeledSample(np.array([0.0, 1.0]), "a"), LabeledSample(np.array([1.0, 0.0]), "b")]
-for model in (KnnModel(tuple(train)), svm_train(train)):
+for model in (KnnModel([s.vector for s in train], [s.label for s in train]), svm_train(train)):
     save_model(model, out + "/m.model")
     load_model(out + "/m.model")
 print("done")

@@ -229,7 +229,7 @@ def per_fold_knn_kfold(data, k, cfg):
         test = [s for i, s in enumerate(data) if fold_of[i] == fold]
         if not test:
             raise ValueError(f"fold {fold} is empty; reduce k")
-        model = KnnModel(tuple(train), cfg.neighbors_k, cfg.distance)
+        model = KnnModel([s.vector for s in train], [s.label for s in train], cfg.neighbors_k, cfg.distance)
         hits = 0
         for sample in test:
             hit = knn_predict(model, sample.vector)[0] == sample.label

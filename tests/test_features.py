@@ -317,6 +317,15 @@ class TestFeatureCsv:
         write_features_csv(path, rows)
         assert path.read_bytes() == expected.read_bytes()
 
+    def test_writer_refuses_a_non_finite_value(self, tmp_path):
+        fv = extract(GrayImage(np.random.default_rng(13).random((6, 6))))
+        path = tmp_path / "f.csv"
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.r_[fv.values[:1], bad, fv.values[2:]]
+            with pytest.raises(ValueError, match="row 'q' must hold 4 finite feature values"):
+                write_features_csv(path, [csv_row("p", "c", fv), ("q", "c", fv.variant, fv.ref, values)])
+            assert path.read_text().count("\n") == 2  # the header and the good row only
+
     def test_empty_needs_feature_count(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_features_csv(path, [], n_features=4)
@@ -345,3 +354,7 @@ class TestFeatureCsv:
             path.write_text(header + "p,c,g1,avg,1,2\n" + row + "\n")
             with pytest.raises(ValueError, match=f"{path} line 3: {fields} fields, the header has 6"):
                 read_features_csv(path)
+        # and every value is finite, as write_features_csv writes them
+        path.write_text(header + "p,c,g1,avg,1,2\np,c,g1,avg,nan,inf\n")
+        with pytest.raises(ValueError, match=f"{path} line 3: feature values must be finite"):
+            read_features_csv(path)
