@@ -377,17 +377,11 @@ def svm_predict(model: SvmModel, query) -> str:
 
 _ARRAYS = {"knn": {"vectors": "<f8"},
            "svm": {"vectors": "<f8", "biases": "<f8", "sv_coef": "<f8", "sv_count": "<i8", "sv_index": "<i8"}}
-
-
-def _record(name: str, values, dtype: str = "<f8") -> str:
-    """name, a tab, then values as base64 of their dtype bytes."""
-    from base64 import b64encode  # only a model file needs it: CLI commands never import it
-
-    return name + "\t" + b64encode(np.ascontiguousarray(values, dtype=dtype)).decode("ascii")
+_SETTINGS = {"knn": {"kind", "neighbors_k", "distance", "dim"}, "svm": {"kind", "degree", "C", "offset", "tol", "dim"}}
 
 
 def _unpack(name: str, text: str, dtype: str = "<f8") -> np.ndarray:
-    """The read-only 1-D array that _record wrote as text. Raises
+    """The read-only 1-D array that save_model wrote as text. Raises
     ValueError with name if text is not strict base64 or holds no whole
     number of 8-byte values."""
     from base64 import b64decode
@@ -404,6 +398,8 @@ def _unpack(name: str, text: str, dtype: str = "<f8") -> np.ndarray:
 def save_model(model: KnnModel | SvmModel, path) -> None:
     """Write model as text; raises ValueError, writing nothing, on a label
     that check_label refuses."""
+    from base64 import b64encode  # only a model file needs it: CLI commands never import it
+
     if isinstance(model, KnnModel):
         kind, names = "knn", ["labels", *model.labels]
         settings = [f"neighbors_k {model.neighbors_k}", f"distance {model.distance}"]
@@ -413,10 +409,12 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
                     f"tol {_REAL % model.tol}"]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    lines = [MODEL_FORMAT, f"kind {kind}", *settings, f"dim {model.vectors.shape[1]}", "\t".join(map(check_label, names)),
-             *(_record(name, getattr(model, name), dtype) for name, dtype in _ARRAYS[kind].items())]
+    lines = [MODEL_FORMAT, f"kind {kind}", *settings, f"dim {model.vectors.shape[1]}", "\t".join(map(check_label, names))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+        for name, dtype in _ARRAYS[kind].items():  # each record as it is made: no joined copy of one exists
+            data = b64encode(np.ascontiguousarray(getattr(model, name), dtype=dtype)).decode("ascii")
+            fh.writelines([name, "\t", data, "\n"])
 
 
 def load_model(path) -> KnnModel | SvmModel:
@@ -434,6 +432,9 @@ def load_model(path) -> KnnModel | SvmModel:
         if name in fields:
             raise ValueError(f"{path}: setting {name!r} is named twice")
         fields[name] = value
+    unknown = sorted(fields.keys() - _SETTINGS.get(fields.get("kind"), fields.keys()))
+    if unknown:  # an unknown kind is refused by _parse_model
+        raise ValueError(f"{path}: {fields['kind']} models have no setting {unknown[0]!r}")
     try:
         return _parse_model(fields, lines[pos:])
     except KeyError as err:

@@ -277,21 +277,25 @@ def _fmt(x: float) -> str:
     return f"{x:.{REPORT_DIGITS}g}"
 
 
-def _write_echo(fh, config: dict[str, object]) -> None:
-    for key in sorted(config):
-        fh.write(f"# {key}={config[key]}\n")
+def _write_table(path, config: dict[str, object], header: list[str], rows, footer: str = "") -> None:
+    """One "# key=value" comment per config item, in key order, then the
+    header and rows as CSV, then "# footer" when one is given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {key}={config[key]}\n" for key in sorted(config))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        if footer:
+            fh.write(f"# {footer}\n")
 
 
 def write_report_csv(report: EvalReport, config: dict[str, object], path) -> None:
     """Accuracy table: one "# key=value" comment per config item, in key
     order, then class,correct,total,accuracy rows and an overall row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_echo(fh, config)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "correct", "total", "accuracy"])
-        for label, (correct, total) in report.per_class.items():
-            writer.writerow([label, correct, total, _fmt(100.0 * correct / total)])
-        writer.writerow(["overall", report.correct, report.total, _fmt(report.accuracy)])
+    rows = [[label, correct, total, _fmt(100.0 * correct / total)]
+            for label, (correct, total) in report.per_class.items()]
+    rows.append(["overall", report.correct, report.total, _fmt(report.accuracy)])
+    _write_table(path, config, ["class", "correct", "total", "accuracy"], rows)
 
 
 def write_folds_csv(report: EvalReport, config: dict[str, object], path) -> None:
@@ -299,23 +303,14 @@ def write_folds_csv(report: EvalReport, config: dict[str, object], path) -> None
     fold,accuracy rows and a mean footer comment."""
     if report.fold_accuracies is None:
         raise ValueError("report has no fold accuracies")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_echo(fh, config)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fold", "accuracy"])
-        for i, accuracy in enumerate(report.fold_accuracies, start=1):
-            writer.writerow([i, _fmt(accuracy)])
-        mean = sum(report.fold_accuracies) / len(report.fold_accuracies)
-        fh.write(f"# mean_accuracy={_fmt(mean)}\n")
+    mean = sum(report.fold_accuracies) / len(report.fold_accuracies)
+    rows = [[i, _fmt(accuracy)] for i, accuracy in enumerate(report.fold_accuracies, start=1)]
+    _write_table(path, config, ["fold", "accuracy"], rows, f"mean_accuracy={_fmt(mean)}")
 
 
 def write_roc_csv(points: Sequence[RocPoint], config: dict[str, object], path) -> None:
     """Config comments as in write_report_csv, then threshold,far,gar rows;
     a footer states how GAR is computed."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_echo(fh, config)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "far", "gar"])
-        for p in points:
-            writer.writerow([_fmt(p.threshold), _fmt(p.far), _fmt(p.gar)])
-        fh.write("# gar counts accepted genuine trials directly; it is not 100-far\n")
+    rows = [[_fmt(p.threshold), _fmt(p.far), _fmt(p.gar)] for p in points]
+    _write_table(path, config, ["threshold", "far", "gar"], rows,
+                 "gar counts accepted genuine trials directly; it is not 100-far")

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .image_io import GrayImage, _class_files, _load_file
+from .image_io import GrayImage, _load_file, _map, _read_tree
 from .infoset import center_memberships, contours
-from .options import ContourVariant, FuzzifierRef, check_resize_target
+from .options import ContourVariant, FuzzifierRef
 
 FLOAT_DIGITS = 12  # significant digits in the feature CSV
 
@@ -31,22 +30,13 @@ class FeatureVector:
     """Per-block features of one image, row-major over the block grid."""
 
     values: np.ndarray  # 1-D float64
-    variant: ContourVariant
-    ref: FuzzifierRef
-    block_grid: tuple[int, int]  # (rows, cols)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64)  # a copy: the caller's array stays writeable
-        rows, cols = self.block_grid
-        if vals.ndim != 1 or vals.size != rows * cols:
-            raise ValueError("value count does not match the block grid")
-        if not np.isfinite(vals).all():
-            raise ValueError("feature values must be finite")
+        if vals.ndim != 1 or not np.isfinite(vals).all():
+            raise ValueError("feature values must be a finite 1-D array")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 def block_values(image: GrayImage) -> np.ndarray:
@@ -85,8 +75,7 @@ def extract(
     ref: FuzzifierRef = FuzzifierRef.AVERAGE,
 ) -> FeatureVector:
     """Feature vector of a whole image, one value per 3x3 block."""
-    values = block_features(block_values(image), variant, ref)
-    return FeatureVector(values, variant, ref, (image.height // 3, image.width // 3))
+    return FeatureVector(block_features(block_values(image), variant, ref))
 
 
 # pickled by name, so a worker finds it even where a tracer has rebound extract to an unpicklable wrapper
@@ -105,24 +94,6 @@ def _file_features(
     return block_features(block_values(image), variant, ref)
 
 
-def pool_size(workers: int, n_tasks: int) -> int:
-    """Processes a pool starts: no more than the tasks or the cores."""
-    return min(workers, n_tasks, os.cpu_count() or 1)
-
-
-def _map(fn: Callable, tasks: Sequence, workers: int) -> list:
-    """[fn(t) for t in tasks], run in contiguous chunks across up to
-    pool_size processes when workers > 1; fn must pickle by name."""
-    workers = pool_size(workers, len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import: only when a pool starts
-
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
-
-
 def extract_many(
     images: Sequence[GrayImage],
     variant: ContourVariant = ContourVariant.G1,
@@ -132,7 +103,7 @@ def extract_many(
     """Extract a batch of images, optionally across processes.
 
     Results always come back in input order; the worker count never
-    changes the values. The pool is clamped by pool_size.
+    changes the values. The pool is clamped by image_io.pool_size.
     """
     return _map(_extract_task, [(img, variant, ref) for img in images], workers)
 
@@ -148,23 +119,14 @@ def extract_dataset(
     """Features of every ``root/<class>/*.pgm``, one file at a time.
 
     Returns (source paths, class labels, (n, blocks) feature matrix,
-    notices). Rows, labels and errors are those of load_dataset then
-    extract on each image, but no image is kept, and with workers > 1
-    each pool process reads its own files. Where load_dataset warns,
-    this returns the message among the notices, in file order: one per
-    file skip_errors skipped, or one for a root without class directories.
+    notices): the rows, labels and errors of load_dataset then extract on
+    each image, from the same walk (image_io._read_tree). No image is
+    kept, with workers > 1 each pool process reads its own files, and
+    where load_dataset warns, the message is returned among the notices.
     """
-    size = check_resize_target(*size)
-    root = Path(root)
-    classes = _class_files(root)
-    files = [(label, path) for label, paths in classes for path in paths]
-    task = partial(_file_features, size=size, variant=variant, ref=ref, skip_errors=skip_errors)
-    results = _map(task, [path for _, path in files], workers)
-    notices = [r for r in results if isinstance(r, str)]
-    if not classes:
-        notices.append(f"dataset root {root} contains no class directories")
-    kept = [(str(path), label, r) for (label, path), r in zip(files, results) if not isinstance(r, str)]
-    paths, labels, rows = zip(*kept) if kept else ((), (), ())
+    task = partial(_file_features, variant=variant, ref=ref)
+    kept, notices = _read_tree(root, size, task, skip_errors, workers)
+    labels, paths, rows = zip(*kept) if kept else ((), (), ())
     matrix = np.array(rows, dtype=np.float64).reshape(len(rows), (size[0] // 3) * (size[1] // 3))
     return list(paths), list(labels), matrix, notices
 
@@ -180,13 +142,17 @@ def write_features_csv(
     Header is path,class,variant,ref,v0..v{n-1}; text fields are
     csv-quoted and values carry FLOAT_DIGITS significant digits.
     n_features sizes the header when rows is empty. A row of another
-    length or with a non-finite value raises ValueError before it is written.
+    length or with a non-finite value raises ValueError before the file
+    is opened, so an existing file stays as it was.
     """
     rows = list(rows)
     if rows:
         n_features = len(rows[0][4])
     elif n_features is None:
         raise ValueError("n_features is required when there are no rows")
+    for source, _, _, _, vals in rows:
+        if len(vals) != n_features or not np.isfinite(vals).all():
+            raise ValueError(f"row {source!r} must hold {n_features} finite feature values")
     values = f",%.{FLOAT_DIGITS}g" * n_features + "\n"
     # csv quotes a field by what its line terminator holds, so each row's text fields
     # are written with the real "\n" into a buffer, which is then cut before the values
@@ -195,8 +161,6 @@ def write_features_csv(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(n_features)]) + "\n")
         for source, label, variant, ref, vals in rows:
-            if len(vals) != n_features or not np.isfinite(vals).all():
-                raise ValueError(f"row {source!r} must hold {n_features} finite feature values")
             text.seek(0)
             text.truncate()
             writer.writerow([source, label, variant.value, ref.value])

@@ -7,13 +7,14 @@ and assembles labeled datasets from a ``root/<class>/<image>.pgm`` tree.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 import warnings
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,7 +118,6 @@ class DatasetEntry:
     """One loaded image with its class label (its directory name)."""
 
     class_label: str
-    image_index: int  # ordinal within the class, load order
     image: GrayImage
     source_path: str
 
@@ -310,12 +310,10 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
         return image
     src = image.pixels
     x0, x1, y0, y1, fx, fy = _resize_plan(image.width, image.height, out_width, out_height)
-    r0, r1 = src[y0], src[y1]
-    a0, a1 = r0[:, x0], r1[:, x0]
-    # lerp form keeps constants exact: v0 + f*(v1 - v0)
-    top = a0 + fx * (r0[:, x1] - a0)
-    bottom = a1 + fx * (r1[:, x1] - a1)
-    out = top + fy * (bottom - top)
+    # lerp form keeps constants exact: v0 + f*(v1 - v0), along x over every source row, then along y
+    c0 = src[:, x0]
+    cols = c0 + fx * (src[:, x1] - c0)
+    out = cols[y0] + fy * (cols[y1] - cols[y0])
     return _owned(GrayImage, pixels=np.clip(out, 0.0, 1.0, out=out))
 
 
@@ -356,34 +354,53 @@ def _load_file(path: Path, size: tuple[int, int], skip_errors: bool) -> GrayImag
         raise DatasetError(f"failed to load {path}: {err}") from err
 
 
+def pool_size(workers: int, n_tasks: int) -> int:
+    """Processes a pool starts: no more than the tasks or the cores."""
+    return min(workers, n_tasks, os.cpu_count() or 1)
+
+
+def _map(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """[fn(t) for t in tasks], run in contiguous chunks across up to
+    pool_size processes when workers > 1; fn must pickle by name."""
+    workers = pool_size(workers, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import: only when a pool starts
+
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunk))
+
+
+def _read_tree(root: str | Path, size: tuple[int, int], load: Callable, skip_errors: bool,
+               workers: int = 1) -> tuple[list[tuple[str, str, object]], list[str]]:
+    """load(path, size=, skip_errors=) over every ``root/<class>/*.pgm``,
+    through _map, once size and tree are checked. Returns the kept
+    (class label, source path, result) triples in (class, file) name
+    order, and the notices: one per file skipped (load returned its
+    message), or one for a root without class directories."""
+    size = check_resize_target(*size)
+    root = Path(root)
+    classes = _class_files(root)
+    files = [(label, path) for label, paths in classes for path in paths]
+    results = _map(partial(load, size=size, skip_errors=skip_errors), [path for _, path in files], workers)
+    notices = [r for r in results if isinstance(r, str)]
+    if not classes:
+        notices.append(f"dataset root {root} contains no class directories")
+    kept = [(label, str(path), r) for (label, path), r in zip(files, results) if not isinstance(r, str)]
+    return kept, notices
+
+
 def load_dataset(
     root: str | Path,
     resize_to: tuple[int, int] = (63, 63),
     skip_errors: bool = False,
 ) -> list[DatasetEntry]:
-    """Load every ``root/<class>/*.pgm`` as a normalized, resized image.
-
-    Class label = subdirectory name. Entries come back sorted by
-    (class name, file name), so two calls on the same tree agree.
-    A target that check_resize_target refuses raises ValueError before
-    any file is read. A bad file aborts the load unless skip_errors is
-    set, which downgrades it to a warning. A class name that no model
-    file could hold (see check_label) or a file name that is not UTF-8
-    always aborts, before any file is read.
-    """
-    size = check_resize_target(*resize_to)
-    root = Path(root)
-    classes = _class_files(root)
-    if not classes:
-        warnings.warn(f"dataset root {root} contains no class directories")
-    entries: list[DatasetEntry] = []
-    for label, files in classes:
-        index = 0
-        for path in files:
-            image = _load_file(path, size, skip_errors)
-            if isinstance(image, str):
-                warnings.warn(image)
-                continue
-            entries.append(DatasetEntry(label, index, image, str(path)))
-            index += 1
-    return entries
+    """Every ``root/<class>/*.pgm`` as a normalized, resized image, labelled
+    by its subdirectory, in (class, file) name order. Size and tree are
+    checked before any file is read (see _read_tree). A bad file aborts
+    the load unless skip_errors is set, which makes it a warning."""
+    kept, notices = _read_tree(root, resize_to, _load_file, skip_errors)
+    for notice in notices:
+        warnings.warn(notice)
+    return [DatasetEntry(label, image, path) for label, path, image in kept]

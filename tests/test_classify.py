@@ -12,9 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nblgc import (
-    ContourVariant,
     FeatureVector,
-    FuzzifierRef,
     KnnModel,
     LabeledSample,
     SvmModel,
@@ -135,7 +133,7 @@ class TestKnn:
     @pytest.mark.parametrize("make", [
         lambda: LabeledSample(np.array([1.0, 2.0]), "a"),
         lambda: KnnModel(np.array([[1.0]]), ["a"]),
-        lambda: FeatureVector(np.ones(2), ContourVariant.G1, FuzzifierRef.AVERAGE, (1, 2)),
+        lambda: FeatureVector(np.ones(2)),
         lambda: svm_train(samples([([0.0], "a"), ([1.0], "b")])).machines[0],
     ], ids=["LabeledSample", "KnnModel", "FeatureVector", "BinaryMachine"])
     def test_compares_by_identity(self, make):
@@ -661,16 +659,15 @@ class TestModelSerialization:
             q = rng.normal(size=5)
             assert svm_predict(loaded, q) == svm_predict(model, q)
 
-    def test_ignores_former_solver_settings(self, tmp_path):
+    def test_refuses_former_solver_settings(self, tmp_path):
         model = svm_train(samples([([0.0, 1.0], "a"), ([1.0, 0.0], "b"), ([2.0, 2.0], "b")]))
         path = tmp_path / "svm.model"
         save_model(model, path)
         text = path.read_text()
         assert "max_passes" not in text and "\nseed " not in text
         path.write_text(text.replace("\ntol ", "\nmax_passes 100\nseed 7\ntol "))
-        loaded = load_model(path)
-        assert (loaded.degree, loaded.c, loaded.offset, loaded.tol) == (model.degree, model.c, model.offset, model.tol)
-        assert svm_predict(loaded, [0.5, 0.5]) == svm_predict(model, [0.5, 0.5])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: svm models have no setting 'max_passes'")):
+            load_model(path)
 
     @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\r", "a\x85b"])
     def test_refuses_labels_that_would_not_load(self, tmp_path, label):
@@ -906,6 +903,14 @@ def _setting(name, *values):
     return edit
 
 
+def _after_kind(*settings):
+    """An edit that puts the given setting lines right after the kind line."""
+    def edit(lines):
+        at = lines.index(next(line for line in lines if line.startswith("kind "))) + 1
+        return lines[:at] + list(settings) + lines[at:]
+    return edit
+
+
 _STORE_ORDER = "must end with the records classes, vectors, biases, sv_coef, sv_count, sv_index, each array one field"
 _NOT_BASE64 = "vectors record is not base64"
 _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
@@ -959,6 +964,8 @@ _CORRUPTIONS = {  # name: (edit of the saved lines, expected message)
     "offset inf": (_setting("offset", "inf"), "offset must be finite"),
     "tol nan": (_setting("tol", "nan"), "tol must be"),
     "setting named twice": (_setting("degree", 1, 2), "setting 'degree' is named twice"),
+    "unknown setting": (_after_kind("color blue"), "svm models have no setting 'color'"),
+    "knn setting": (_after_kind("neighbors_k 1"), "svm models have no setting 'neighbors_k'"),
 }
 
 
@@ -989,6 +996,8 @@ _KNN_CORRUPTIONS = {  # name: (edit of a saved file's lines: two labels, two row
                         "missing setting 'neighbors_k'"),
     "no dim": (lambda ls: [line for line in ls if not line.startswith("dim ")], "missing setting 'dim'"),
     "dim 0": (_setting("dim", 0), "not whole rows of dim 0 >= 1"),
+    "unknown setting": (_after_kind("color blue", "degree 2"), "knn models have no setting 'color'"),
+    "svm setting": (_after_kind("degree 2"), "knn models have no setting 'degree'"),
 }
 
 

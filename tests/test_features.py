@@ -24,7 +24,7 @@ from nblgc import (
     read_features_csv,
     write_features_csv,
 )
-from nblgc.features import pool_size
+from nblgc.image_io import pool_size
 from conftest import make_pgm_tree
 from oracles import naive_feature_vector
 
@@ -32,9 +32,9 @@ VARIANTS = list(ContourVariant)
 REFS = list(FuzzifierRef)
 
 
-def csv_row(source, label, fv):
+def csv_row(source, label, fv, variant=ContourVariant.G1, ref=FuzzifierRef.AVERAGE):
     """A write_features_csv row: the shape read_features_csv returns."""
-    return source, label, fv.variant, fv.ref, fv.values
+    return source, label, variant, ref, fv.values
 
 
 def entropy_term(membership, contour):
@@ -131,10 +131,7 @@ class TestExtract:
     def test_vector_shape_and_grid(self):
         rng = np.random.default_rng(3)
         fv = extract(GrayImage(rng.random((63, 63))))
-        assert len(fv) == 441
-        assert fv.block_grid == (21, 21)
-        assert fv.variant is ContourVariant.G1
-        assert fv.ref is FuzzifierRef.AVERAGE
+        assert fv.values.shape == (21 * 21,)  # one value per block of the 21x21 grid
 
     def test_values_equal_block_features_exactly(self):
         # each block row computed alone is bit-identical to its row of the batch
@@ -208,6 +205,21 @@ class TestExtractDataset:
             assert np.array_equal(matrix, np.stack([fv.values for fv in vectors]))
             assert notices == [str(w.message) for w in caught]
 
+    @pytest.mark.parametrize("tree", ["a class with a corrupt file", "no class directories"])
+    def test_both_readers_agree(self, tmp_path, tree):
+        root = tmp_path / "ds"
+        root.mkdir()
+        if tree == "a class with a corrupt file":
+            make_pgm_tree(root, n_classes=2, per_class=2, seed=18)
+            (root / "s02" / "img00.pgm").write_bytes(b"P5\n9 9\n255\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entries = load_dataset(root, (9, 9), skip_errors=True)
+        paths, labels, _, notices = extract_dataset(root, (9, 9), skip_errors=True)
+        assert [(e.class_label, e.source_path) for e in entries] == list(zip(labels, paths))
+        assert [str(w.message) for w in caught] == notices
+        assert len(notices) == 1
+
     def test_bad_file_aborts_with_path(self, tmp_path):
         root = tmp_path / "ds"
         make_pgm_tree(root, n_classes=2, per_class=4, seed=16)
@@ -236,15 +248,9 @@ class TestPoolSize:
 
 
 class TestFeatureVectorType:
-    def test_rejects_grid_mismatch(self):
-        with pytest.raises(ValueError, match="block grid"):
-            FeatureVector(np.zeros(5), ContourVariant.G1, FuzzifierRef.AVERAGE, (2, 3))
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            FeatureVector(
-                np.array([1.0, np.inf]), ContourVariant.G1, FuzzifierRef.AVERAGE, (1, 2)
-            )
+            FeatureVector(np.array([1.0, np.inf]))
 
 
 class TestFeatureCsv:
@@ -252,7 +258,8 @@ class TestFeatureCsv:
         rng = np.random.default_rng(12)
         imgs = [GrayImage(rng.random((6, 6))) for _ in range(3)]
         rows = [
-            csv_row(f"/data/c{i}/img.pgm", f"c{i}", extract(img, ContourVariant.G2, FuzzifierRef.MAXIMUM))
+            csv_row(f"/data/c{i}/img.pgm", f"c{i}", extract(img, ContourVariant.G2, FuzzifierRef.MAXIMUM),
+                    ContourVariant.G2, FuzzifierRef.MAXIMUM)
             for i, img in enumerate(imgs)
         ]
         path = tmp_path / "features.csv"
@@ -268,9 +275,9 @@ class TestFeatureCsv:
             assert np.allclose(bvals, vals, rtol=1e-11, atol=1e-14)
 
     def test_read_takes_the_exact_values_written(self, tmp_path):
-        fv = FeatureVector(np.array([1.0]), ContourVariant.G2, FuzzifierRef.MAXIMUM, (1, 1))
+        fv = FeatureVector(np.array([1.0]))
         path = tmp_path / "f.csv"
-        write_features_csv(path, [csv_row("p", "c", fv)])
+        write_features_csv(path, [csv_row("p", "c", fv, ContourVariant.G2, FuzzifierRef.MAXIMUM)])
         text = path.read_text()
         assert read_features_csv(path)[0][2:4] == (ContourVariant.G2, FuzzifierRef.MAXIMUM)
         for written, other in ((",g2,", ",G2,"), (",max,", ",MAX,"), (",max,", ", max,")):
@@ -279,12 +286,7 @@ class TestFeatureCsv:
                 read_features_csv(path)
 
     def test_twelve_significant_digits(self, tmp_path):
-        fv = FeatureVector(
-            np.array([0.12345678901234567, 100.0 / 3.0]),
-            ContourVariant.G1,
-            FuzzifierRef.AVERAGE,
-            (1, 2),
-        )
+        fv = FeatureVector(np.array([0.12345678901234567, 100.0 / 3.0]))
         path = tmp_path / "f.csv"
         write_features_csv(path, [csv_row("p", "c", fv)])
         row = path.read_text().splitlines()[1]
@@ -293,10 +295,10 @@ class TestFeatureCsv:
     def test_values_format_like_numpy_scalars(self, tmp_path):
         values = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                            -1.7976931348623157e308, 1 / 3, 1e-5, 123456789012.5, 1234567890.125, 7.0, 1e15])
-        fv = FeatureVector(values, ContourVariant.G1, FuzzifierRef.AVERAGE, (1, values.size))
+        fv = FeatureVector(values)
         path = tmp_path / "f.csv"
         write_features_csv(path, [csv_row("p", "c", fv)])
-        expected = ",".join(["p", "c", fv.variant.value, fv.ref.value] + [f"{v:.12g}" for v in values])
+        expected = ",".join(["p", "c", "g1", "avg"] + [f"{v:.12g}" for v in values])
         assert path.read_bytes().split(b"\n")[1] == expected.encode()
         assert expected.endswith(",0,-0,4.94065645841e-324,-4.94065645841e-324,1.79769313486e+308,"
                                  "-1.79769313486e+308,0.333333333333,1e-05,123456789012,1234567890.12,7,1e+15")
@@ -305,7 +307,7 @@ class TestFeatureCsv:
         # the reference: csv.writer quotes and joins all fields, values formatted by str.format
         rng = np.random.default_rng(14)
         edge = np.array([-0.0, 5e-324, 1e308, 3.0, 123456789012.5, 1234567890.125, 0.5])
-        rows = [csv_row(source, "c,1", FeatureVector(values, ContourVariant.G3, FuzzifierRef.MINIMUM, (1, 7)))
+        rows = [csv_row(source, "c,1", FeatureVector(values), ContourVariant.G3, FuzzifierRef.MINIMUM)
                 for source, values in (('a,"b"\nc.pgm', edge), ("plain.pgm", rng.random(7)))]
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as fh:
@@ -322,9 +324,14 @@ class TestFeatureCsv:
         path = tmp_path / "f.csv"
         for bad in (np.nan, np.inf, -np.inf):
             values = np.r_[fv.values[:1], bad, fv.values[2:]]
+            rows = [csv_row("p", "c", fv), ("q", "c", ContourVariant.G1, FuzzifierRef.AVERAGE, values)]
             with pytest.raises(ValueError, match="row 'q' must hold 4 finite feature values"):
-                write_features_csv(path, [csv_row("p", "c", fv), ("q", "c", fv.variant, fv.ref, values)])
-            assert path.read_text().count("\n") == 2  # the header and the good row only
+                write_features_csv(path, rows)
+            assert not path.exists()  # refused before the file is opened
+        path.write_bytes(b"earlier contents\n")
+        with pytest.raises(ValueError, match="row 'q' must hold 4 finite feature values"):
+            write_features_csv(path, rows)
+        assert path.read_bytes() == b"earlier contents\n"
 
     def test_empty_needs_feature_count(self, tmp_path):
         path = tmp_path / "empty.csv"

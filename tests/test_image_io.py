@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_pgm_tree, random_raw
 from nblgc import (
-    ContourVariant,
     DatasetError,
     FeatureVector,
-    FuzzifierRef,
     GrayImage,
     LabeledSample,
     PgmParseError,
@@ -366,7 +364,8 @@ class TestLoadDataset:
         make_pgm_tree(root, n_classes=3, per_class=2, seed=1)
         entries = load_dataset(root, resize_to=(9, 9))
         assert [e.class_label for e in entries] == ["s01", "s01", "s02", "s02", "s03", "s03"]
-        assert [e.image_index for e in entries] == [0, 1, 0, 1, 0, 1]
+        assert [e.source_path for e in entries] == [str(root / c / f) for c in ("s01", "s02", "s03")
+                                                    for f in ("img00.pgm", "img01.pgm")]
         assert all(e.image.width == 9 and e.image.height == 9 for e in entries)
         again = load_dataset(root, resize_to=(9, 9))
         assert [e.source_path for e in again] == [e.source_path for e in entries]
@@ -402,8 +401,7 @@ class TestLoadDataset:
         (root / "s01" / "broken.pgm").write_bytes(b"junk")
         with pytest.warns(UserWarning, match="skipping"):
             entries = load_dataset(root, resize_to=(9, 9), skip_errors=True)
-        assert len(entries) == 2
-        assert [e.image_index for e in entries] == [0, 1]
+        assert [e.source_path for e in entries] == [str(root / "s01" / f) for f in ("img00.pgm", "img01.pgm")]
 
     def test_non_pgm_files_ignored(self, tmp_path):
         root = tmp_path / "ds"
@@ -506,7 +504,7 @@ class TestTypes:
         [
             (lambda a: RawImage(2, 1, 255, a), np.array([3, 4], dtype=np.uint16)),
             (lambda a: GrayImage(a), np.zeros((2, 2))),
-            (lambda a: FeatureVector(a, ContourVariant.G1, FuzzifierRef.AVERAGE, (1, 2)), np.zeros(2)),
+            (lambda a: FeatureVector(a), np.zeros(2)),
             (lambda a: LabeledSample(a, "a"), np.zeros(2)),
         ],
         ids=["RawImage", "GrayImage", "FeatureVector", "LabeledSample"],
