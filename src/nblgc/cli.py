@@ -37,8 +37,7 @@ def _load_samples(cfg: argparse.Namespace):
     """(source paths, class labels, feature matrix) of the dataset; the
     skipped files and an empty root are reported on stderr."""
     variant, ref = ContourVariant(cfg.variant), FuzzifierRef(cfg.ref)
-    paths, labels, matrix, notices = extract_dataset(cfg.data, _size(cfg), variant, ref,
-                                                     cfg.skip_errors, cfg.workers)
+    paths, labels, matrix, notices = extract_dataset(cfg.data, _size(cfg), variant, ref, cfg.skip_errors)
     for notice in notices:
         print(f"nblgc: {notice}", file=sys.stderr)
     return paths, labels, matrix
@@ -78,7 +77,7 @@ def cmd_evaluate(cfg: argparse.Namespace) -> None:
 
 def cmd_kfold(cfg: argparse.Namespace) -> None:
     samples = _samples(cfg)
-    report = kfold(samples, cfg.folds, _classifier_config(cfg))
+    report = kfold(samples, cfg.folds, _classifier_config(cfg), cfg.workers)
     out_path = cfg.out / "folds.csv"
     write_folds_csv(report, _config_echo(cfg), out_path)
     mean = sum(report.fold_accuracies) / len(report.fold_accuracies)
@@ -88,7 +87,7 @@ def cmd_kfold(cfg: argparse.Namespace) -> None:
 def cmd_roc(cfg: argparse.Namespace) -> None:
     samples = _samples(cfg)
     train, test = split_per_class(samples, _split_spec(cfg))
-    points = roc_far_gar(train, test, cfg.distance, cfg.thresholds)
+    points = roc_far_gar(train, test, cfg.distance, cfg.thresholds, cfg.workers)
     out_path = cfg.out / "roc.csv"
     write_roc_csv(points, _config_echo(cfg), out_path)
     print(f"wrote {len(points)} roc points to {out_path}")

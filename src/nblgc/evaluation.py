@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,10 +162,34 @@ def evaluate(
     return _count(test, _predict_all(train, test, cfg))
 
 
+def pool_size(workers: int, n_tasks: int) -> int:
+    """Threads a distance loop starts: no more than the tasks or the CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, n_tasks, cpus)
+
+
+def _striped_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(x) for x in items]; with w = pool_size > 1, thread t maps the
+    stripe items[t::w], and the first failed stripe's error is raised. fn
+    may call only distance_rows, whose numpy work releases the GIL: a
+    tracer keeps one span stack per process."""
+    w = pool_size(workers, len(items))
+    if w <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # imported only when a thread starts
+
+    out = [None] * len(items)
+    with ThreadPoolExecutor(w) as pool:
+        for t, results in enumerate(pool.map(lambda t: [fn(x) for x in items[t::w]], range(w))):
+            out[t::w] = results
+    return out
+
+
 def kfold(
     data: Sequence[LabeledSample],
     k: int = 10,
     cfg: ClassifierConfig = ClassifierConfig(),
+    workers: int = 1,
 ) -> EvalReport:
     """Stratified k-fold cross-validation.
 
@@ -173,7 +198,8 @@ def kfold(
     class; smaller classes simply occupy fewer folds. Counts pool every
     fold's predictions; fold_accuracies holds one accuracy per fold.
     Settings and folds are checked first. Then KNN without zscore scores
-    each pair once (_knn_cross_guesses); others train once per fold.
+    each pair once (_knn_cross_guesses), on up to workers threads; others
+    train once per fold, serially.
     """
     data = list(data)
     if k < 2:
@@ -190,7 +216,7 @@ def kfold(
     if not all(folds):
         raise ValueError(f"fold {folds.index([])} is empty; reduce k")
     if walk:
-        guesses = _knn_cross_guesses(data, fold_of, cfg.neighbors_k, cfg.distance)
+        guesses = _knn_cross_guesses(data, fold_of, cfg.neighbors_k, cfg.distance, workers)
     else:
         guesses = [""] * len(data)
         for fold, members in enumerate(folds):
@@ -202,14 +228,15 @@ def kfold(
 
 
 def _knn_cross_guesses(
-    data: list[LabeledSample], fold_of: list[int], neighbors_k: int, distance: str
+    data: list[LabeledSample], fold_of: list[int], neighbors_k: int, distance: str, workers: int
 ) -> list[str]:
     """Each sample's knn_predict vote over the samples of the other folds.
 
     Row i of the upper triangle, distance_rows(X[i+1:], X[i]), scores
     each pair once and fills both halves of one zeroed (n, n) matrix;
     |a - b| == |b - a| exactly, so every distance equals the one
-    knn_predict computes. Same-fold pairs become inf, which marks nothing
+    knn_predict computes. The rows run on up to workers threads
+    (_striped_map). Same-fold pairs become inf, which marks nothing
     else because distance_rows refuses any distance that is not finite.
     Each row's stable argsort then ranks the other folds by (distance,
     index): the order knn_predict gives over a fold's training list. Each
@@ -221,8 +248,9 @@ def _knn_cross_guesses(
     fold = np.array(fold_of)
     n = len(data)
     dist = np.zeros((n, n))
-    for i in range(n - 1):
-        dist[i, i + 1 :] = dist[i + 1 :, i] = distance_rows(matrix[i + 1 :], matrix[i], distance)
+    rows = _striped_map(lambda i: distance_rows(matrix[i + 1 :], matrix[i], distance), range(n - 1), workers)
+    for i, row in enumerate(rows):
+        dist[i, i + 1 :] = dist[i + 1 :, i] = row
     dist[fold[:, None] == fold] = np.inf
     nearest = np.argsort(dist, axis=1, kind="stable")[:, :neighbors_k]
     labels = [s.label for s in data]
@@ -234,6 +262,7 @@ def roc_far_gar(
     test: Sequence[LabeledSample],
     distance: str = "log",
     n_thresholds: int = 200,
+    workers: int = 1,
 ) -> list[RocPoint]:
     """Verification sweep: FAR and GAR percentages over thresholds.
 
@@ -242,7 +271,8 @@ def roc_far_gar(
     (one impostor trial per other class). A trial is accepted when its
     score is <= the threshold. Thresholds are n_thresholds evenly
     spaced values over [0, max observed score] plus every distinct
-    observed score.
+    observed score. The classes' distances run on up to workers threads
+    (_striped_map).
     """
     train, test = list(train), list(test)
     if not train or not test:
@@ -252,11 +282,9 @@ def roc_far_gar(
     # nearest distance from each test sample (row) to each class (column),
     # one distance_rows call per training sample; |a - b| == |b - a|, so
     # each distance is the one the test sample's own call would give
-    scores = np.stack(
-        [np.min([distance_rows(queries, s.vector, distance) for s in samples], axis=0)
-         for samples in groups.values()],
-        axis=1,
-    )
+    scores = np.stack(_striped_map(
+        lambda samples: np.min([distance_rows(queries, s.vector, distance) for s in samples], axis=0),
+        list(groups.values()), workers), axis=1)
     own = np.array([s.label for s in test])[:, None] == np.array(list(groups))
     gen, imp = np.sort(scores[own]), np.sort(scores[~own])
     if not gen.size or not imp.size:

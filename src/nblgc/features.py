@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .image_io import GrayImage, _load_file, _map, _read_tree
+from .image_io import GrayImage, _load_file, _read_tree
 from .infoset import center_memberships, contours
 from .options import ContourVariant, FuzzifierRef
 
@@ -78,12 +78,6 @@ def extract(
     return FeatureVector(block_features(block_values(image), variant, ref))
 
 
-# pickled by name, so a worker finds it even where a tracer has rebound extract to an unpicklable wrapper
-def _extract_task(args: tuple[GrayImage, ContourVariant, FuzzifierRef]) -> FeatureVector:
-    image, variant, ref = args
-    return extract(image, variant, ref)
-
-
 def _file_features(
     path: Path, size: tuple[int, int], variant: ContourVariant, ref: FuzzifierRef, skip_errors: bool
 ) -> np.ndarray | str:
@@ -100,12 +94,11 @@ def extract_many(
     ref: FuzzifierRef = FuzzifierRef.AVERAGE,
     workers: int = 1,
 ) -> list[FeatureVector]:
-    """Extract a batch of images, optionally across processes.
-
-    Results always come back in input order; the worker count never
-    changes the values. The pool is clamped by image_io.pool_size.
-    """
-    return _map(_extract_task, [(img, variant, ref) for img in images], workers)
+    """Extract a batch of images in input order. Extraction runs in one
+    process: any workers but 1 raises ValueError."""
+    if workers != 1:
+        raise ValueError(f"workers={workers}: extraction runs in one process; pass workers=1")
+    return [extract(image, variant, ref) for image in images]
 
 
 def extract_dataset(
@@ -114,18 +107,17 @@ def extract_dataset(
     variant: ContourVariant = ContourVariant.G1,
     ref: FuzzifierRef = FuzzifierRef.AVERAGE,
     skip_errors: bool = False,
-    workers: int = 1,
 ) -> tuple[list[str], list[str], np.ndarray, list[str]]:
     """Features of every ``root/<class>/*.pgm``, one file at a time.
 
     Returns (source paths, class labels, (n, blocks) feature matrix,
     notices): the rows, labels and errors of load_dataset then extract on
     each image, from the same walk (image_io._read_tree). No image is
-    kept, with workers > 1 each pool process reads its own files, and
-    where load_dataset warns, the message is returned among the notices.
+    kept, and where load_dataset warns, the message is returned among
+    the notices.
     """
     task = partial(_file_features, variant=variant, ref=ref)
-    kept, notices = _read_tree(root, size, task, skip_errors, workers)
+    kept, notices = _read_tree(root, size, task, skip_errors)
     labels, paths, rows = zip(*kept) if kept else ((), (), ())
     matrix = np.array(rows, dtype=np.float64).reshape(len(rows), (size[0] // 3) * (size[1] // 3))
     return list(paths), list(labels), matrix, notices

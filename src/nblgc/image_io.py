@@ -7,14 +7,13 @@ and assembles labeled datasets from a ``root/<class>/<image>.pgm`` tree.
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 import warnings
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -354,36 +353,18 @@ def _load_file(path: Path, size: tuple[int, int], skip_errors: bool) -> GrayImag
         raise DatasetError(f"failed to load {path}: {err}") from err
 
 
-def pool_size(workers: int, n_tasks: int) -> int:
-    """Processes a pool starts: no more than the tasks or the cores."""
-    return min(workers, n_tasks, os.cpu_count() or 1)
-
-
-def _map(fn: Callable, tasks: Sequence, workers: int) -> list:
-    """[fn(t) for t in tasks], run in contiguous chunks across up to
-    pool_size processes when workers > 1; fn must pickle by name."""
-    workers = pool_size(workers, len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import: only when a pool starts
-
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
-
-
-def _read_tree(root: str | Path, size: tuple[int, int], load: Callable, skip_errors: bool,
-               workers: int = 1) -> tuple[list[tuple[str, str, object]], list[str]]:
+def _read_tree(root: str | Path, size: tuple[int, int], load: Callable,
+               skip_errors: bool) -> tuple[list[tuple[str, str, object]], list[str]]:
     """load(path, size=, skip_errors=) over every ``root/<class>/*.pgm``,
-    through _map, once size and tree are checked. Returns the kept
-    (class label, source path, result) triples in (class, file) name
-    order, and the notices: one per file skipped (load returned its
+    file by file in this process, once size and tree are checked. Returns
+    the kept (class label, source path, result) triples in (class, file)
+    name order, and the notices: one per file skipped (load returned its
     message), or one for a root without class directories."""
     size = check_resize_target(*size)
     root = Path(root)
     classes = _class_files(root)
     files = [(label, path) for label, paths in classes for path in paths]
-    results = _map(partial(load, size=size, skip_errors=skip_errors), [path for _, path in files], workers)
+    results = [load(path, size=size, skip_errors=skip_errors) for _, path in files]
     notices = [r for r in results if isinstance(r, str)]
     if not classes:
         notices.append(f"dataset root {root} contains no class directories")

@@ -44,10 +44,6 @@ class PgmParseError(ValueError):
         super().__init__(f"{message} at byte offset {offset}")
         self.offset = offset
 
-    def __reduce__(self):
-        # pickle (a pool worker's error) rebuilds it through __init__, which takes both arguments
-        return type(self), (str(self).removesuffix(f" at byte offset {self.offset}"), self.offset)
-
 
 class DatasetError(ValueError):
     """A dataset file could not be loaded; message includes the file path."""
@@ -227,7 +223,7 @@ OPTIONS = (
     Option("ref", _choice(*(r.value for r in FuzzifierRef)), "avg", _ALL,
            "fuzzifier reference statistic: avg, max or min"),
     Option("out", _path, "out", _ALL, "output directory"),
-    Option("workers", _count(1), 1, _ALL, "parallel extraction processes"),
+    Option("workers", _count(1), 1, _ALL, "threads for the kfold and roc distances"),
     Option("skip_errors", _switch, False, _ALL, "warn and skip unreadable dataset files instead of aborting"),
     Option("classifier", _choice("knn", "svm"), "knn", _FIT, "classifier: knn or svm"),
     Option("k", _count(1), 1, _FIT, "KNN neighbor count", "knn"),

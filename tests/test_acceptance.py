@@ -283,13 +283,15 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
             if (out1 / name).read_bytes() != (out2 / name).read_bytes():
                 mismatches.append(f"{cmd}/{name}")
 
-    out_w2 = tmp_path / "extract_w2"
-    argv = ["extract", "--data", str(data), "--resize", "9x9",
-            "--out", str(out_w2), "--workers", "2"]
-    assert cli_main(argv) == 0
-    if (tmp_path / "extract1" / "features.csv").read_bytes() != (out_w2 / "features.csv").read_bytes():
-        mismatches.append("extract/workers=2")
+    # --workers acts on the kfold and roc distances: each must give its --workers 1 bytes
+    for cmd, artifact, extra in jobs[2:]:
+        out_w2 = tmp_path / f"{cmd}_w2"
+        argv = [cmd, "--data", str(data), "--resize", "9x9", "--out", str(out_w2), "--workers", "2", *extra]
+        assert cli_main(argv) == 0
+        for name in (artifact, "config.json"):
+            if (tmp_path / f"{cmd}1" / name).read_bytes() != (out_w2 / name).read_bytes():
+                mismatches.append(f"{cmd}/{name}/workers=2")
 
     ok = not mismatches
-    report(8, ok, "4 commands rerun + parallel extract, all byte-identical"
+    report(8, ok, "4 commands rerun + threaded kfold and roc, all byte-identical"
            if ok else f"mismatched: {', '.join(mismatches)}")

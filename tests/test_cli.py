@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+import threading
 
 import pytest
 
 import nblgc.cli as cli
+import nblgc.evaluation as evaluation
 import nblgc.options as options
 from nblgc.classify import DISTANCES
 from nblgc.cli import main
@@ -243,10 +245,14 @@ class TestExitCodes:
             return paths, labels, matrix * 1e200, notices
 
         monkeypatch.setattr(cli, "extract_dataset", huge)
-        args = [command, "--data", str(small_tree), "--resize", "9x9", "--out", str(tmp_path / "out"),
-                "--workers", "1", "--distance", "euclidean", *extra]
-        assert run_cli(args) == 2
-        assert "euclidean distance overflows" in capsys.readouterr().err
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)  # 2 threads on 1 core too
+        for workers in ("1", "2"):  # at 2 the error is raised inside a distance thread
+            out = tmp_path / workers
+            args = [command, "--data", str(small_tree), "--resize", "9x9", "--out", str(out),
+                    "--workers", workers, "--distance", "euclidean", *extra]
+            assert run_cli(args) == 2
+            assert "euclidean distance overflows" in capsys.readouterr().err
+            assert not list(tmp_path.rglob("*.csv"))
 
     def test_internal_error_is_three(self, small_tree, tmp_path, monkeypatch, capsys):
         def boom(cfg):
@@ -460,7 +466,7 @@ class TestDeterminism:
         assert (out1 / "config.json").read_bytes() == (out2 / "config.json").read_bytes()
 
     def test_worker_count_does_not_change_output(self, small_tree, tmp_path, capsys):
-        victims = sorted(small_tree.rglob("*.pgm"))[::5]  # spread over the chunks a 2-process pool takes
+        victims = sorted(small_tree.rglob("*.pgm"))[::5]  # extraction runs file by file at any worker count
         for broken in ([], victims):
             for victim in broken:
                 victim.write_bytes(b"junk")
@@ -474,6 +480,23 @@ class TestDeterminism:
             assert runs[0] == runs[1]
             assert runs[0][1] == "".join(f"nblgc: skipping {v}: malformed magic number b'ju' at byte offset 0\n"
                                          for v in broken)
+
+    @pytest.mark.parametrize("command, extra", [("kfold", ["--folds", "3", "--k", "2"]),
+                                                ("roc", ["--train-per-class", "4"])])
+    def test_distance_threads_do_not_change_output(self, small_tree, tmp_path, monkeypatch, command, extra):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)  # 2 threads on 1 core too
+        real, on_main = evaluation.distance_rows, {"1": [], "2": []}
+        digests = []
+        for workers in ("1", "2"):
+            monkeypatch.setattr(evaluation, "distance_rows", lambda *a, calls=on_main[workers]: calls.append(
+                threading.current_thread() is threading.main_thread()) or real(*a))
+            out = tmp_path / workers
+            args = [command, "--data", str(small_tree), "--resize", "9x9", "--out", str(out),
+                    "--workers", workers, *extra]
+            assert run_cli(args) == 0
+            digests.append(tree_digest(out))
+        assert digests[0] == digests[1]
+        assert on_main["1"] == [True] * len(on_main["2"]) and not any(on_main["2"])
 
     def test_shuffled_split_reruns_agree(self, small_tree, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -515,6 +538,16 @@ class TestStartup:
         proc = run_python("-c", NUMPY_AT_EXIT, *extract_args(small_tree, tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.endswith("numpy loaded: True\n")
+
+    def test_threaded_kfold_loads_no_process_pool(self, small_tree, tmp_path):
+        # a process pool's imports cost about 24 ms a run; the distance threads need neither module
+        script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; import nblgc.cli; "
+                  "code = nblgc.cli.main(sys.argv[1:]); "
+                  "print(code, [m for m in ('multiprocessing', 'concurrent.futures.process', "
+                  "'concurrent.futures.thread') if m in sys.modules])")
+        proc = run_python("-c", script, "kfold", "--data", str(small_tree), "--resize", "9x9",
+                          "--folds", "3", "--out", str(tmp_path / "out"), "--workers", "2")
+        assert proc.stdout.endswith("0 ['concurrent.futures.thread']\n"), proc.stderr
 
     def test_cli_import_loads_every_layer(self):
         # the benchmark's tracer finds each layer in sys.modules after `import nblgc.cli`

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -197,13 +198,33 @@ class TestKfold:
         assert calls == []
 
     def test_knn_scores_each_pair_once(self, monkeypatch):
-        # one shrinking upper-triangle row per sample: n - 1 calls over n - 1, n - 2, ..., 1 rows
-        rows, real = [], evaluation.distance_rows
-        monkeypatch.setattr(evaluation, "distance_rows", lambda m, q, d: rows.append(len(m)) or real(m, q, d))
+        # one shrinking upper-triangle row per sample: n - 1 calls over n - 1, n - 2, ..., 1 rows,
+        # in row order on one thread and in two interleaved stripes on two
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)  # 2 threads on 1 core too
+        real = evaluation.distance_rows
         data = forty_by_ten(seed=9)[:50]
         cfg = ClassifierConfig(neighbors_k=3)
-        assert kfold(data, 5, cfg) == per_fold_knn_kfold(data, 5, cfg)
-        assert rows == list(range(len(data) - 1, 0, -1))
+        expected = per_fold_knn_kfold(data, 5, cfg)
+        for workers in (1, 2):
+            rows = []
+            monkeypatch.setattr(evaluation, "distance_rows", lambda m, q, d: rows.append(len(m)) or real(m, q, d))
+            assert kfold(data, 5, cfg, workers) == expected
+            assert sorted(rows, reverse=True) == list(range(len(data) - 1, 0, -1))
+            if workers == 1:
+                assert rows == list(range(len(data) - 1, 0, -1))
+
+    def test_more_threads_than_cores_agree_with_one(self, monkeypatch):
+        # 8 stripes on however many cores, switching threads every microsecond: a lost or misplaced row shows
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        data = forty_by_ten(seed=11)[:60]
+        train, test = split_per_class(data, SplitSpec(6))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = kfold(data, 5, workers=8), roc_far_gar(train, test, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == (kfold(data, 5), roc_far_gar(train, test))
 
     def test_deterministic(self):
         data = forty_by_ten(seed=6)[:80]  # 8 classes x 10
@@ -395,6 +416,19 @@ class TestRoc:
         with pytest.raises(ValueError, match="euclidean distance overflows"):
             roc_far_gar(train, test, distance="euclidean")
         assert all(not math.isnan(p.threshold) for p in roc_far_gar(train, test, distance="log"))
+
+    def test_threads_give_the_same_points(self, monkeypatch):
+        # one distance_rows call per training sample, in class stripes on two threads
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)  # 2 threads on 1 core too
+        train, test = split_per_class(forty_by_ten(seed=4)[:70], SplitSpec(6))
+        real = evaluation.distance_rows
+        results = []
+        for workers in (1, 2):
+            queries = []
+            monkeypatch.setattr(evaluation, "distance_rows", lambda m, q, d: queries.append(id(q)) or real(m, q, d))
+            results.append(roc_far_gar(train, test, "log", 50, workers))
+            assert sorted(queries) == sorted(id(s.vector) for s in train)
+        assert results[0] == results[1]
 
 
 class TestCsvWriters:

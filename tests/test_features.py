@@ -24,7 +24,7 @@ from nblgc import (
     read_features_csv,
     write_features_csv,
 )
-from nblgc.image_io import pool_size
+from nblgc.evaluation import pool_size
 from conftest import make_pgm_tree
 from oracles import naive_feature_vector
 
@@ -178,13 +178,14 @@ class TestExtract:
         img = GrayImage(rng.random((9, 9)))
         assert np.array_equal(extract(img).values, extract(img).values)
 
-    def test_extract_many_matches_serial_across_workers(self):
+    def test_extract_many_is_serial_and_refuses_other_workers(self):
         rng = np.random.default_rng(10)
         images = [GrayImage(rng.random((9, 9))) for _ in range(6)]
-        serial = extract_many(images, workers=1)
-        parallel = extract_many(images, workers=2)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.values, b.values)
+        for a, image in zip(extract_many(images, workers=1), images, strict=True):
+            assert np.array_equal(a.values, extract(image).values)
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match=f"workers={workers}: extraction runs in one process"):
+                extract_many(images, workers=workers)
 
 
 class TestExtractDataset:
@@ -195,15 +196,14 @@ class TestExtractDataset:
         with pytest.warns(UserWarning, match="skipping") as caught:
             entries = load_dataset(root, (9, 9), skip_errors=True)
         vectors = extract_many([e.image for e in entries], ContourVariant.G2, FuzzifierRef.MINIMUM)
-        for workers in (1, 2):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                paths, labels, matrix, notices = extract_dataset(
-                    root, (9, 9), ContourVariant.G2, FuzzifierRef.MINIMUM, skip_errors=True, workers=workers)
-            assert paths == [e.source_path for e in entries]
-            assert labels == [e.class_label for e in entries]
-            assert np.array_equal(matrix, np.stack([fv.values for fv in vectors]))
-            assert notices == [str(w.message) for w in caught]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths, labels, matrix, notices = extract_dataset(
+                root, (9, 9), ContourVariant.G2, FuzzifierRef.MINIMUM, skip_errors=True)
+        assert paths == [e.source_path for e in entries]
+        assert labels == [e.class_label for e in entries]
+        assert np.array_equal(matrix, np.stack([fv.values for fv in vectors]))
+        assert notices == [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("tree", ["a class with a corrupt file", "no class directories"])
     def test_both_readers_agree(self, tmp_path, tree):
@@ -224,9 +224,8 @@ class TestExtractDataset:
         root = tmp_path / "ds"
         make_pgm_tree(root, n_classes=2, per_class=4, seed=16)
         (root / "s02" / "img03.pgm").write_bytes(b"P5\n9 9\n255\n")
-        for workers in (1, 2):
-            with pytest.raises(DatasetError, match="failed to load .*img03.pgm: truncated pixel data"):
-                extract_dataset(root, (9, 9), workers=workers)
+        with pytest.raises(DatasetError, match="failed to load .*img03.pgm: truncated pixel data"):
+            extract_dataset(root, (9, 9))
 
     def test_empty_root_is_a_notice(self, tmp_path):
         with warnings.catch_warnings():
@@ -237,14 +236,22 @@ class TestExtractDataset:
 
 
 class TestPoolSize:
-    # arithmetic only: no pool is started here
+    # arithmetic only: no thread is started here
     @pytest.mark.parametrize(
         "workers,images,cores,expected",
         [(10**6, 400, 2, 2), (8, 3, 64, 3), (1, 400, 64, 1), (4, 1, 64, 1), (4, 0, 64, 0), (10**6, 400, None, 1)],
     )
     def test_clamps_to_images_and_cores(self, monkeypatch, workers, images, cores, expected):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)  # the fallback where it is missing
         monkeypatch.setattr("os.cpu_count", lambda: cores)
         assert pool_size(workers, images) == expected
+
+    @pytest.mark.parametrize("workers,tasks,allowed,expected", [(2, 400, {3}, 1), (10**6, 400, {0, 5, 9}, 3),
+                                                                (8, 2, {0, 1, 2, 3}, 2)])
+    def test_clamps_to_the_cpus_the_process_may_run_on(self, monkeypatch, workers, tasks, allowed, expected):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: allowed, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        assert pool_size(workers, tasks) == expected
 
 
 class TestFeatureVectorType:

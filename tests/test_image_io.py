@@ -1,4 +1,3 @@
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -448,11 +447,6 @@ class TestLoadDataset:
 
 
 class TestTypes:
-    def test_parse_error_survives_pickle(self):
-        err = pickle.loads(pickle.dumps(PgmParseError("bad", 7)))
-        assert type(err) is PgmParseError
-        assert (str(err), err.offset) == ("bad at byte offset 7", 7)
-
     def test_raw_image_validation(self):
         with pytest.raises(ValueError):
             RawImage(2, 2, 255, np.array([1, 2, 3], dtype=np.uint16))
