@@ -410,11 +410,11 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     lines = [MODEL_FORMAT, f"kind {kind}", *settings, f"dim {model.vectors.shape[1]}", "\t".join(map(check_label, names))]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for name, dtype in _ARRAYS[kind].items():  # each record as it is made: no joined copy of one exists
-            data = b64encode(np.ascontiguousarray(getattr(model, name), dtype=dtype)).decode("ascii")
-            fh.writelines([name, "\t", data, "\n"])
+    with open(path, "wb") as fh:  # each record's base64 bytes are written as made: no copy of one exists
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        for name, dtype in _ARRAYS[kind].items():
+            data = b64encode(np.ascontiguousarray(getattr(model, name), dtype=dtype))
+            fh.writelines([name.encode("ascii"), b"\t", data, b"\n"])
 
 
 def load_model(path) -> KnnModel | SvmModel:

@@ -12,13 +12,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .image_io import GrayImage, _load_file, _read_tree
+from .image_io import GrayImage, _read_tree
 from .infoset import center_memberships, contours
 from .options import ContourVariant, FuzzifierRef
 
@@ -78,16 +77,6 @@ def extract(
     return FeatureVector(block_features(block_values(image), variant, ref))
 
 
-def _file_features(
-    path: Path, size: tuple[int, int], variant: ContourVariant, ref: FuzzifierRef, skip_errors: bool
-) -> np.ndarray | str:
-    """One file's feature values, or with skip_errors the message that says it was skipped."""
-    image = _load_file(path, size, skip_errors)
-    if isinstance(image, str):
-        return image
-    return block_features(block_values(image), variant, ref)
-
-
 def extract_many(
     images: Sequence[GrayImage],
     variant: ContourVariant = ContourVariant.G1,
@@ -112,15 +101,21 @@ def extract_dataset(
 
     Returns (source paths, class labels, (n, blocks) feature matrix,
     notices): the rows, labels and errors of load_dataset then extract on
-    each image, from the same walk (image_io._read_tree). No image is
-    kept, and where load_dataset warns, the message is returned among
-    the notices.
+    each image, from the same walk (image_io._read_tree: the same checks,
+    file order and messages). Each image becomes its feature row as the
+    walk yields it, so no image is kept, and where load_dataset warns,
+    the message is returned among the notices.
     """
-    task = partial(_file_features, variant=variant, ref=ref)
-    kept, notices = _read_tree(root, size, task, skip_errors)
-    labels, paths, rows = zip(*kept) if kept else ((), (), ())
+    paths, labels, rows, notices = [], [], [], []
+    for label, path, image in _read_tree(root, size, skip_errors):
+        if isinstance(image, str):
+            notices.append(image)
+        else:
+            paths.append(path)
+            labels.append(label)
+            rows.append(block_features(block_values(image), variant, ref))
     matrix = np.array(rows, dtype=np.float64).reshape(len(rows), (size[0] // 3) * (size[1] // 3))
-    return list(paths), list(labels), matrix, notices
+    return paths, labels, matrix, notices
 
 
 def write_features_csv(
@@ -132,7 +127,8 @@ def write_features_csv(
     read_features_csv returns them, as CSV.
 
     Header is path,class,variant,ref,v0..v{n-1}; text fields are
-    csv-quoted and values carry FLOAT_DIGITS significant digits.
+    csv-quoted (also one that holds a CR or LF) and values carry
+    FLOAT_DIGITS significant digits.
     n_features sizes the header when rows is empty. A row of another
     length or with a non-finite value raises ValueError before the file
     is opened, so an existing file stays as it was.
@@ -146,17 +142,17 @@ def write_features_csv(
         if len(vals) != n_features or not np.isfinite(vals).all():
             raise ValueError(f"row {source!r} must hold {n_features} finite feature values")
     values = f",%.{FLOAT_DIGITS}g" * n_features + "\n"
-    # csv quotes a field by what its line terminator holds, so each row's text fields
-    # are written with the real "\n" into a buffer, which is then cut before the values
+    # csv (Python 3.11) quotes a CR or LF only where its line terminator holds it, so each row's
+    # text fields go through a "\r\n" writer into a buffer, which is then cut before the values
     text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
+    writer = csv.writer(text, lineterminator="\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["path", "class", "variant", "ref"] + [f"v{i}" for i in range(n_features)]) + "\n")
         for source, label, variant, ref, vals in rows:
             text.seek(0)
             text.truncate()
             writer.writerow([source, label, variant.value, ref.value])
-            fh.write(text.getvalue()[:-1] + values % tuple(vals.tolist()))
+            fh.write(text.getvalue()[:-2] + values % tuple(vals.tolist()))
 
 
 def read_features_csv(path) -> list[tuple[str, str, ContourVariant, FuzzifierRef, np.ndarray]]:

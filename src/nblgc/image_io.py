@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -341,35 +341,27 @@ def _class_files(root: Path) -> list[tuple[str, list[Path]]]:
     return classes
 
 
-def _load_file(path: Path, size: tuple[int, int], skip_errors: bool) -> GrayImage | str:
-    """The file's image, normalized and resized to size (width, height).
-    A file that fails to load raises DatasetError naming it, or with
-    skip_errors yields the message that says it was skipped."""
-    try:
-        return resize_bilinear(normalize_unit(parse_pgm(path.read_bytes())), *size)
-    except (PgmParseError, OSError, ValueError) as err:
-        if skip_errors:
-            return f"skipping {path}: {err}"
-        raise DatasetError(f"failed to load {path}: {err}") from err
-
-
-def _read_tree(root: str | Path, size: tuple[int, int], load: Callable,
-               skip_errors: bool) -> tuple[list[tuple[str, str, object]], list[str]]:
-    """load(path, size=, skip_errors=) over every ``root/<class>/*.pgm``,
-    file by file in this process, once size and tree are checked. Returns
-    the kept (class label, source path, result) triples in (class, file)
-    name order, and the notices: one per file skipped (load returned its
-    message), or one for a root without class directories."""
+def _read_tree(root: str | Path, size: tuple[int, int], skip_errors: bool) -> Iterator[tuple[str, str, GrayImage | str]]:
+    """Walk every ``root/<class>/*.pgm`` in (class, file) name order, file by
+    file in this process, once size and tree are checked (before any file
+    is read). Yields (class label, source path, image normalized and
+    resized to size (width, height)). A file that fails to load raises
+    DatasetError naming it, or with skip_errors yields in place of its
+    image the message that it was skipped, as does a root with no class directory."""
     size = check_resize_target(*size)
     root = Path(root)
     classes = _class_files(root)
-    files = [(label, path) for label, paths in classes for path in paths]
-    results = [load(path, size=size, skip_errors=skip_errors) for _, path in files]
-    notices = [r for r in results if isinstance(r, str)]
     if not classes:
-        notices.append(f"dataset root {root} contains no class directories")
-    kept = [(label, str(path), r) for (label, path), r in zip(files, results) if not isinstance(r, str)]
-    return kept, notices
+        yield "", str(root), f"dataset root {root} contains no class directories"
+    for label, paths in classes:
+        for path in paths:
+            try:
+                image = resize_bilinear(normalize_unit(parse_pgm(path.read_bytes())), *size)
+            except (PgmParseError, OSError, ValueError) as err:
+                if not skip_errors:
+                    raise DatasetError(f"failed to load {path}: {err}") from err
+                image = f"skipping {path}: {err}"
+            yield label, str(path), image
 
 
 def load_dataset(
@@ -378,10 +370,13 @@ def load_dataset(
     skip_errors: bool = False,
 ) -> list[DatasetEntry]:
     """Every ``root/<class>/*.pgm`` as a normalized, resized image, labelled
-    by its subdirectory, in (class, file) name order. Size and tree are
-    checked before any file is read (see _read_tree). A bad file aborts
-    the load unless skip_errors is set, which makes it a warning."""
-    kept, notices = _read_tree(root, resize_to, _load_file, skip_errors)
-    for notice in notices:
-        warnings.warn(notice)
-    return [DatasetEntry(label, image, path) for label, path, image in kept]
+    by its subdirectory, in (class, file) name order (see _read_tree: size
+    and tree are checked before any file is read). A bad file aborts the
+    load unless skip_errors is set, which makes its message a warning."""
+    entries = []
+    for label, path, image in _read_tree(root, resize_to, skip_errors):
+        if isinstance(image, str):
+            warnings.warn(image)
+        else:
+            entries.append(DatasetEntry(label, image, path))
+    return entries

@@ -28,9 +28,9 @@ from nblgc import (
     distance_rows,
     evaluate,
     extract,
+    extract_dataset,
     kfold,
     knn_predict,
-    load_dataset,
     normalize_unit,
     roc_far_gar,
     split_per_class,
@@ -234,11 +234,8 @@ def test_criterion_7_face_dataset_reproduction():
         print("[criterion 7] SKIP: no face dataset (set NBLGC_ORL_DIR or add ./data/orl)")
         pytest.skip("face dataset not available (set NBLGC_ORL_DIR or add ./data/orl)")
     start = time.perf_counter()
-    entries = load_dataset(root, (63, 63))
-    from nblgc import extract_many
-
-    vectors = extract_many([e.image for e in entries], VARIANTS[0], REFS[0])
-    samples = [LabeledSample(fv.values, e.class_label) for e, fv in zip(entries, vectors)]
+    _, labels, matrix, _ = extract_dataset(root, (63, 63), VARIANTS[0], REFS[0])
+    samples = [LabeledSample(row, label) for row, label in zip(matrix, labels)]
     train, test = split_per_class(samples, SplitSpec(7))
     knn_acc = evaluate(train, test, ClassifierConfig(kind="knn")).accuracy
     svm_acc = evaluate(train, test, ClassifierConfig(kind="svm", degree=1)).accuracy

@@ -1,6 +1,7 @@
 import base64
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from decimal import Decimal
 from itertools import combinations
@@ -738,6 +739,20 @@ class TestModelSerialization:
             b"nblgc-model 5\nkind knn\nneighbors_k 2\ndistance euclidean\ndim 2\nlabels\ta\tb\ta b\tb\n"
             b"vectors\tAAAAAAAAAAAAAAAAAADwPwAAAAAAAARAAAAAAAAACMCamZmZmZm5P0ivvJry13o+AAAAAAAAAIABAAAAAAAAAA==\n"
         )
+
+    def test_save_holds_the_vectors_record_once(self, tmp_path):
+        # the benchmark's 280 x 441 training set; a str of the record beside its bytes doubles the peak
+        model = KnnModel(np.random.default_rng(4).random((280, 441)), [f"c{i % 40}" for i in range(280)])
+        path = tmp_path / "knn.model"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        name, _, record = path.read_bytes().splitlines()[-1].partition(b"\t")
+        assert name == b"vectors" and len(record) == 4 * 280 * 441 * 8 // 3
+        assert peak < 2 * len(record)
 
     def test_refuses_a_format_2_file(self, tmp_path):
         path = tmp_path / "old.model"

@@ -430,6 +430,14 @@ class TestOptionValues:
         assert run_cli(extract_args(small_tree, out)) == 0
         assert (out / "features.csv").is_file()
 
+    @pytest.mark.parametrize("name", ["im\rg1.pgm", "im\ng1.pgm"], ids=["CR", "LF"])
+    def test_line_break_in_a_file_name_reads_back(self, small_tree, tmp_path, name):
+        (small_tree / "s01" / "img00.pgm").rename(small_tree / "s01" / name)
+        out = tmp_path / "out"
+        assert run_cli(extract_args(small_tree, out)) == 0
+        sources = [source for source, *_ in read_features_csv(out / "features.csv")]
+        assert len(sources) == 24 and sources[0] == str(small_tree / "s01" / name)
+
     def test_bad_class_label_is_data_error(self, small_tree, tmp_path, capsys):
         (small_tree / "s01").rename(small_tree / "s\t01")
         assert run_cli(extract_args(small_tree, tmp_path / "out")) == 2

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -234,6 +235,19 @@ class TestExtractDataset:
         assert (paths, labels, matrix.shape) == ([], [], (0, 6))
         assert notices == [f"dataset root {tmp_path} contains no class directories"]
 
+    def test_keeps_no_image(self, tmp_path):
+        # each 63x63 image is 31,752 bytes of float64 pixels: holding all 120 would take 3.8 MB
+        root = tmp_path / "ds"
+        make_pgm_tree(root, n_classes=4, per_class=30, size=(63, 63), seed=19)
+        tracemalloc.start()
+        try:
+            _, _, matrix, _ = extract_dataset(root, (63, 63))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (120, 441)
+        assert peak < 120 * 63 * 63 * 8
+
 
 class TestPoolSize:
     # arithmetic only: no thread is started here
@@ -325,6 +339,17 @@ class TestFeatureCsv:
         path = tmp_path / "f.csv"
         write_features_csv(path, rows)
         assert path.read_bytes() == expected.read_bytes()
+
+    def test_cr_and_lf_in_text_fields_read_back(self, tmp_path):
+        # csv (Python 3.11) quotes a CR or LF only where its line terminator holds it
+        fv = FeatureVector(np.array([0.5, 2.0]))
+        texts = [("im\rg1.pgm", "a\rb"), ("im\ng2.pgm", "c\nd"), ("im\r\ng3.pgm", "\r"), ("plain.pgm", "e")]
+        path = tmp_path / "f.csv"
+        write_features_csv(path, [csv_row(source, label, fv) for source, label in texts])
+        back = read_features_csv(path)
+        assert [(source, label) for source, label, *_ in back] == texts
+        assert all(np.array_equal(values, fv.values) for *_, values in back)
+        assert path.read_bytes().endswith(b'\n"im\r\ng3.pgm","\r",g1,avg,0.5,2\nplain.pgm,e,g1,avg,0.5,2\n')
 
     def test_writer_refuses_a_non_finite_value(self, tmp_path):
         fv = extract(GrayImage(np.random.default_rng(13).random((6, 6))))
