@@ -17,7 +17,7 @@ _EXPORTS = {
     "classify": ("BinaryMachine", "KnnModel", "LabeledSample", "SvmModel", "distance_rows", "knn_predict",
                  "load_model", "save_model", "svm_predict", "svm_train"),
     "evaluation": ("ClassifierConfig", "EvalReport", "RocPoint", "SplitSpec", "evaluate", "kfold", "roc_far_gar",
-                   "split_per_class", "write_folds_csv", "write_report_csv", "write_roc_csv"),
+                   "split_per_class", "split_rows", "write_folds_csv", "write_report_csv", "write_roc_csv"),
     "features": ("FeatureVector", "block_features", "block_values", "entropy_features", "extract", "extract_dataset",
                  "extract_many", "read_features_csv", "write_features_csv"),
     "image_io": ("DatasetEntry", "GrayImage", "RawImage", "load_dataset", "normalize_unit", "parse_pgm",

@@ -295,14 +295,21 @@ def _bias(alphas: np.ndarray, y: np.ndarray, grad: np.ndarray, c: float) -> floa
     return -0.5 * float(signed[only_up].min() + signed[~only_up].max())
 
 
-def svm_train(
-    data: Sequence[LabeledSample],
-    degree: int = 1,
-    c: float = 1.0,
-    offset: float = 1.0,
-    tol: float = 1e-3,
+def svm_train(data: Sequence[LabeledSample], degree: int = 1, c: float = 1.0, offset: float = 1.0,
+              tol: float = 1e-3) -> SvmModel:
+    """_svm_fit over LabeledSamples, the list form the benchmark's svm child calls."""
+    check_svm_settings(degree, c, offset, tol)  # a bad setting is reported before an empty set
+    data = list(data)
+    if not data:
+        raise ValueError("training set must be non-empty")
+    return _svm_fit(np.stack([s.vector for s in data]), [s.label for s in data], degree, c, offset, tol)
+
+
+def _svm_fit(
+    vectors: np.ndarray, labels: Sequence[str], degree: int, c: float, offset: float, tol: float
 ) -> SvmModel:
-    """Train a one-vs-one polynomial-kernel SVM.
+    """Train a one-vs-one polynomial-kernel SVM on the rows of the (n, dim)
+    vectors, one label per row.
 
     degree must be 1 or 2; C bounds every multiplier; tol is the
     violation gap at which each pair's solver stops (see _smo_lockstep).
@@ -311,17 +318,13 @@ def svm_train(
     Training is deterministic.
     """
     check_svm_settings(degree, c, offset, tol)
-    data = list(data)
-    if not data:
-        raise ValueError("training set must be non-empty")
-    vectors = np.stack([s.vector for s in data])
-    classes = tuple(sorted({s.label for s in data}))
+    classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ValueError("need at least two classes to train")
     gram = _kernel(vectors, vectors.T, offset, degree)
     if not np.isfinite(gram).all():
         raise ValueError("svm kernel overflows: training vectors too large")
-    rows = {label: [i for i, s in enumerate(data) if s.label == label] for label in classes}
+    rows = {label: [i for i, row_label in enumerate(labels) if row_label == label] for label in classes}
     pairs = list(combinations(classes, 2))
     width = max(len(rows[pos]) + len(rows[neg]) for pos, neg in pairs)
     idx = np.zeros((len(pairs), width), dtype=np.intp)

@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .classify import LabeledSample
 from .evaluation import (
     ClassifierConfig,
     SplitSpec,
     evaluate,
     kfold,
     roc_far_gar,
-    split_per_class,
+    split_rows,
     write_folds_csv,
     write_report_csv,
     write_roc_csv,
@@ -43,11 +42,6 @@ def _load_samples(cfg: argparse.Namespace):
     return paths, labels, matrix
 
 
-def _samples(cfg: argparse.Namespace) -> list[LabeledSample]:
-    _, labels, matrix = _load_samples(cfg)
-    return [LabeledSample(row, label) for row, label in zip(matrix, labels)]
-
-
 def _classifier_config(cfg: argparse.Namespace) -> ClassifierConfig:
     return ClassifierConfig(kind=cfg.classifier, neighbors_k=cfg.k, distance=cfg.distance,
                             degree=cfg.degree, c=cfg.C, offset=cfg.offset, tol=cfg.tol, zscore=cfg.zscore)
@@ -67,17 +61,17 @@ def cmd_extract(cfg: argparse.Namespace) -> None:
 
 
 def cmd_evaluate(cfg: argparse.Namespace) -> None:
-    samples = _samples(cfg)
-    train, test = split_per_class(samples, _split_spec(cfg))
-    report = evaluate(train, test, _classifier_config(cfg))
+    _, labels, matrix = _load_samples(cfg)
+    train, test = split_rows(labels, _split_spec(cfg))
+    report = evaluate(matrix, labels, train, test, _classifier_config(cfg))
     out_path = cfg.out / "report.csv"
     write_report_csv(report, _config_echo(cfg), out_path)
     print(f"accuracy {report.accuracy:.6g}% ({report.correct}/{report.total}) -> {out_path}")
 
 
 def cmd_kfold(cfg: argparse.Namespace) -> None:
-    samples = _samples(cfg)
-    report = kfold(samples, cfg.folds, _classifier_config(cfg), cfg.workers)
+    _, labels, matrix = _load_samples(cfg)
+    report = kfold(matrix, labels, cfg.folds, _classifier_config(cfg), cfg.workers)
     out_path = cfg.out / "folds.csv"
     write_folds_csv(report, _config_echo(cfg), out_path)
     mean = sum(report.fold_accuracies) / len(report.fold_accuracies)
@@ -85,9 +79,9 @@ def cmd_kfold(cfg: argparse.Namespace) -> None:
 
 
 def cmd_roc(cfg: argparse.Namespace) -> None:
-    samples = _samples(cfg)
-    train, test = split_per_class(samples, _split_spec(cfg))
-    points = roc_far_gar(train, test, cfg.distance, cfg.thresholds, cfg.workers)
+    _, labels, matrix = _load_samples(cfg)
+    train, test = split_rows(labels, _split_spec(cfg))
+    points = roc_far_gar(matrix, labels, train, test, cfg.distance, cfg.thresholds, cfg.workers)
     out_path = cfg.out / "roc.csv"
     write_roc_csv(points, _config_echo(cfg), out_path)
     print(f"wrote {len(points)} roc points to {out_path}")

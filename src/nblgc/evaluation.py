@@ -22,11 +22,11 @@ import numpy as np
 from .classify import (
     KnnModel,
     LabeledSample,
+    _svm_fit,
     check_knn_settings,
     distance_rows,
     knn_predict,
     svm_predict,
-    svm_train,
     vote,
 )
 
@@ -78,88 +78,86 @@ class EvalReport:
         return 100.0 * self.correct / self.total
 
 
-def _group_by_class(data: Sequence[LabeledSample]) -> dict[str, list[LabeledSample]]:
-    groups: dict[str, list[LabeledSample]] = {}
-    for sample in data:
-        groups.setdefault(sample.label, []).append(sample)
-    return {label: groups[label] for label in sorted(groups)}
-
-
-def split_per_class(
-    data: Sequence[LabeledSample], spec: SplitSpec
-) -> tuple[list[LabeledSample], list[LabeledSample]]:
-    """Split every class into n_train training samples and the rest.
+def split_rows(labels: Sequence[str], spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Split every class's rows into n_train training rows and the rest.
 
     Classes are processed in sorted label order. Without a shuffle seed
-    the first n_train samples per class (load order) train; with one,
-    a seeded permutation picks them. Every class must keep at least one
-    test sample.
+    the first n_train rows per class (load order) train; with one, a
+    seeded permutation picks them. Every class must keep at least one
+    test row. Returns (train rows, test rows), indices into labels.
     """
     if spec.n_train < 1:
         raise ValueError("n_train must be at least 1")
-    groups = _group_by_class(data)
-    if not groups:
+    if not len(labels):
         raise ValueError("cannot split an empty dataset")
+    groups: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
     rng = random.Random(spec.shuffle_seed)
-    train: list[LabeledSample] = []
-    test: list[LabeledSample] = []
-    for label, samples in groups.items():
-        if spec.n_train >= len(samples):
-            raise ValueError(
-                f"class {label!r} has {len(samples)} samples; "
-                f"n_train={spec.n_train} leaves no test data"
-            )
-        order = list(range(len(samples)))
+    train, test = [], []
+    for label in sorted(groups):
+        rows = groups[label]
+        if spec.n_train >= len(rows):
+            raise ValueError(f"class {label!r} has {len(rows)} samples; n_train={spec.n_train} leaves no test data")
         if spec.shuffle_seed is not None:
-            rng.shuffle(order)
-        train.extend(samples[i] for i in order[: spec.n_train])
-        test.extend(samples[i] for i in order[spec.n_train :])
+            rng.shuffle(rows)
+        train += rows[: spec.n_train]
+        test += rows[spec.n_train :]
     return train, test
 
 
-def _zscore_apply(train: list[LabeledSample], test: list[LabeledSample]):
-    matrix = np.stack([s.vector for s in train])
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    std[std == 0.0] = 1.0
-    tr = [LabeledSample((s.vector - mean) / std, s.label) for s in train]
-    te = [LabeledSample((s.vector - mean) / std, s.label) for s in test]
-    return tr, te
+def split_per_class(data: Sequence[LabeledSample], spec: SplitSpec) -> tuple[list[LabeledSample], list[LabeledSample]]:
+    """The samples at split_rows' train and test rows: the list form the
+    benchmark's svm child calls."""
+    data = list(data)
+    train, test = split_rows([s.label for s in data], spec)
+    return [data[i] for i in train], [data[i] for i in test]
 
 
-def _predict_all(
-    train: list[LabeledSample], test: list[LabeledSample], cfg: ClassifierConfig
-) -> list[str]:
+def _checked(vectors, labels: Sequence[str]) -> np.ndarray:
+    """vectors as a C-ordered float64 array (a copy only if it is not one),
+    so each distance sums its terms in the order knn_predict's do."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or len(vectors) != len(labels) or not np.isfinite(vectors).all():
+        raise ValueError(f"vectors must be a finite 2-D array with one row per label ({len(labels)})")
+    return vectors
+
+
+def _predict_all(vectors: np.ndarray, labels: Sequence[str], train_rows, test_rows, cfg: ClassifierConfig) -> list[str]:
+    train, test = vectors[train_rows], vectors[test_rows]
     if cfg.zscore:
-        train, test = _zscore_apply(train, test)
+        mean, std = train.mean(axis=0), train.std(axis=0)
+        std[std == 0.0] = 1.0
+        train, test = (train - mean) / std, (test - mean) / std
+    train_labels = [labels[i] for i in train_rows]
     if cfg.kind == "knn":
-        model = KnnModel([s.vector for s in train], [s.label for s in train], cfg.neighbors_k, cfg.distance)
-        return [knn_predict(model, s.vector)[0] for s in test]
+        model = KnnModel(train, train_labels, cfg.neighbors_k, cfg.distance)
+        return [knn_predict(model, query)[0] for query in test]
     if cfg.kind == "svm":
-        model = svm_train(train, cfg.degree, cfg.c, cfg.offset, cfg.tol)
-        return [svm_predict(model, s.vector) for s in test]
+        model = _svm_fit(train, train_labels, cfg.degree, cfg.c, cfg.offset, cfg.tol)
+        return [svm_predict(model, query) for query in test]
     raise ValueError(f"unknown classifier kind {cfg.kind!r}")
 
 
-def _count(test: Sequence[LabeledSample], predicted: Sequence[str]) -> EvalReport:
+def _count(labels: Sequence[str], predicted: Sequence[str]) -> EvalReport:
     per_class: dict[str, list[int]] = {}
-    for sample, guess in zip(test, predicted):
-        counts = per_class.setdefault(sample.label, [0, 0])
-        counts[0] += int(guess == sample.label)
+    for label, guess in zip(labels, predicted):
+        counts = per_class.setdefault(label, [0, 0])
+        counts[0] += int(guess == label)
         counts[1] += 1
     return EvalReport({label: (c, t) for label, (c, t) in sorted(per_class.items())})
 
 
 def evaluate(
-    train: Sequence[LabeledSample],
-    test: Sequence[LabeledSample],
+    vectors: np.ndarray, labels: Sequence[str], train_rows: Sequence[int], test_rows: Sequence[int],
     cfg: ClassifierConfig = ClassifierConfig(),
 ) -> EvalReport:
-    """Train on one split, predict the other, count hits per class."""
-    train, test = list(train), list(test)
-    if not train or not test:
+    """Train on the train rows of the (n, dim) vectors, predict the test
+    rows, count hits per class; labels holds one label per row."""
+    vectors = _checked(vectors, labels)
+    if not len(train_rows) or not len(test_rows):
         raise ValueError("train and test sets must both be non-empty")
-    return _count(test, _predict_all(train, test, cfg))
+    return _count([labels[i] for i in test_rows], _predict_all(vectors, labels, train_rows, test_rows, cfg))
 
 
 def pool_size(workers: int, n_tasks: int) -> int:
@@ -186,51 +184,48 @@ def _striped_map(fn: Callable, items: Sequence, workers: int) -> list:
 
 
 def kfold(
-    data: Sequence[LabeledSample],
-    k: int = 10,
-    cfg: ClassifierConfig = ClassifierConfig(),
-    workers: int = 1,
+    vectors: np.ndarray, labels: Sequence[str], k: int = 10, cfg: ClassifierConfig = ClassifierConfig(), workers: int = 1
 ) -> EvalReport:
-    """Stratified k-fold cross-validation.
+    """Stratified k-fold cross-validation over the rows of the (n, dim)
+    vectors, one label per row.
 
-    Each class's samples spread round-robin over the folds in load
-    order, so with at least k samples per class every fold sees every
-    class; smaller classes simply occupy fewer folds. Counts pool every
-    fold's predictions; fold_accuracies holds one accuracy per fold.
-    Settings and folds are checked first. Then KNN without zscore scores
-    each pair once (_knn_cross_guesses), on up to workers threads; others
+    Each class's rows spread round-robin over the folds in load order,
+    so with at least k rows per class every fold sees every class;
+    smaller classes simply occupy fewer folds. Counts pool every fold's
+    predictions; fold_accuracies holds one accuracy per fold. Settings
+    and folds are checked first. Then KNN without zscore scores each
+    pair once (_knn_cross_guesses), on up to workers threads; others
     train once per fold, serially.
     """
-    data = list(data)
+    vectors = _checked(vectors, labels)
     if k < 2:
         raise ValueError("k must be at least 2")
-    if len(data) < k:
-        raise ValueError(f"need at least k={k} samples, got {len(data)}")
+    if len(labels) < k:
+        raise ValueError(f"need at least k={k} samples, got {len(labels)}")
     seen = defaultdict(itertools.count)  # each class runs its own round robin, in load order
-    fold_of = [next(seen[s.label]) % k for s in data]
+    fold_of = [next(seen[label]) % k for label in labels]
     folds = [[i for i, f in enumerate(fold_of) if f == fold] for fold in range(k)]
-    # vectors of mixed length take the per-fold path, which raises for the first fold they break
-    walk = cfg.kind == "knn" and not cfg.zscore and len({s.vector.size for s in data}) == 1
+    walk = cfg.kind == "knn" and not cfg.zscore
     if walk:  # round robin makes fold 0 the largest, so the first fold a KnnModel would refuse
-        check_knn_settings(len(data) - len(folds[0]), cfg.neighbors_k, cfg.distance)
+        check_knn_settings(len(labels) - len(folds[0]), cfg.neighbors_k, cfg.distance)
     if not all(folds):
         raise ValueError(f"fold {folds.index([])} is empty; reduce k")
     if walk:
-        guesses = _knn_cross_guesses(data, fold_of, cfg.neighbors_k, cfg.distance, workers)
+        guesses = _knn_cross_guesses(vectors, labels, fold_of, cfg.neighbors_k, cfg.distance, workers)
     else:
-        guesses = [""] * len(data)
+        guesses = [""] * len(labels)
         for fold, members in enumerate(folds):
-            train = [s for i, s in enumerate(data) if fold_of[i] != fold]
-            for i, guess in zip(members, _predict_all(train, [data[i] for i in members], cfg)):
+            train = [i for i, f in enumerate(fold_of) if f != fold]
+            for i, guess in zip(members, _predict_all(vectors, labels, train, members, cfg)):
                 guesses[i] = guess
-    fold_accuracies = tuple(_count([data[i] for i in m], [guesses[i] for i in m]).accuracy for m in folds)
-    return EvalReport(_count(data, guesses).per_class, fold_accuracies)  # _count sorts by label
+    fold_accuracies = tuple(_count([labels[i] for i in m], [guesses[i] for i in m]).accuracy for m in folds)
+    return EvalReport(_count(labels, guesses).per_class, fold_accuracies)  # _count sorts by label
 
 
 def _knn_cross_guesses(
-    data: list[LabeledSample], fold_of: list[int], neighbors_k: int, distance: str, workers: int
+    vectors: np.ndarray, labels: Sequence[str], fold_of: list[int], neighbors_k: int, distance: str, workers: int
 ) -> list[str]:
-    """Each sample's knn_predict vote over the samples of the other folds.
+    """Each row's knn_predict vote over the rows of the other folds.
 
     Row i of the upper triangle, distance_rows(X[i+1:], X[i]), scores
     each pair once and fills both halves of one zeroed (n, n) matrix;
@@ -239,60 +234,58 @@ def _knn_cross_guesses(
     (_striped_map). Same-fold pairs become inf, which marks nothing
     else because distance_rows refuses any distance that is not finite.
     Each row's stable argsort then ranks the other folds by (distance,
-    index): the order knn_predict gives over a fold's training list. Each
-    fold holds at most n - neighbors_k samples, so the first neighbors_k
+    index): the order knn_predict gives over a fold's training rows. Each
+    fold holds at most n - neighbors_k rows, so the first neighbors_k
     are finite. Memory: the (n, n) float64 matrix, 1.28 MB at n = 400, the
-    same order as the Gram matrix svm_train builds over the same rows.
+    same order as the Gram matrix _svm_fit builds over the same rows.
     """
-    matrix = np.stack([s.vector for s in data])
     fold = np.array(fold_of)
-    n = len(data)
+    n = len(vectors)
     dist = np.zeros((n, n))
-    rows = _striped_map(lambda i: distance_rows(matrix[i + 1 :], matrix[i], distance), range(n - 1), workers)
+    rows = _striped_map(lambda i: distance_rows(vectors[i + 1 :], vectors[i], distance), range(n - 1), workers)
     for i, row in enumerate(rows):
         dist[i, i + 1 :] = dist[i + 1 :, i] = row
     dist[fold[:, None] == fold] = np.inf
     nearest = np.argsort(dist, axis=1, kind="stable")[:, :neighbors_k]
-    labels = [s.label for s in data]
     return [vote([(labels[j], float(dist[r, j])) for j in row]) for r, row in enumerate(nearest)]
 
 
 def roc_far_gar(
-    train: Sequence[LabeledSample],
-    test: Sequence[LabeledSample],
-    distance: str = "log",
-    n_thresholds: int = 200,
-    workers: int = 1,
+    vectors: np.ndarray, labels: Sequence[str], train_rows: Sequence[int], test_rows: Sequence[int],
+    distance: str = "log", n_thresholds: int = 200, workers: int = 1,
 ) -> list[RocPoint]:
-    """Verification sweep: FAR and GAR percentages over thresholds.
+    """Verification sweep over the rows of the (n, dim) vectors, one label
+    per row: FAR and GAR percentages over thresholds.
 
-    Each test sample scores min distance to its own class's training
-    samples (genuine trial) and min distance to every other class
-    (one impostor trial per other class). A trial is accepted when its
-    score is <= the threshold. Thresholds are n_thresholds evenly
-    spaced values over [0, max observed score] plus every distinct
-    observed score. The classes' distances run on up to workers threads
-    (_striped_map).
+    Each test row scores min distance to its own class's training rows
+    (genuine trial) and min distance to every other class (one impostor
+    trial per other class). A trial is accepted when its score is <=
+    the threshold. Thresholds are n_thresholds evenly spaced values over
+    [0, max observed score] plus every distinct observed score. The
+    classes' distances run on up to workers threads (_striped_map).
     """
-    train, test = list(train), list(test)
-    if not train or not test:
+    vectors = _checked(vectors, labels)
+    if not len(train_rows) or not len(test_rows):
         raise ValueError("train and test sets must both be non-empty")
-    groups = _group_by_class(train)
-    queries = np.stack([s.vector for s in test])
-    # nearest distance from each test sample (row) to each class (column),
-    # one distance_rows call per training sample; |a - b| == |b - a|, so
-    # each distance is the one the test sample's own call would give
+    groups: dict[str, list[int]] = {}
+    for i in train_rows:
+        groups.setdefault(labels[i], []).append(i)
+    classes = sorted(groups)
+    queries = vectors[test_rows]
+    # nearest distance from each test row (row) to each class (column),
+    # one distance_rows call per training row; |a - b| == |b - a|, so
+    # each distance is the one the test row's own call would give
     scores = np.stack(_striped_map(
-        lambda samples: np.min([distance_rows(queries, s.vector, distance) for s in samples], axis=0),
-        list(groups.values()), workers), axis=1)
-    own = np.array([s.label for s in test])[:, None] == np.array(list(groups))
+        lambda rows: np.min([distance_rows(queries, vectors[i], distance) for i in rows], axis=0),
+        [groups[c] for c in classes], workers), axis=1)
+    own = np.array([labels[i] for i in test_rows])[:, None] == np.array(classes)
     gen, imp = np.sort(scores[own]), np.sort(scores[~own])
     if not gen.size or not imp.size:
         raise ValueError("need both genuine and impostor trials; add more classes")
     top = float(max(gen[-1], imp[-1]))
-    thresholds = np.unique(
-        np.concatenate([np.linspace(0.0, top, n_thresholds), gen, imp])
-    )
+    # the first value of each run of equal ones: np.unique's result, without the numpy.ma import it makes
+    values = np.sort(np.concatenate([np.linspace(0.0, top, n_thresholds), gen, imp]))
+    thresholds = values[np.concatenate([[True], values[1:] != values[:-1]])]
     far = 100.0 * np.searchsorted(imp, thresholds, side="right") / imp.size
     gar = 100.0 * np.searchsorted(gen, thresholds, side="right") / gen.size
     return [RocPoint(float(t), float(f), float(g)) for t, f, g in zip(thresholds, far, gar)]
@@ -319,7 +312,11 @@ def _write_table(path, config: dict[str, object], header: list[str], rows, foote
 
 def write_report_csv(report: EvalReport, config: dict[str, object], path) -> None:
     """Accuracy table: one "# key=value" comment per config item, in key
-    order, then class,correct,total,accuracy rows and an overall row."""
+    order, then class,correct,total,accuracy rows and an overall row.
+    A class named overall would read as that row: it raises ValueError
+    before the file is opened."""
+    if "overall" in report.per_class:
+        raise ValueError("class label 'overall' is the name of the report's total row")
     rows = [[label, correct, total, _fmt(100.0 * correct / total)]
             for label, (correct, total) in report.per_class.items()]
     rows.append(["overall", report.correct, report.total, _fmt(report.accuracy)])

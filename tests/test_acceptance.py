@@ -14,13 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import g2_halves, knn_model, make_pgm_tree, random_raw
+from conftest import g2_halves, make_pgm_tree, random_raw
 from oracles import naive_feature_vector
 
 from nblgc import (
     ClassifierConfig,
     ContourVariant,
     FuzzifierRef,
+    KnnModel,
     LabeledSample,
     SplitSpec,
     center_memberships,
@@ -33,7 +34,7 @@ from nblgc import (
     knn_predict,
     normalize_unit,
     roc_far_gar,
-    split_per_class,
+    split_rows,
     svm_predict,
     svm_train,
 )
@@ -147,13 +148,12 @@ def test_criterion_5_classifier_sanity():
     rng = np.random.default_rng(105)
 
     # well-separated clusters: both classifiers must be perfect
-    def cluster(center, label, n=10):
-        return [LabeledSample(center + rng.normal(0, 0.3, size=4), label) for _ in range(n)]
-
-    data = cluster(np.zeros(4), "a") + cluster(np.full(4, 6.0), "b") + cluster(np.full(4, -6.0), "c")
-    train, test = split_per_class(data, SplitSpec(7))
-    knn_acc = evaluate(train, test, ClassifierConfig(kind="knn")).accuracy
-    svm_acc = evaluate(train, test, ClassifierConfig(kind="svm", degree=1)).accuracy
+    centers = {"a": np.zeros(4), "b": np.full(4, 6.0), "c": np.full(4, -6.0)}
+    labels = [label for label in centers for _ in range(10)]
+    vectors = np.array([centers[label] + rng.normal(0, 0.3, size=4) for label in labels])
+    train, test = split_rows(labels, SplitSpec(7))
+    knn_acc = evaluate(vectors, labels, train, test, ClassifierConfig(kind="knn")).accuracy
+    svm_acc = evaluate(vectors, labels, train, test, ClassifierConfig(kind="svm", degree=1)).accuracy
 
     # xor needs the quadratic kernel; C=1 caps the multipliers below the
     # interior optimum, so the check runs at C=10
@@ -165,20 +165,17 @@ def test_criterion_5_classifier_sanity():
     xor_ok = all(svm_predict(xor_model, s.vector) == s.label for s in xor)
 
     # memorization: 1-NN asked about its own training points
-    self_model = knn_model(train)
-    self_ok = all(knn_predict(self_model, s.vector)[0] == s.label for s in train)
+    self_model = KnnModel(vectors[train], [labels[i] for i in train])
+    self_ok = all(knn_predict(self_model, vectors[i])[0] == labels[i] for i in train)
 
     # no signal: 40 classes of pure noise should sit at chance (2.5%)
     chance_accs = []
     for seed in range(10):
         noise_rng = np.random.default_rng(1000 + seed)
-        noise = [
-            LabeledSample(noise_rng.uniform(size=10), f"c{i:02d}")
-            for i in range(40)
-            for _ in range(10)
-        ]
-        tr, te = split_per_class(noise, SplitSpec(7, shuffle_seed=seed))
-        chance_accs.append(evaluate(tr, te, ClassifierConfig(kind="knn")).accuracy)
+        noise_labels = [f"c{i:02d}" for i in range(40) for _ in range(10)]
+        noise = np.array([noise_rng.uniform(size=10) for _ in noise_labels])
+        tr, te = split_rows(noise_labels, SplitSpec(7, shuffle_seed=seed))
+        chance_accs.append(evaluate(noise, noise_labels, tr, te, ClassifierConfig(kind="knn")).accuracy)
     chance = sum(chance_accs) / len(chance_accs)
 
     ok = (
@@ -198,13 +195,10 @@ def test_criterion_5_classifier_sanity():
 
 def test_criterion_6_roc_sweep_is_monotone_with_fixed_endpoints():
     rng = np.random.default_rng(106)
-    data = [
-        LabeledSample(np.full(4, 4.0 * i) + rng.normal(0, 0.5, size=4), f"c{i}")
-        for i in range(5)
-        for _ in range(8)
-    ]
-    train, test = split_per_class(data, SplitSpec(5))
-    points = roc_far_gar(train, test)
+    classes = [i for i in range(5) for _ in range(8)]
+    vectors = np.array([np.full(4, 4.0 * i) + rng.normal(0, 0.5, size=4) for i in classes])
+    labels = [f"c{i}" for i in classes]
+    points = roc_far_gar(vectors, labels, *split_rows(labels, SplitSpec(5)))
     start_ok = points[0].threshold == 0.0 and points[0].far == 0.0 and points[0].gar == 0.0
     end_ok = points[-1].far == 100.0 and points[-1].gar == 100.0
     mono_ok = all(
@@ -235,11 +229,10 @@ def test_criterion_7_face_dataset_reproduction():
         pytest.skip("face dataset not available (set NBLGC_ORL_DIR or add ./data/orl)")
     start = time.perf_counter()
     _, labels, matrix, _ = extract_dataset(root, (63, 63), VARIANTS[0], REFS[0])
-    samples = [LabeledSample(row, label) for row, label in zip(matrix, labels)]
-    train, test = split_per_class(samples, SplitSpec(7))
-    knn_acc = evaluate(train, test, ClassifierConfig(kind="knn")).accuracy
-    svm_acc = evaluate(train, test, ClassifierConfig(kind="svm", degree=1)).accuracy
-    fold_acc = kfold(samples, 10, ClassifierConfig(kind="knn")).accuracy
+    train, test = split_rows(labels, SplitSpec(7))
+    knn_acc = evaluate(matrix, labels, train, test, ClassifierConfig(kind="knn")).accuracy
+    svm_acc = evaluate(matrix, labels, train, test, ClassifierConfig(kind="svm", degree=1)).accuracy
+    fold_acc = kfold(matrix, labels, 10, ClassifierConfig(kind="knn")).accuracy
     elapsed = time.perf_counter() - start
     ok = (
         abs(knn_acc - 93.33) <= 5.0

@@ -43,6 +43,15 @@ def test_svm_child_predicts_the_same_after_loading(tmp_path):
     assert result["loaded"] == result["trained"]
 
 
+def test_probe_child_extracts_each_image(tmp_path):
+    gen, child = bench_module("gen"), bench_module("child")
+    gen.write_tree(tmp_path / "data", gen.generate(gen.QUICK, 3), binary=True)
+    args = argparse.Namespace(data=str(tmp_path / "data"), resize="9x9", count=5)
+    result = {}
+    assert child.run_probe(args, result) == 0
+    assert result["images"] == 5
+
+
 def test_span_counters_read_a_trained_model(tmp_path):
     # run.py drops every result when a span summary raises, so a model the
     # counters cannot read would first show as a lost benchmark run

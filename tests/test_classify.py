@@ -26,7 +26,7 @@ from nblgc import (
     svm_train,
 )
 from conftest import knn_model
-from nblgc.classify import _decision_values, _kernel, _smo_lockstep
+from nblgc.classify import _decision_values, _kernel, _smo_lockstep, _svm_fit
 from oracles import _smo_pair
 
 
@@ -476,6 +476,15 @@ class TestSvm:
         model = svm_train(two)
         assert model == model
         assert (model == svm_train(two)) is False
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_list_form_saves_the_bytes_of_the_matrix_fit(self, tmp_path, degree):
+        rng = np.random.default_rng(21)
+        train = samples([(rng.normal(i % 4, 0.8, size=5), f"c{i % 4}") for i in range(24)])
+        save_model(svm_train(train, degree, 2.0, 0.5, 1e-4), tmp_path / "list.model")
+        fitted = _svm_fit(np.stack([s.vector for s in train]), [s.label for s in train], degree, 2.0, 0.5, 1e-4)
+        save_model(fitted, tmp_path / "matrix.model")
+        assert (tmp_path / "list.model").read_bytes() == (tmp_path / "matrix.model").read_bytes()
 
     def test_vote_tie_magnitude_then_order(self):
         # hand-built machines force a 1-1-1 vote; summed magnitude decides.

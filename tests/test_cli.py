@@ -8,10 +8,10 @@ import pytest
 import nblgc.cli as cli
 import nblgc.evaluation as evaluation
 import nblgc.options as options
-from nblgc.classify import DISTANCES
+from nblgc.classify import DISTANCES, LabeledSample
 from nblgc.cli import main
 from nblgc.features import extract_dataset, read_features_csv, write_features_csv
-from conftest import run_python
+from conftest import make_pgm_tree, run_python
 
 
 def run_cli(argv):
@@ -103,6 +103,23 @@ class TestHappyPaths:
         assert "threshold,far,gar" in lines
         assert lines[-1] == "# gar counts accepted genuine trials directly; it is not 100-far"
         assert "roc points" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, extra", [
+        ("evaluate", ["--train-per-class", "4"]),
+        ("evaluate", ["--train-per-class", "4", "--classifier", "svm", "--zscore"]),
+        ("kfold", ["--folds", "3"]),
+        ("kfold", ["--folds", "3", "--classifier", "svm"]),
+        ("roc", ["--train-per-class", "4"]),
+    ], ids=["evaluate", "evaluate svm", "kfold", "kfold svm", "roc"])
+    def test_commands_build_no_labeled_sample(self, small_tree, tmp_path, monkeypatch, command, extra):
+        # the commands run on extract_dataset's matrix and row numbers
+        def refuse(sample):
+            raise AssertionError("a command built a LabeledSample")
+
+        monkeypatch.setattr(LabeledSample, "__post_init__", refuse)
+        args = [command, "--data", str(small_tree), "--resize", "9x9", "--out", str(tmp_path / "out"),
+                "--workers", "1", *extra]
+        assert run_cli(args) == 0
 
     def test_svm_classifier_path(self, small_tree, tmp_path):
         out = tmp_path / "out"
@@ -253,6 +270,15 @@ class TestExitCodes:
             assert run_cli(args) == 2
             assert "euclidean distance overflows" in capsys.readouterr().err
             assert not list(tmp_path.rglob("*.csv"))
+
+    def test_class_named_overall_is_data_error_before_any_output(self, tmp_path, capsys):
+        # report.csv names its total row overall, so a class of that name would read as a second total
+        data = tmp_path / "data"
+        make_pgm_tree(data, n_classes=2, per_class=6, size=(9, 9), seed=3)
+        (data / "s02").rename(data / "overall")
+        assert run_cli(eval_args(data, tmp_path / "out")) == 2
+        assert "class label 'overall'" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_internal_error_is_three(self, small_tree, tmp_path, monkeypatch, capsys):
         def boom(cfg):

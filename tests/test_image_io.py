@@ -489,6 +489,21 @@ class TestTypes:
             with pytest.raises(ValueError, match="read-only"):
                 image.pixels.flat[0] = 1
 
+    def test_raw_images_compare_and_hash_by_value(self):
+        raw, twin = (RawImage(2, 1, 255, np.array([7, 9], dtype=np.uint16)) for _ in range(2))
+        assert raw == twin and hash(raw) == hash(twin)
+        assert twin in {raw} and twin in [raw]
+        for other in (RawImage(2, 1, 254, np.array([7, 9])), RawImage(1, 2, 255, np.array([7, 9])),
+                      RawImage(2, 1, 255, np.array([7, 8]))):
+            assert other != raw and other not in {raw}
+
+    def test_gray_images_compare_and_hash_by_identity(self):
+        gray, twin = GrayImage(np.zeros((2, 2))), GrayImage(np.zeros((2, 2)))
+        assert gray == gray and gray != twin
+        assert hash(gray) == hash(gray)
+        assert gray in {gray} and twin not in {gray}
+        assert gray in [twin, gray] and twin not in [gray]
+
     def test_owned_images_need_every_field(self):
         with pytest.raises(TypeError, match="takes exactly the fields"):
             _owned(RawImage, width=1, height=1, pixels=np.zeros(1, np.uint16))
