@@ -124,18 +124,18 @@ def _checked(vectors, labels: Sequence[str]) -> np.ndarray:
 
 
 def _predict_all(vectors: np.ndarray, labels: Sequence[str], train_rows, test_rows, cfg: ClassifierConfig) -> list[str]:
-    train, test = vectors[train_rows], vectors[test_rows]
-    if cfg.zscore:
-        mean, std = train.mean(axis=0), train.std(axis=0)
+    if cfg.zscore:  # the training rows' statistics, applied to every row
+        mean, std = vectors[train_rows].mean(axis=0), vectors[train_rows].std(axis=0)
         std[std == 0.0] = 1.0
-        train, test = (train - mean) / std, (test - mean) / std
+        vectors = (vectors - mean) / std
+    # each model copies its training rows, so no other copy of them is kept
     train_labels = [labels[i] for i in train_rows]
     if cfg.kind == "knn":
-        model = KnnModel(train, train_labels, cfg.neighbors_k, cfg.distance)
-        return [knn_predict(model, query)[0] for query in test]
+        model = KnnModel(vectors[train_rows], train_labels, cfg.neighbors_k, cfg.distance)
+        return [knn_predict(model, vectors[i])[0] for i in test_rows]
     if cfg.kind == "svm":
-        model = _svm_fit(train, train_labels, cfg.degree, cfg.c, cfg.offset, cfg.tol)
-        return [svm_predict(model, query) for query in test]
+        model = _svm_fit(vectors[train_rows], train_labels, cfg.degree, cfg.c, cfg.offset, cfg.tol)
+        return [svm_predict(model, vectors[i]) for i in test_rows]
     raise ValueError(f"unknown classifier kind {cfg.kind!r}")
 
 
