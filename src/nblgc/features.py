@@ -22,6 +22,9 @@ from .infoset import center_memberships, contours
 from .options import ContourVariant, FuzzifierRef
 
 FLOAT_DIGITS = 12  # significant digits in the feature CSV
+# blocks per block_features call in extract_dataset: the (n, 9) float64 array stays under
+# 110 KB, and so every temporary under glibc's default 128 KiB mmap threshold (3 images at 63x63)
+CHUNK_BLOCKS = 1536
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
@@ -102,20 +105,30 @@ def extract_dataset(
     Returns (source paths, class labels, (n, blocks) feature matrix,
     notices): the rows, labels and errors of load_dataset then extract on
     each image, from the same walk (image_io._read_tree: the same checks,
-    file order and messages). Each image becomes its feature row as the
+    file order and messages). Each image becomes its block array as the
     walk yields it, so no image is kept, and where load_dataset warns,
-    the message is returned among the notices.
+    the message is returned among the notices. The block arrays of a
+    few images at a time (CHUNK_BLOCKS) go through one block_features
+    call; the arithmetic is per block, so the rows are those of one
+    call per image.
     """
-    paths, labels, rows, notices = [], [], [], []
+    dim = (size[0] // 3) * (size[1] // 3)
+    per_chunk = max(1, CHUNK_BLOCKS // dim)
+    paths, labels, notices, pending = [], [], [], []
+    chunks = [np.empty(0)]  # so that a tree with no image concatenates too, to a (0, dim) matrix
     for label, path, image in _read_tree(root, size, skip_errors):
         if isinstance(image, str):
             notices.append(image)
-        else:
-            paths.append(path)
-            labels.append(label)
-            rows.append(block_features(block_values(image), variant, ref))
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), (size[0] // 3) * (size[1] // 3))
-    return paths, labels, matrix, notices
+            continue
+        paths.append(path)
+        labels.append(label)
+        pending.append(block_values(image))
+        if len(pending) == per_chunk:
+            chunks.append(block_features(np.concatenate(pending), variant, ref))
+            pending.clear()
+    if pending:
+        chunks.append(block_features(np.concatenate(pending), variant, ref))
+    return paths, labels, np.concatenate(chunks).reshape(len(paths), dim), notices
 
 
 def write_features_csv(

@@ -147,11 +147,14 @@ def _p2_values(text: bytes, start: int, count: int, max_gray: int) -> np.ndarray
     Memory is a few times the raster's bytes, whatever count says. The
     byte masks take one byte per raster byte, flatnonzero's int64 output
     8 bytes per token, and token positions, lengths and values are int32
-    arrays of count entries. So no temporary reaches glibc's 128 KiB mmap
-    threshold, above which its pages would fault in again for every
-    image, while the raster is under 128 KiB and holds under 16,384
-    tokens. An ORL image of 92x112 (10,304 pixels, about 40 KB of text)
-    decodes with temporaries of at most 82 KB.
+    arrays of count entries. So no temporary reaches glibc's default
+    128 KiB mmap threshold while the raster is under 128 KiB and holds
+    under 16,384 tokens: an ORL image of 92x112 (10,304 pixels, about
+    40 KB of text) decodes with temporaries of at most 82 KB. That alone
+    does not keep their pages: by default glibc hands the free top of
+    its heap back between images, and the next image faults it in again
+    (about 7k faults over a 400-image tree). The command line pins the
+    heap (options._pin_heap), so it keeps them.
     """
     v = np.frombuffer(text.translate(_BYTE_CLASS), np.uint8)[start:]
     token = v != _SPACE
@@ -223,8 +226,9 @@ def parse_pgm(data: bytes) -> RawImage:
     count = width * height
     if magic == b"P2":
         # comments are blanked byte for byte, so the raster still starts at end, with
-        # whitespace: the max_gray token ended there. A file with no # is not copied.
-        values = _p2_values(_COMMENT.sub(_blank, data), end, count, max_gray)
+        # whitespace: the max_gray token ended there. A file with no # skips that pass.
+        text = _COMMENT.sub(_blank, data) if b"#" in data else data
+        values = _p2_values(text, end, count, max_gray)
         if values is not None:
             return _owned(RawImage, width=width, height=height, max_gray=max_gray, pixels=values)
         # the raster is bad: walk it again to name the first bad token
@@ -307,10 +311,18 @@ def resize_bilinear(image: GrayImage, out_width: int, out_height: int) -> GrayIm
         return image
     src = image.pixels
     x0, x1, y0, y1, fx, fy = _resize_plan(image.width, image.height, out_width, out_height)
-    # lerp form keeps constants exact: v0 + f*(v1 - v0), along x over every source row, then along y
-    c0 = src[:, x0]
-    cols = c0 + fx * (src[:, x1] - c0)
-    out = cols[y0] + fy * (cols[y1] - cols[y0])
+    # lerp form keeps constants exact: v0 + f*(v1 - v0), along x over every source row, then along y.
+    # It runs in place as (v1 - v0) * f + v0, the same bits: IEEE + and * commute.
+    c0 = src.take(x0, axis=1)
+    cols = src.take(x1, axis=1)
+    cols -= c0
+    cols *= fx
+    cols += c0
+    r0 = cols.take(y0, axis=0)
+    out = cols.take(y1, axis=0)
+    out -= r0
+    out *= fy
+    out += r0
     return _owned(GrayImage, pixels=np.clip(out, 0.0, 1.0, out=out))
 
 

@@ -548,9 +548,10 @@ def test_module_entry_point(small_tree, tmp_path):
     assert (out / "features.csv").is_file()
 
 
-# runs `python -m nblgc ARGS` and, at exit, says whether numpy was imported
+# runs `python -m nblgc ARGS` and, at exit, says whether numpy and ctypes (the heap pin's) were imported
 NUMPY_AT_EXIT = ("import atexit, runpy, sys; "
-                 "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules)); "
+                 "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, "
+                 "'ctypes loaded:', 'ctypes' in sys.modules)); "
                  "runpy.run_module('nblgc', run_name='__main__', alter_sys=True)")
 
 
@@ -565,13 +566,13 @@ class TestStartup:
     def test_help_and_usage_errors_load_no_numpy(self, small_tree, argv, code):
         proc = run_python("-c", NUMPY_AT_EXIT, *(a.format(data=small_tree) for a in argv))
         assert proc.returncode == code, proc.stderr
-        assert proc.stdout.endswith("numpy loaded: False\n")
+        assert proc.stdout.endswith("numpy loaded: False ctypes loaded: False\n")
 
     def test_a_run_loads_numpy(self, small_tree, tmp_path):
         # the probe above can see numpy: a real command imports it
         proc = run_python("-c", NUMPY_AT_EXIT, *extract_args(small_tree, tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.endswith("numpy loaded: True\n")
+        assert proc.stdout.endswith("numpy loaded: True ctypes loaded: True\n")
 
     def test_threaded_kfold_loads_no_process_pool(self, small_tree, tmp_path):
         # a process pool's imports cost about 24 ms a run; the distance threads need neither module
@@ -588,6 +589,67 @@ class TestStartup:
         layers = [f"nblgc.{m}" for m in ("image_io", "features", "classify", "evaluation")]
         proc = run_python("-c", f"import sys, nblgc.cli; print([m for m in {layers!r} if m not in sys.modules])")
         assert proc.stdout == "[]\n", proc.stderr
+
+
+class FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+# counts the lookups of mallopt in the C library, then extracts a tree through the library and,
+# with the same spy, through the command line
+MALLOPT_SPY = """
+import ctypes, sys
+lookups = []
+class Spy(ctypes.CDLL):
+    def __getattr__(self, name):
+        lookups.append(name)
+        return super().__getattr__(name)
+ctypes.CDLL = Spy
+import nblgc
+nblgc.extract_dataset(sys.argv[1], (9, 9))
+library = lookups.count("mallopt")
+from nblgc.options import main
+code = main(["extract", "--data", sys.argv[1], "--resize", "9x9", "--out", sys.argv[2]])
+print(library, code, lookups.count("mallopt"))
+"""
+
+
+class TestHeapPin:
+    def test_sets_mmap_then_trim_threshold(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr("ctypes.CDLL", lambda name: libc)
+        options._pin_heap()
+        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("libc", [OSError("no C library"), TypeError("no name"), object()],
+                             ids=["CDLL raises OSError", "CDLL raises TypeError", "no mallopt"])
+    def test_no_op_without_mallopt(self, monkeypatch, libc):
+        def cdll(name):
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+
+        monkeypatch.setattr("ctypes.CDLL", cdll)
+        assert options._pin_heap() is None
+
+    def test_only_a_merged_config_pins(self, monkeypatch, small_tree, tmp_path):
+        pins = []
+        monkeypatch.setattr(options, "_pin_heap", lambda: pins.append(1))
+        assert run_cli(eval_args(small_tree, tmp_path / "a", "--C", "0")) == 1
+        assert run_cli(extract_args(tmp_path / "missing", tmp_path / "b")) == 2
+        assert run_cli(["extract", "--bogus"]) == 1
+        assert pins == []
+        assert run_cli(extract_args(small_tree, tmp_path / "c")) == 0
+        assert pins == [1]
+
+    def test_library_extraction_never_pins(self, small_tree, tmp_path):
+        proc = run_python("-c", MALLOPT_SPY, str(small_tree), str(tmp_path / "out"))
+        assert proc.stdout.splitlines()[-1] == "0 0 1", proc.stderr
 
 
 # every command on one tree, each reading a --config file, the feature CSV read back, and a

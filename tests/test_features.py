@@ -25,6 +25,7 @@ from nblgc import (
     read_features_csv,
     write_features_csv,
 )
+import nblgc.features as features
 from nblgc.evaluation import pool_size
 from conftest import make_pgm_tree
 from oracles import naive_feature_vector
@@ -247,6 +248,67 @@ class TestExtractDataset:
             tracemalloc.stop()
         assert matrix.shape == (120, 441)
         assert peak < 120 * 63 * 63 * 8
+
+
+def one_image_at_a_time(root, size, variant=ContourVariant.G1, ref=FuzzifierRef.AVERAGE):
+    """The feature matrix of the files load_dataset keeps, one block_features call per image."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = [block_features(block_values(e.image), variant, ref) for e in load_dataset(root, size, True)]
+    return np.stack(rows) if rows else np.empty((0, (size[0] // 3) * (size[1] // 3)))
+
+
+class TestExtractChunks:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The block count of each block_features call extract_dataset makes."""
+        counts = []
+
+        def counted(blocks, *settings):
+            counts.append(len(blocks))
+            return block_features(blocks, *settings)
+
+        monkeypatch.setattr(features, "block_features", counted)
+        return counts
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("ref", REFS)
+    def test_63x63_runs_three_images_a_call(self, tmp_path, calls, variant, ref):
+        make_pgm_tree(tmp_path, n_classes=1, per_class=7, size=(66, 63), seed=20)
+        matrix = extract_dataset(tmp_path, (63, 63), variant, ref)[2]
+        assert matrix.tobytes() == one_image_at_a_time(tmp_path, (63, 63), variant, ref).tobytes()
+        assert calls == [3 * 441, 3 * 441, 441]
+        # the stacked (n, 9) float64 block array stays under glibc's default 128 KiB mmap threshold
+        assert features.CHUNK_BLOCKS * 9 * 8 < 128 * 1024
+
+    @pytest.mark.parametrize("per_class,expected", [(4, [27, 27, 18]), (3, [27, 27])])
+    def test_partial_last_chunk(self, tmp_path, monkeypatch, calls, per_class, expected):
+        monkeypatch.setattr(features, "CHUNK_BLOCKS", 29)  # 3 images of 9 blocks
+        make_pgm_tree(tmp_path, n_classes=2, per_class=per_class, seed=21)
+        matrix = extract_dataset(tmp_path, (9, 9), ContourVariant.G3, FuzzifierRef.MAXIMUM)[2]
+        assert matrix.tobytes() == one_image_at_a_time(tmp_path, (9, 9), ContourVariant.G3,
+                                                       FuzzifierRef.MAXIMUM).tobytes()
+        assert calls == expected
+
+    def test_skipped_file_inside_a_chunk(self, tmp_path, monkeypatch, calls):
+        monkeypatch.setattr(features, "CHUNK_BLOCKS", 27)
+        make_pgm_tree(tmp_path, n_classes=2, per_class=4, seed=22)
+        (tmp_path / "s01" / "img01.pgm").write_bytes(b"P5\n9 9\n255\n")
+        paths, labels, matrix, notices = extract_dataset(tmp_path, (9, 9), skip_errors=True)
+        assert matrix.tobytes() == one_image_at_a_time(tmp_path, (9, 9)).tobytes()
+        assert calls == [27, 27, 9] and len(paths) == len(labels) == 7
+        assert str(tmp_path / "s01" / "img01.pgm") not in paths and len(notices) == 1
+
+    def test_empty_root(self, tmp_path, calls):
+        matrix = extract_dataset(tmp_path, (63, 63))[2]
+        assert (matrix.shape, matrix.dtype, calls) == ((0, 441), np.float64, [])
+        assert matrix.tobytes() == one_image_at_a_time(tmp_path, (63, 63)).tobytes() == b""
+
+    def test_one_image_a_call_when_an_image_fills_a_chunk(self, tmp_path, monkeypatch, calls):
+        monkeypatch.setattr(features, "CHUNK_BLOCKS", 5)
+        make_pgm_tree(tmp_path, n_classes=1, per_class=2, seed=23)
+        assert extract_dataset(tmp_path, (9, 9))[2].tobytes() == one_image_at_a_time(tmp_path, (9, 9)).tobytes()
+        assert calls == [9, 9]
 
 
 class TestPoolSize:

@@ -340,6 +340,29 @@ def uncached_resize(image, out_width, out_height):
     return np.clip(top + fy * (bottom - top), 0.0, 1.0)
 
 
+def fancy_index_resize(image, out_width, out_height):
+    """resize_bilinear as it read before it ran in place: new arrays from
+    fancy indexing, each lerp written v0 + f*(v1 - v0)."""
+    src = image.pixels
+    x0, x1, y0, y1, fx, fy = _resize_plan(image.width, image.height, out_width, out_height)
+    c0 = src[:, x0]
+    cols = c0 + fx * (src[:, x1] - c0)
+    return np.clip(cols[y0] + fy * (cols[y1] - cols[y0]), 0.0, 1.0)
+
+
+class TestResizeInPlace:
+    @pytest.mark.parametrize("source,target", [((9, 6), (9, 6)), ((1, 1), (6, 9)), ((12, 15), (1, 1)),
+                                               ((7, 5), (1, 4)), ((9, 6), (27, 21)), ((92, 112), (63, 63))],
+                             ids=["identity", "1x1 up", "to 1x1", "to one column", "upscale", "downscale"])
+    def test_same_bits_as_the_fancy_index_form(self, source, target):
+        rng = np.random.default_rng(23)
+        for pixels in (rng.random(source[::-1]), rng.integers(0, 2, source[::-1]) * 1.0):
+            image = GrayImage(pixels)
+            out = resize_bilinear(image, *target)
+            assert out.pixels.tobytes() == fancy_index_resize(image, *target).tobytes()
+            assert (out.width, out.height) == target and not out.pixels.flags.writeable
+
+
 class TestResizePlan:
     @pytest.mark.parametrize("source,target", [((92, 112), (63, 63)), ((6, 9), (9, 6)), ((9, 6), (9, 6)),
                                                ((1, 2), (3, 1)), ((12, 15), (7, 11))])
