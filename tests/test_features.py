@@ -304,7 +304,7 @@ class TestExtractChunks:
         assert (matrix.shape, matrix.dtype, calls) == ((0, 441), np.float64, [])
         assert matrix.tobytes() == one_image_at_a_time(tmp_path, (63, 63)).tobytes() == b""
 
-    def test_one_image_a_call_when_an_image_fills_a_chunk(self, tmp_path, monkeypatch, calls):
+    def test_an_image_larger_than_a_chunk_runs_alone(self, tmp_path, monkeypatch, calls):
         monkeypatch.setattr(features, "CHUNK_BLOCKS", 5)
         make_pgm_tree(tmp_path, n_classes=1, per_class=2, seed=23)
         assert extract_dataset(tmp_path, (9, 9))[2].tobytes() == one_image_at_a_time(tmp_path, (9, 9)).tobytes()
