@@ -226,9 +226,8 @@ def parse_pgm(data: bytes) -> RawImage:
     count = width * height
     if magic == b"P2":
         # comments are blanked byte for byte, so the raster still starts at end, with
-        # whitespace: the max_gray token ended there. A file with no # skips that pass.
-        text = _COMMENT.sub(_blank, data) if b"#" in data else data
-        values = _p2_values(text, end, count, max_gray)
+        # whitespace: the max_gray token ended there. A file with no # is not copied.
+        values = _p2_values(_COMMENT.sub(_blank, data), end, count, max_gray)
         if values is not None:
             return _owned(RawImage, width=width, height=height, max_gray=max_gray, pixels=values)
         # the raster is bad: walk it again to name the first bad token

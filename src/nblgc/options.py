@@ -15,7 +15,7 @@ before numpy loads. It also holds what the pipeline shares with the
 command line: the choice lists, the resize, label and SVM settings
 rules and the data errors. main imports the command implementations
 (nblgc.cli) only once a config has merged cleanly, and pins glibc's
-heap (_pin_heap) just before.
+heap for the rest of the process (_pin_heap) just before.
 """
 
 from __future__ import annotations
@@ -327,9 +327,12 @@ def _pin_heap() -> None:
     the free top of its heap back to the kernel, so each image's decode
     and feature temporaries fault their pages in again: 13-15k minor
     faults in a P2 evaluate of 400 images, against 5.8k pinned. Raising
-    only the trim threshold is worse (35k), so both are set. Only the
-    command line calls this; a library caller keeps its own allocator
-    settings.
+    only the trim threshold is worse (35k), so it is set only once glibc
+    has taken the mmap threshold, which a 32-bit build refuses above
+    512 KiB. main calls this, so the pin holds for the rest of whatever
+    process runs main: the nblgc script, python -m nblgc, or a program
+    that calls nblgc.cli.main in its own process. The library functions
+    never call it.
     """
     import ctypes  # numpy imports it anyway
 
@@ -337,8 +340,8 @@ def _pin_heap() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to open
         return
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the ceiling of glibc's own dynamic threshold on 64-bit
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc's dynamic rule keeps it
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD: the ceiling of glibc's own dynamic threshold on 64-bit
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc's dynamic rule keeps it
 
 
 def main(argv=None) -> int:

@@ -592,12 +592,13 @@ class TestStartup:
 
 
 class FakeLibc:
-    def __init__(self):
+    def __init__(self, refuse=()):
         self.calls = []
+        self.refuse = refuse
 
     def mallopt(self, param, value):
         self.calls.append((param, value))
-        return 1
+        return int(param not in self.refuse)  # glibc returns 0 for a setting it refuses
 
 
 # counts the lookups of mallopt in the C library, then extracts a tree through the library and,
@@ -625,6 +626,13 @@ class TestHeapPin:
         monkeypatch.setattr("ctypes.CDLL", lambda name: libc)
         options._pin_heap()
         assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    def test_refused_mmap_threshold_sets_no_trim_threshold(self, monkeypatch):
+        # a 32-bit glibc caps the mmap threshold at 512 KiB; a trim threshold alone faults more than none
+        libc = FakeLibc(refuse={-3})
+        monkeypatch.setattr("ctypes.CDLL", lambda name: libc)
+        options._pin_heap()
+        assert libc.calls == [(-3, 32 << 20)]
 
     @pytest.mark.parametrize("libc", [OSError("no C library"), TypeError("no name"), object()],
                              ids=["CDLL raises OSError", "CDLL raises TypeError", "no mallopt"])
