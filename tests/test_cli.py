@@ -621,18 +621,15 @@ print(library, code, lookups.count("mallopt"))
 
 
 class TestHeapPin:
-    def test_sets_mmap_then_trim_threshold(self, monkeypatch):
-        libc = FakeLibc()
+    # M_MMAP_THRESHOLD (-3), then M_TRIM_THRESHOLD (-1) only if glibc took the first: a 32-bit
+    # glibc caps the mmap threshold at 512 KiB, and a trim threshold alone faults more than none
+    @pytest.mark.parametrize("refuse,calls", [((), [(-3, 32 << 20), (-1, 64 << 20)]), ({-3}, [(-3, 32 << 20)])],
+                             ids=["both set", "mmap refused"])
+    def test_sets_mmap_then_trim_threshold(self, monkeypatch, refuse, calls):
+        libc = FakeLibc(refuse)
         monkeypatch.setattr("ctypes.CDLL", lambda name: libc)
         options._pin_heap()
-        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
-
-    def test_refused_mmap_threshold_sets_no_trim_threshold(self, monkeypatch):
-        # a 32-bit glibc caps the mmap threshold at 512 KiB; a trim threshold alone faults more than none
-        libc = FakeLibc(refuse={-3})
-        monkeypatch.setattr("ctypes.CDLL", lambda name: libc)
-        options._pin_heap()
-        assert libc.calls == [(-3, 32 << 20)]
+        assert libc.calls == calls
 
     @pytest.mark.parametrize("libc", [OSError("no C library"), TypeError("no name"), object()],
                              ids=["CDLL raises OSError", "CDLL raises TypeError", "no mallopt"])
