@@ -21,7 +21,7 @@ _EXPORTS = {
     "features": ("FeatureVector", "block_features", "block_values", "entropy_features", "extract", "extract_dataset",
                  "extract_many", "read_features_csv", "write_features_csv"),
     "image_io": ("DatasetEntry", "GrayImage", "RawImage", "load_dataset", "normalize_unit", "parse_pgm",
-                 "resize_bilinear", "write_pgm"),
+                 "resize_bilinear"),
     "infoset": ("center_memberships", "contours", "fuzzifiers", "reference_values"),
     "options": ("ContourVariant", "DatasetError", "FuzzifierRef", "PgmParseError", "check_svm_settings"),
 }

@@ -25,11 +25,6 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\r\n]*")
 # a comment, or a token: a run of bytes that are neither whitespace nor #
 _TOKEN = re.compile(_COMMENT.pattern + rb"|([^ \t\n\r\x0b\x0c#]+)")
-# byte -> its digit value, _SPACE for the whitespace bytes, _OTHER for the rest
-_SPACE, _OTHER = 10, 11
-_BYTE_CLASS = bytes(
-    b - 48 if 48 <= b <= 57 else _SPACE if b in _WHITESPACE else _OTHER for b in range(256)
-)
 
 
 @dataclass(frozen=True)
@@ -140,52 +135,59 @@ def _uint(token: re.Match, what: str) -> int:
 
 def _p2_values(text: bytes, start: int, count: int, max_gray: int) -> np.ndarray | None:
     """The first count tokens of the comment-blanked P2 raster text[start:],
-    which starts with whitespace, as uint16 values, in one translate and a
-    few numpy passes over its bytes; None when there are fewer, or one is
-    not a decimal number int() converts, or one exceeds max_gray.
+    which starts with whitespace, as uint16 values, in a few numpy passes
+    over its bytes; None when there are fewer, or one is not a decimal
+    number int() converts, or one exceeds max_gray.
 
     Memory is a few times the raster's bytes, whatever count says. The
-    byte masks take one byte per raster byte, flatnonzero's int64 output
-    8 bytes per token, and token positions, lengths and values are int32
-    arrays of count entries. So no temporary reaches glibc's default
-    128 KiB mmap threshold while the raster is under 128 KiB and holds
-    under 16,384 tokens: an ORL image of 92x112 (10,304 pixels, about
-    40 KB of text) decodes with temporaries of at most 82 KB. That alone
-    does not keep their pages: by default glibc hands the free top of
-    its heap back between images, and the next image faults it in again
-    (about 7k faults over a 400-image tree). The command line pins the
-    heap (options._pin_heap), so it keeps them.
+    byte masks and digits take one byte per raster byte, flatnonzero's
+    int64 output 8 bytes per token, and token positions, lengths, digit
+    places and values are int32 arrays of count entries. So no temporary
+    reaches glibc's default 128 KiB mmap threshold while the raster is
+    under 128 KiB and holds under 16,384 tokens: an ORL image of 92x112
+    (10,304 pixels, about 40 KB of text) decodes with temporaries of at
+    most 82 KB. Only a token longer than five digits adds a pass, with an
+    int32 running count per raster byte. That alone does not keep their
+    pages: by default glibc hands the free top of its heap back between
+    images, and the next image faults it in again. The command line pins
+    the heap (options._pin_heap), so it keeps them.
     """
-    v = np.frombuffer(text.translate(_BYTE_CLASS), np.uint8)[start:]
-    token = v != _SPACE
-    # tokens are the runs of non-whitespace; v[0] is whitespace, so each
-    # token starts right after an index of before, and ends at one of last
+    raw = np.frombuffer(text, np.uint8)[start:]
+    token = raw != 32  # whitespace is byte 32 or 9-13 (\t \n \x0b \x0c \r); a token byte is neither
+    token &= raw - 9 > 4
+    # raw[0] is whitespace, so each token starts right after an index of before, and ends at one of last
     before = np.flatnonzero(token[1:] > token[:-1])[:count]
     if len(before) < count:
         return None
     last = np.flatnonzero(token[:-1] > token[1:])[:count]
     if len(last) < count:  # the count-th token runs to the end of the raster
-        last = np.append(last, len(v) - 1)
-    index = np.int32 if len(v) <= np.iinfo(np.int32).max else np.int64
+        last = np.append(last, len(raw) - 1)
+    index = np.int32 if len(raw) <= np.iinfo(np.int32).max else np.int64
     before, last = before.astype(index), last.astype(index)
-    v, token = v[: last[-1] + 1], token[: last[-1] + 1]  # bytes after the last needed token stay unread
-    if (v == _OTHER).any():
+    span = int(last[-1]) + 1  # bytes after the last needed token stay unread
+    digit = raw[:span] - 48  # a byte that is no digit wraps past 9
+    if np.count_nonzero(digit <= 9) != np.count_nonzero(token[:span]):
         return None
     length = last - before
     longest = int(length.max())
     limit = getattr(sys, "get_int_max_str_digits", int)()  # int()'s digit limit; 0: none, as before 3.10.7
     if limit and longest > limit:
         return None
-    values = np.zeros(count, np.int32)
-    nonzero = 0  # nonzero digits among the tokens' last five
-    for place in reversed(range(min(longest, 5))):  # most significant first
+    if longest > 5:  # a nonzero digit before a token's last five makes it >= 100000 > MAX_GRAY_LIMIT
+        nonzero = np.cumsum(digit - 1 < 9, dtype=index)  # nonzero digits up to each byte
+        long = length > 5
+        if (nonzero[last[long] - 5] > nonzero[before[long]]).any():
+            return None
+    values = digit.take(last).astype(np.int32)
+    scale = 1
+    for place in range(1, min(longest, 5)):
+        scale *= 10
         # a byte left of a token's start is masked out; clip keeps a read in range
-        digit = v.take(last - place, mode="clip") * (length > place)
-        values *= 10
-        values += digit
-        nonzero += np.count_nonzero(digit)
-    # a nonzero digit before a token's last five makes it >= 100000 > MAX_GRAY_LIMIT
-    if nonzero < np.count_nonzero(token & (v != 0)) or int(values.max()) > max_gray:
+        place_digit = digit.take(last - place, mode="clip").astype(np.int32)
+        place_digit *= length > place
+        place_digit *= scale
+        values += place_digit
+    if int(values.max()) > max_gray:
         return None
     return values.astype(np.uint16)
 
@@ -253,20 +255,6 @@ def parse_pgm(data: bytes) -> RawImage:
             f"pixel value {int(values[bad])} exceeds max_gray {max_gray}", offset
         )
     return _owned(RawImage, width=width, height=height, max_gray=max_gray, pixels=values.astype(np.uint16))
-
-
-def write_pgm(image: RawImage, binary: bool = False) -> bytes:
-    """Serialize a RawImage as P2 (default) or P5 bytes.
-
-    parse_pgm(write_pgm(img)) reproduces img exactly.
-    """
-    header = f"{'P5' if binary else 'P2'}\n{image.width} {image.height}\n{image.max_gray}\n"
-    if binary:
-        dtype = ">u2" if image.max_gray > 255 else np.uint8
-        return header.encode("ascii") + image.pixels.astype(dtype).tobytes()
-    rows = image.pixels.reshape(image.height, image.width)
-    body = "\n".join(" ".join(map(str, row)) for row in rows.tolist())
-    return (header + body + "\n").encode("ascii")
 
 
 def normalize_unit(image: RawImage) -> GrayImage:

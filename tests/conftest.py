@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nblgc import ContourVariant, KnnModel, RawImage, contours, write_pgm
+from nblgc import ContourVariant, KnnModel, RawImage, contours
 
 
 def random_window(rng, lo=0.0, hi=1.0):
@@ -23,6 +23,17 @@ def g2_halves(blocks):
     corners[:, 2::2] = 0.0
     edges[:, 1::2] = 0.0
     return contours(corners, ContourVariant.G2), contours(edges, ContourVariant.G2)
+
+
+def write_pgm(image, binary=False):
+    """A RawImage as P2 (default) or P5 bytes, the layout parse_pgm reads back exactly."""
+    header = f"{'P5' if binary else 'P2'}\n{image.width} {image.height}\n{image.max_gray}\n"
+    if binary:
+        dtype = ">u2" if image.max_gray > 255 else np.uint8
+        return header.encode("ascii") + image.pixels.astype(dtype).tobytes()
+    rows = image.pixels.reshape(image.height, image.width)
+    body = "\n".join(" ".join(map(str, row)) for row in rows.tolist())
+    return (header + body + "\n").encode("ascii")
 
 
 def random_raw(rng, width=9, height=9, max_gray=255):

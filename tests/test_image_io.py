@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_pgm_tree, random_raw
+from conftest import make_pgm_tree, random_raw, write_pgm
 from nblgc import (
     DatasetError,
     FeatureVector,
@@ -18,7 +18,6 @@ from nblgc import (
     normalize_unit,
     parse_pgm,
     resize_bilinear,
-    write_pgm,
 )
 from nblgc.image_io import _owned, _resize_plan
 from nblgc.options import MAX_RESIZE_PIXELS
@@ -142,6 +141,47 @@ class TestParsePgm:
         commented = b"P2 2 2 9#x \n" + b"".join(t + b"#x \n" for t in tokens)
         assert _outcome(parse_pgm, commented) == _outcome(parse_pgm, plain) == _outcome(oracles.parse_pgm, plain)
 
+    @pytest.mark.parametrize(
+        "layout",
+        [lambda b: b"P2 2 1 9\n1" + b + b"2\n", lambda b: b"P2 2 1 9\n1 2" + b, lambda b: b"P2 2 1 9\n1 2\n" + b + b"x"],
+        ids=["separator", "glued-at-eof", "after-last-token"],
+    )
+    @pytest.mark.parametrize("byte", range(256))
+    def test_p2_every_byte_classes_as_the_reference_decoder(self, byte, layout):
+        # whitespace is exactly space, tab, LF, VT, FF and CR; a byte after the last needed token stays unread
+        data = layout(bytes([byte]))
+        assert _outcome(parse_pgm, data) == _outcome(oracles.parse_pgm, data)
+
+    @pytest.mark.parametrize(
+        "raster,pixels",
+        [
+            (b"65535 1", [65535, 1]),
+            (b"065535 000001", [65535, 1]),
+            (b"0065535 0000000", [65535, 0]),
+            (b"7 0000000000000000000042", [7, 42]),
+            (b"100000 1", None),
+            (b"1 1000000", None),
+            (b"0100000 1", None),
+            (b"0065535 0100001", None),
+            (b"1 x000001", None),
+            (b"1 2 100000", [1, 2]),
+            (b"1 2\n1234567", [1, 2]),
+            (b"1 2 x", [1, 2]),
+        ],
+        ids=["5-digit", "6-digit-zero-leads", "7-digit-zero-leads", "22-digit-zero-leads", "6-digit-nonzero-lead",
+             "7-digit-nonzero-lead", "inner-nonzero-lead", "second-long-token-bad", "non-numeric-lead", "6-digit-after-count",
+             "7-digit-after-count", "non-numeric-after-count"],
+    )
+    def test_p2_tokens_longer_than_five_digits(self, raster, pixels):
+        # at max_gray 65535 a token is read whole when only zeros stand before its last five digits
+        data = b"P2 2 1 65535\n" + raster
+        outcome = _outcome(parse_pgm, data)
+        assert outcome == _outcome(oracles.parse_pgm, data)
+        if pixels is None:
+            assert outcome[0] is PgmParseError
+        else:
+            assert outcome[-1] == pixels
+
     def test_p2_memory_bounded_by_input(self):
         # the header promises 10**10 pixels; the input holds three
         tracemalloc.start()
@@ -154,8 +194,10 @@ class TestParsePgm:
         assert peak < 1 << 20
 
     def test_p2_decode_memory_is_a_few_times_the_input(self):
-        # an ORL-sized image; measured 10.5x with numpy 2.4 (14.9x with a
-        # 2*count int64 edges array, 35.0x for a bytes.split and an int() per token)
+        # an ORL-sized image; measured 11.4x with numpy 2.4, int32 digit places
+        # and no byte-class translate (10.5x with the translate and uint8 places,
+        # 14.9x with a 2*count int64 edges array, 35.0x for a bytes.split and an
+        # int() per token)
         data = write_pgm(random_raw(np.random.default_rng(0), width=92, height=112))
         parse_pgm(data)
         tracemalloc.start()
