@@ -146,8 +146,8 @@ def _p2_values(text: bytes, start: int, count: int, max_gray: int) -> np.ndarray
     reaches glibc's default 128 KiB mmap threshold while the raster is
     under 128 KiB and holds under 16,384 tokens: an ORL image of 92x112
     (10,304 pixels, about 40 KB of text) decodes with temporaries of at
-    most 82 KB. Only a token longer than five digits adds a pass, with an
-    int32 running count per raster byte. That alone does not keep their
+    most 82 KB. Only a token longer than five digits adds a pass, with a
+    running count per raster byte. That alone does not keep their
     pages: by default glibc hands the free top of its heap back between
     images, and the next image faults it in again. The command line pins
     the heap (options._pin_heap), so it keeps them.
