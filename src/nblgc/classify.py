@@ -109,28 +109,30 @@ class KnnModel:
 
 
 def knn_predict(model: KnnModel, query) -> tuple[str, list[float]]:
-    """Predict one label; also returns the k nearest distances, ascending.
-
-    Majority vote over the k nearest training samples. Vote ties go to
-    the tied class with the smallest summed distance, then to the first
-    tied class in sorted label order.
-    """
+    """Predict one label; also returns the k nearest distances, ascending:
+    _knn_votes over the query's one row of distances to the training rows."""
     dists = distance_rows(model.vectors, _as_query(query), model.distance)
-    order = np.argsort(dists, kind="stable")[: model.neighbors_k]
-    nearest = [(model.labels[i], float(dists[i])) for i in order]
-    return vote(nearest), [d for _, d in nearest]
+    guesses, nearest = _knn_votes(dists[None, :], model.labels, model.neighbors_k)
+    return guesses[0], nearest[0].tolist()
 
 
-def vote(nearest: Sequence[tuple[str, float]]) -> str:
-    """The label most of the nearest (label, distance) pairs carry, given
-    nearest first. Ties go to the smallest summed distance, then to the
-    first label in sorted order."""
-    votes: dict[str, int] = {}
-    summed: dict[str, float] = {}
-    for label, d in nearest:
-        votes[label] = votes.get(label, 0) + 1
-        summed[label] = summed.get(label, 0.0) + d
-    return min(votes, key=lambda c: (-votes[c], summed[c], c))
+def _knn_votes(dist: np.ndarray, labels: Sequence[str], neighbors_k: int) -> tuple[list[str], np.ndarray]:
+    """The one KNN ranking. For each row of the (queries, n) distances to
+    the rows labelled labels: the majority label of its neighbors_k
+    nearest columns by stable argsort (equal distances rank in column
+    order), and their distances, ascending. Vote ties go to the smallest
+    summed distance, then to the first label in sorted order."""
+    order = np.argsort(dist, axis=1, kind="stable")[:, :neighbors_k]
+    nearest = np.take_along_axis(dist, order, axis=1)
+    guesses = []
+    for cols, dists in zip(order.tolist(), nearest.tolist()):
+        votes: dict[str, int] = {}
+        summed: dict[str, float] = {}
+        for label, d in zip([labels[j] for j in cols], dists):
+            votes[label] = votes.get(label, 0) + 1
+            summed[label] = summed.get(label, 0.0) + d
+        guesses.append(min(votes, key=lambda c: (-votes[c], summed[c], c)))
+    return guesses, nearest
 
 
 def _kernel(rows: np.ndarray, other: np.ndarray, offset: float, degree: int) -> np.ndarray:

@@ -19,16 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .classify import (
-    KnnModel,
-    LabeledSample,
-    _svm_fit,
-    check_knn_settings,
-    distance_rows,
-    knn_predict,
-    svm_predict,
-    vote,
-)
+from .classify import LabeledSample, _knn_votes, _svm_fit, check_knn_settings, distance_rows, svm_predict
 
 REPORT_DIGITS = 6  # significant digits in report/fold/ROC CSVs
 
@@ -128,11 +119,11 @@ def _predict_all(vectors: np.ndarray, labels: Sequence[str], train_rows, test_ro
         mean, std = vectors[train_rows].mean(axis=0), vectors[train_rows].std(axis=0)
         std[std == 0.0] = 1.0
         vectors = (vectors - mean) / std
-    # each model copies its training rows, so no other copy of them is kept
     train_labels = [labels[i] for i in train_rows]
-    if cfg.kind == "knn":
-        model = KnnModel(vectors[train_rows], train_labels, cfg.neighbors_k, cfg.distance)
-        return [knn_predict(model, vectors[i])[0] for i in test_rows]
+    if cfg.kind == "knn":  # KnnModel's rule: without it argsort[:k] could vote over fewer rows
+        check_knn_settings(len(train_rows), cfg.neighbors_k, cfg.distance)
+        dist = _cross_distances(vectors, train_rows, test_rows, cfg.distance, 1)
+        return _knn_votes(dist, train_labels, cfg.neighbors_k)[0]
     if cfg.kind == "svm":
         model = _svm_fit(vectors[train_rows], train_labels, cfg.degree, cfg.c, cfg.offset, cfg.tol)
         return [svm_predict(model, vectors[i]) for i in test_rows]
@@ -225,7 +216,7 @@ def kfold(
 def _knn_cross_guesses(
     vectors: np.ndarray, labels: Sequence[str], fold_of: list[int], neighbors_k: int, distance: str, workers: int
 ) -> list[str]:
-    """Each row's knn_predict vote over the rows of the other folds.
+    """Each row's KNN guess over the rows of the other folds.
 
     Row i of the upper triangle, distance_rows(X[i+1:], X[i]), scores
     each pair once and fills both halves of one zeroed (n, n) matrix;
@@ -233,10 +224,10 @@ def _knn_cross_guesses(
     knn_predict computes. The rows run on up to workers threads
     (_striped_map). Same-fold pairs become inf, which marks nothing
     else because distance_rows refuses any distance that is not finite.
-    Each row's stable argsort then ranks the other folds by (distance,
-    index): the order knn_predict gives over a fold's training rows. Each
-    fold holds at most n - neighbors_k rows, so the first neighbors_k
-    are finite. Memory: the (n, n) float64 matrix, 1.28 MB at n = 400, the
+    _knn_votes then ranks each row's other folds by (distance, index):
+    the order knn_predict gives over a fold's training rows. Each fold
+    holds at most n - neighbors_k rows, so the first neighbors_k are
+    finite. Memory: the (n, n) float64 matrix, 1.28 MB at n = 400, the
     same order as the Gram matrix _svm_fit builds over the same rows.
     """
     fold = np.array(fold_of)
@@ -246,8 +237,17 @@ def _knn_cross_guesses(
     for i, row in enumerate(rows):
         dist[i, i + 1 :] = dist[i + 1 :, i] = row
     dist[fold[:, None] == fold] = np.inf
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :neighbors_k]
-    return [vote([(labels[j], float(dist[r, j])) for j in row]) for r, row in enumerate(nearest)]
+    return _knn_votes(dist, labels, neighbors_k)[0]
+
+
+def _cross_distances(vectors: np.ndarray, train_rows, test_rows, distance: str, workers: int) -> np.ndarray:
+    """The (test, train) distance table that evaluate's KNN and
+    roc_far_gar read: column j is one distance_rows call from every test
+    row to training row j, on up to workers threads (_striped_map).
+    |a - b| == |b - a| and each row sums the same contiguous terms, so
+    every entry has the bits of knn_predict's call from its test row."""
+    queries = vectors[test_rows]
+    return np.stack(_striped_map(lambda i: distance_rows(queries, vectors[i], distance), train_rows, workers), axis=1)
 
 
 def roc_far_gar(
@@ -262,22 +262,17 @@ def roc_far_gar(
     trial per other class). A trial is accepted when its score is <=
     the threshold. Thresholds are n_thresholds evenly spaced values over
     [0, max observed score] plus every distinct observed score. The
-    classes' distances run on up to workers threads (_striped_map).
+    scores are column minima of the one test × train table,
+    _cross_distances, whose training rows run on up to workers threads.
     """
     vectors = _checked(vectors, labels)
     if not len(train_rows) or not len(test_rows):
         raise ValueError("train and test sets must both be non-empty")
-    groups: dict[str, list[int]] = {}
-    for i in train_rows:
-        groups.setdefault(labels[i], []).append(i)
-    classes = sorted(groups)
-    queries = vectors[test_rows]
-    # nearest distance from each test row (row) to each class (column),
-    # one distance_rows call per training row; |a - b| == |b - a|, so
-    # each distance is the one the test row's own call would give
-    scores = np.stack(_striped_map(
-        lambda rows: np.min([distance_rows(queries, vectors[i], distance) for i in rows], axis=0),
-        [groups[c] for c in classes], workers), axis=1)
+    table = _cross_distances(vectors, train_rows, test_rows, distance, workers)
+    classes = sorted({labels[i] for i in train_rows})
+    column_class = np.array([classes.index(labels[i]) for i in train_rows])
+    # nearest distance from each test row (row) to each class (column)
+    scores = np.stack([table[:, column_class == c].min(axis=1) for c in range(len(classes))], axis=1)
     own = np.array([labels[i] for i in test_rows])[:, None] == np.array(classes)
     gen, imp = np.sort(scores[own]), np.sort(scores[~own])
     if not gen.size or not imp.size:

@@ -171,6 +171,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown classifier"):
             evaluate(np.array([[0.0], [1.0]]), ["a", "b"], [0, 1], [0, 1], ClassifierConfig(kind="forest"))
 
+    @pytest.mark.parametrize("neighbors_k, distance, message", [
+        (0, "log", "neighbors_k must be in"),
+        (4, "log", "neighbors_k must be in"),  # one above the 3 training rows
+        (1, "manhattan", "unknown distance 'manhattan'"),
+    ], ids=["k zero", "k above training", "distance"])
+    def test_knn_refuses_what_a_knn_model_refuses(self, neighbors_k, distance, message):
+        # without the check, argsort[:k] would vote over fewer neighbours than asked
+        vectors, labels = line(5, lambda i: f"c{i % 2}")
+        train, test = [0, 1, 2], [3, 4]
+        got = outcome(evaluate, vectors, labels, train, test, ClassifierConfig(neighbors_k=neighbors_k, distance=distance))
+        assert got == outcome(KnnModel, vectors[train], [labels[i] for i in train], neighbors_k, distance)
+        assert got[0] == "ValueError" and message in got[1]
+
 
 @pytest.mark.parametrize("run", [
     lambda vectors, labels: evaluate(vectors, labels, [0, 1], [2, 3]),
@@ -326,15 +339,21 @@ def _small_classes(seed):
     return np.array([rng.normal(size=4) for _ in labels]), labels
 
 
+# the data sets and settings on which the KNN paths must match one knn_predict per test row
+KNN_DISTANCES = pytest.mark.parametrize("distance", ["log", "euclidean"])
+KNN_NEIGHBORS = pytest.mark.parametrize("neighbors_k", [1, 2, 3, 5])
+KNN_DATA = pytest.mark.parametrize("data, k", [
+    (forty_by_ten(seed=8, n=120), 10),
+    (_tied_data(1), 3),
+    (_tied_data(2), 3),
+    (_small_classes(2), 5),
+], ids=["clusters", "ties", "more ties", "small classes"])
+
+
 class TestKfoldMatchesPerFoldKnn:
-    @pytest.mark.parametrize("distance", ["log", "euclidean"])
-    @pytest.mark.parametrize("neighbors_k", [1, 2, 3, 5])
-    @pytest.mark.parametrize("data, k", [
-        (forty_by_ten(seed=8, n=120), 10),
-        (_tied_data(1), 3),
-        (_tied_data(2), 3),
-        (_small_classes(2), 5),
-    ], ids=["clusters", "ties", "more ties", "small classes"])
+    @KNN_DISTANCES
+    @KNN_NEIGHBORS
+    @KNN_DATA
     def test_same_report(self, data, k, neighbors_k, distance):
         cfg = ClassifierConfig(neighbors_k=neighbors_k, distance=distance)
         expected = per_fold_knn_kfold(*data, k, cfg)
@@ -360,6 +379,35 @@ class TestKfoldMatchesPerFoldKnn:
         got = outcome(kfold, *data, k, cfg)
         assert got == outcome(per_fold_knn_kfold, *data, k, cfg)
         assert got[0] == "ValueError" and message in got[1]
+
+
+def per_row_knn_evaluate(vectors, labels, train, test, cfg):
+    """KNN evaluate as it ran before the test × train table: one KnnModel
+    and one knn_predict per test row."""
+    if cfg.zscore:
+        mean, std = vectors[train].mean(axis=0), vectors[train].std(axis=0)
+        std[std == 0.0] = 1.0
+        vectors = (vectors - mean) / std
+    model = KnnModel(vectors[train], [labels[i] for i in train], cfg.neighbors_k, cfg.distance)
+    per_class = {}
+    for i in test:
+        counts = per_class.setdefault(labels[i], [0, 0])
+        counts[0] += knn_predict(model, vectors[i])[0] == labels[i]
+        counts[1] += 1
+    return EvalReport({c: tuple(v) for c, v in sorted(per_class.items())})
+
+
+@pytest.mark.parametrize("zscore", [False, True])
+@KNN_DISTANCES
+@KNN_NEIGHBORS
+@KNN_DATA
+def test_evaluate_knn_matches_per_row_knn_predict(data, k, neighbors_k, distance, zscore):
+    # every k-th row tests; the rest train in reverse row order, so equal distances rank by training order
+    vectors, labels = data
+    test = list(range(0, len(labels), k))
+    train = [i for i in reversed(range(len(labels))) if i % k]
+    cfg = ClassifierConfig(neighbors_k=neighbors_k, distance=distance, zscore=zscore)
+    assert evaluate(vectors, labels, train, test, cfg) == per_row_knn_evaluate(vectors, labels, train, test, cfg)
 
 
 class TestRoc:
@@ -445,7 +493,7 @@ class TestRoc:
         assert all(not math.isnan(p.threshold) for p in roc_far_gar(*data, distance="log"))
 
     def test_threads_give_the_same_points(self, monkeypatch):
-        # one distance_rows call per training sample, in class stripes on two threads
+        # one distance_rows call per training sample, the training rows striped over two threads
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)  # 2 threads on 1 core too
         vectors, labels = forty_by_ten(seed=4, n=70)
         train, test = split_rows(labels, SplitSpec(6))
