@@ -17,8 +17,9 @@ array the model holds, so no prediction changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, takewhile
+import sys
+from dataclasses import dataclass, field, fields
+from itertools import chain, combinations, takewhile
 from typing import Sequence
 
 import numpy as np
@@ -94,9 +95,9 @@ class KnnModel:
     neighbors_k: int = 1
     distance: str = "log"
 
-    def __post_init__(self):
+    def __post_init__(self, take=np.array):  # np.array copies: the caller's array stays writeable; see _owned
         try:
-            vectors = np.array(self.vectors, dtype=np.float64)  # a copy: the caller's array stays writeable
+            vectors = take(self.vectors, dtype=np.float64)
         except ValueError as err:  # rows of several lengths
             raise ValueError(f"training vectors must share one dimension: {err}") from None
         labels = tuple(self.labels)
@@ -136,9 +137,12 @@ def _knn_votes(dist: np.ndarray, labels: Sequence[str], neighbors_k: int) -> tup
 
 
 def _kernel(rows: np.ndarray, other: np.ndarray, offset: float, degree: int) -> np.ndarray:
-    """Polynomial kernel (rows @ other + offset) ** degree; an overflow leaves inf or nan, which callers refuse."""
+    """Polynomial kernel (rows @ other + offset) ** degree, in place on the product; overflow leaves inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (rows @ other + offset) ** degree
+        out = rows @ other
+        out += offset
+        out **= degree  # ** 1 is exact and **= 2 squares, as ** 2 does: the same bits
+        return out
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
@@ -171,7 +175,7 @@ class SvmModel:
     positive: it has bias ``biases[b]`` and the next ``sv_count[b]``
     support entries (``sv_index``, ``sv_coef``). There are at least two
     classes and settings svm_train accepts, so every model can predict.
-    Building it copies, checks and freezes every array.
+    Building it checks and freezes every array: the constructor copies each one, _owned does not.
     """
 
     classes: tuple[str, ...]
@@ -188,10 +192,10 @@ class SvmModel:
     pos_class: np.ndarray = field(init=False, compare=False, repr=False)  # index in classes, per machine
     neg_class: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, take=np.array):  # np.array copies: the caller's arrays stay writeable; see _owned
         check_svm_settings(self.degree, self.c, self.offset, self.tol)
         classes = tuple(self.classes)
-        vectors = np.array(self.vectors, dtype=np.float64)  # a copy: the caller's array stays writeable
+        vectors = take(self.vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.size == 0 or not np.isfinite(vectors).all():
             raise ValueError("vectors must be a finite, non-empty 2-D array")
         if len(set(classes)) != len(classes):
@@ -199,11 +203,11 @@ class SvmModel:
         if len(classes) < 2:
             raise ValueError("an svm model needs at least two classes")
         pos_class, neg_class = np.array(list(combinations(range(len(classes)), 2)), dtype=np.intp).T
-        sv_count, sv_index = (np.array(a).reshape(-1) for a in (self.sv_count, self.sv_index))  # copies
+        sv_count, sv_index = (take(a).reshape(-1) for a in (self.sv_count, self.sv_index))
         if any(a.size and a.dtype.kind not in "iu" for a in (sv_count, sv_index)):  # never truncate 0.7 to 0
             raise ValueError("support counts and indices must be integers")
         sv_count, sv_index = sv_count.astype(np.intp, copy=False), sv_index.astype(np.intp, copy=False)
-        sv_coef, biases = (np.array(a, dtype=np.float64).reshape(-1) for a in (self.sv_coef, self.biases))
+        sv_coef, biases = (take(a, dtype=np.float64).reshape(-1) for a in (self.sv_coef, self.biases))
         if len(biases) != len(pos_class):
             raise ValueError("machines must cover each pair of classes exactly once "
                              f"({len(biases)} machines for {len(classes)} classes)")
@@ -228,6 +232,14 @@ class SvmModel:
         return tuple(BinaryMachine(self.classes[p], self.classes[n], self.sv_index[a:b], self.sv_coef[a:b], bias,
                                    self.vectors)
                      for p, n, a, b, bias in zip(self.pos_class, self.neg_class, [0, *ends], ends, self.biases.tolist()))
+
+
+def _owned(cls, *args, **values):
+    """cls(*args, **values) over arrays just made here: checked and frozen as the constructor does, not copied."""
+    model = object.__new__(cls)
+    vars(model).update(zip([f.name for f in fields(cls) if f.init], args), **values)
+    model.__post_init__(np.asarray)
+    return model
 
 
 def _smo_lockstep(
@@ -311,7 +323,8 @@ def _svm_fit(
     vectors: np.ndarray, labels: Sequence[str], degree: int, c: float, offset: float, tol: float
 ) -> SvmModel:
     """Train a one-vs-one polynomial-kernel SVM on the rows of the (n, dim)
-    vectors, one label per row.
+    vectors, one label per row. vectors must be a fresh array: the model
+    keeps it, frozen, with no copy.
 
     degree must be 1 or 2; C bounds every multiplier; tol is the
     violation gap at which each pair's solver stops (see _smo_lockstep).
@@ -337,7 +350,8 @@ def _svm_fit(
         y[b, :n_pos], y[b, n_pos:m] = 1.0, -1.0
     alphas, biases, _ = _smo_lockstep(gram, idx, y, c, tol)
     keep = alphas > 0.0  # row-major: the kept entries come machine after machine
-    return SvmModel(classes, vectors, keep.sum(axis=1), idx[keep], (alphas * y)[keep], biases, degree, c, offset, tol)
+    return _owned(SvmModel, classes, vectors, keep.sum(axis=1), idx[keep], (alphas * y)[keep], biases,
+                  degree, c, offset, tol)
 
 
 def _decision_values(model: SvmModel, query) -> np.ndarray:
@@ -378,32 +392,18 @@ def svm_predict(model: SvmModel, query) -> str:
 # order, "vectors" holding the training rows one after another. An array
 # is one field, the base64 (RFC 4648) of its little-endian 8-byte values.
 # The settings are _REAL: 17 significant digits in plain ASCII decimal
-# reproduce every float.
+# reproduce every float. A line ends at "\n" or "\r\n".
 
 _ARRAYS = {"knn": {"vectors": "<f8"},
            "svm": {"vectors": "<f8", "biases": "<f8", "sv_coef": "<f8", "sv_count": "<i8", "sv_index": "<i8"}}
 _SETTINGS = {"knn": {"kind", "neighbors_k", "distance", "dim"}, "svm": {"kind", "degree", "C", "offset", "tol", "dim"}}
-
-
-def _unpack(name: str, text: str, dtype: str = "<f8") -> np.ndarray:
-    """The read-only 1-D array that save_model wrote as text. Raises
-    ValueError with name if text is not strict base64 or holds no whole
-    number of 8-byte values."""
-    from base64 import b64decode
-
-    try:
-        data = b64decode(text, validate=True)  # only alphabet characters, padding only at the end
-    except ValueError as err:  # binascii.Error, or a non-ASCII character
-        raise ValueError(f"{name} is not base64: {err}") from None
-    if len(data) % 8:
-        raise ValueError(f"{name} holds {len(data)} bytes, not whole 8-byte values")
-    return np.frombuffer(data, dtype=dtype)
+_PIECE = 3 << 14  # array bytes base64-encoded at once: a multiple of 3, so the pieces join with no padding
 
 
 def save_model(model: KnnModel | SvmModel, path) -> None:
     """Write model as text; raises ValueError, writing nothing, on a label
     that check_label refuses."""
-    from base64 import b64encode  # only a model file needs it: CLI commands never import it
+    from binascii import b2a_base64  # only a model file needs it: CLI commands never import it
 
     if isinstance(model, KnnModel):
         kind, names = "knn", ["labels", *model.labels]
@@ -415,52 +415,71 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     lines = [MODEL_FORMAT, f"kind {kind}", *settings, f"dim {model.vectors.shape[1]}", "\t".join(map(check_label, names))]
-    with open(path, "wb") as fh:  # each record's base64 bytes are written as made: no copy of one exists
+    with open(path, "wb") as fh:  # each array is encoded and written _PIECE bytes at a time: no whole record exists
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         for name, dtype in _ARRAYS[kind].items():
-            data = b64encode(np.ascontiguousarray(getattr(model, name), dtype=dtype))
-            fh.writelines([name.encode("ascii"), b"\t", data, b"\n"])
+            raw = np.ascontiguousarray(getattr(model, name), dtype=dtype).reshape(-1).view(np.uint8)
+            pieces = (b2a_base64(raw[at:at + _PIECE], newline=False) for at in range(0, raw.size, _PIECE))
+            fh.writelines(chain([name.encode("ascii"), b"\t"], pieces, [b"\n"]))
 
 
 def load_model(path) -> KnnModel | SvmModel:
-    """Read a model that save_model wrote; raises ValueError on any malformed file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path} is not UTF-8 text: {err}") from None
-    if not lines or lines[0] != MODEL_FORMAT:
+    """Read a model that save_model wrote; raises ValueError on any
+    malformed file. Each array is decoded from its slice of the file's
+    bytes, so memory is about the file plus the model's arrays."""
+    from base64 import b64decode
+    from binascii import a2b_base64
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():  # only labels may hold other characters: an ASCII file needs no decode
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path} is not UTF-8 text: {err}") from None
+    view, lines, start = memoryview(data), [], 0
+    while start < len(data):  # each line, without "\n" or "\r\n": text before any tab, tab count, view after it
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        stop, tab = end - data.endswith(b"\r", start, end), data.find(b"\t", start, end)
+        tab = stop if tab < 0 else tab
+        lines.append((data[start:tab].decode("utf-8"), data.count(b"\t", start, stop), view[tab + 1:stop]))
+        start = end + 1
+    head = [text for text, _, _ in takewhile(lambda line: not line[1], lines)]
+    if not head or head[0] != MODEL_FORMAT:
         raise ValueError(f"{path} is not a recognized model file")
-    pos = 1 + sum(1 for _ in takewhile(lambda line: "\t" not in line, lines[1:]))
-    fields: dict[str, str] = {}
-    for name, _, value in (line.partition(" ") for line in lines[1:pos]):  # "name value" lines
-        if name in fields:
+    settings: dict[str, str] = {}
+    for name, _, value in (line.partition(" ") for line in head[1:]):  # "name value" lines
+        if name in settings:
             raise ValueError(f"{path}: setting {name!r} is named twice")
-        fields[name] = value
-    unknown = sorted(fields.keys() - _SETTINGS.get(fields.get("kind"), fields.keys()))
-    if unknown:  # an unknown kind is refused by _parse_model
-        raise ValueError(f"{path}: {fields['kind']} models have no setting {unknown[0]!r}")
-    try:
-        return _parse_model(fields, lines[pos:])
-    except KeyError as err:
-        raise ValueError(f"{path}: missing setting {err}") from None
-
-
-def _parse_model(fields: dict[str, str], lines: list[str]) -> KnnModel | SvmModel:
-    kind = fields.get("kind")
+        settings[name] = value
+    kind, records = settings.get("kind"), lines[len(head):]
     if kind not in _ARRAYS:
         raise ValueError(f"unknown model kind {kind!r}")
-    records = [line.split("\t") for line in lines]
+    unknown = sorted(settings.keys() - _SETTINGS[kind])
+    if unknown:
+        raise ValueError(f"{path}: {kind} models have no setting {unknown[0]!r}")
     order = ["labels" if kind == "knn" else "classes", *_ARRAYS[kind]]
-    if [parts[0] for parts in records] != order or any(len(parts) != 2 for parts in records[1:]):
+    if [name for name, _, _ in records] != order or any(tabs != 1 for _, tabs, _ in records[1:]):
         raise ValueError(f"{kind} model must end with the records " + ", ".join(order) + ", each array one field")
-    names, arrays = records[0][1:], {name: _unpack(f"{name} record", text, dtype)
-                                     for (name, text), dtype in zip(records[1:], _ARRAYS[kind].values())}
-    dim, size = int(fields["dim"]), arrays["vectors"].size
-    if dim < 1 or size % dim:
-        raise ValueError(f"vectors record holds {size} values, not whole rows of dim {dim} >= 1")
-    arrays["vectors"] = arrays["vectors"].reshape(-1, dim)
-    if kind == "knn":
-        return KnnModel(arrays["vectors"], names, int(fields["neighbors_k"]), fields["distance"])
-    return SvmModel(names, degree=int(fields["degree"]), c=float(fields["C"]), offset=float(fields["offset"]),
-                    tol=float(fields["tol"]), **arrays)
+    arrays = {}
+    for (name, _, text), dtype in zip(records[1:], _ARRAYS[kind].values()):
+        try:  # b64decode(validate=True)'s strict check, on the view itself from Python 3.11, on a copy before it
+            raw = a2b_base64(text, strict_mode=True) if sys.version_info >= (3, 11) else b64decode(text, validate=True)
+        except ValueError as err:  # binascii.Error
+            raise ValueError(f"{name} record is not base64: {err}") from None
+        if len(raw) % 8:
+            raise ValueError(f"{name} record holds {len(raw)} bytes, not whole 8-byte values")
+        arrays[name] = np.frombuffer(raw, dtype=dtype)  # read-only, over the decoded bytes
+    try:
+        dim, size = int(settings["dim"]), arrays["vectors"].size
+        if dim < 1 or size % dim:
+            raise ValueError(f"vectors record holds {size} values, not whole rows of dim {dim} >= 1")
+        arrays["vectors"] = arrays["vectors"].reshape(-1, dim)
+        names = str(records[0][2], "utf-8").split("\t")
+        if kind == "knn":
+            return _owned(KnnModel, arrays["vectors"], names, int(settings["neighbors_k"]), settings["distance"])
+        return _owned(SvmModel, names, degree=int(settings["degree"]), c=float(settings["C"]),
+                      offset=float(settings["offset"]), tol=float(settings["tol"]), **arrays)
+    except KeyError as err:
+        raise ValueError(f"{path}: missing setting {err}") from None
