@@ -438,11 +438,11 @@ def load_model(path) -> KnnModel | SvmModel:
         except UnicodeDecodeError as err:
             raise ValueError(f"{path} is not UTF-8 text: {err}") from None
     view, lines, start = memoryview(data), [], 0
-    while start < len(data):  # each line, without "\n" or "\r\n": text before any tab, tab count, view after it
+    while start < len(data) and len(lines) < 16:  # a model has at most 13 lines: a longer file is refused on 16
         end = data.find(b"\n", start)
         end = len(data) if end < 0 else end
         stop, tab = end - data.endswith(b"\r", start, end), data.find(b"\t", start, end)
-        tab = stop if tab < 0 else tab
+        tab = stop if tab < 0 else tab  # each line without "\n" or "\r\n": text before any tab, tabs, view after it
         lines.append((data[start:tab].decode("utf-8"), data.count(b"\t", start, stop), view[tab + 1:stop]))
         start = end + 1
     head = [text for text, _, _ in takewhile(lambda line: not line[1], lines)]

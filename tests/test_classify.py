@@ -13,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nblgc import (
+    ClassifierConfig,
     FeatureVector,
     KnnModel,
     LabeledSample,
     SvmModel,
     check_svm_settings,
     distance_rows,
+    evaluate,
     knn_predict,
     load_model,
     save_model,
@@ -26,6 +28,7 @@ from nblgc import (
     svm_train,
 )
 from conftest import knn_model
+from nblgc import classify, evaluation
 from nblgc.classify import _decision_values, _kernel, _smo_lockstep, _svm_fit
 from oracles import _smo_pair
 
@@ -219,6 +222,19 @@ class TestKernel:
         rng = np.random.default_rng(31)
         a, b = rng.normal(size=(2, 7))
         assert _kernel(a, b, 1.0, 2) == _kernel(b, a, 1.0, 2)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_gram_matrix_is_the_only_result_sized_array(self, degree):
+        # the benchmark's 280 training rows of 441 features: a 627 KB Gram matrix
+        x = np.random.default_rng(32).normal(size=(280, 441))
+        tracemalloc.start()
+        try:
+            gram = _kernel(x, x.T, 0.5, degree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * gram.nbytes
+        assert gram.tobytes() == ((x @ x.T + 0.5) ** degree).tobytes()
 
 
 def _dual_oracle(kmat, y, c):
@@ -637,6 +653,82 @@ def test_svm_setting_beyond_float_range_names_itself(position, name):
             check_svm_settings(*settings)
 
 
+def _memory_owner(array):
+    """The object whose memory array uses: the end of its chain of bases."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array if array.base is None else array.base
+
+
+class TestModelOwnership:
+    """The public constructors copy a caller's arrays; the module's own builders keep the fresh arrays they made."""
+
+    def test_constructors_copy_a_callers_arrays(self):
+        vectors = np.arange(6.0).reshape(3, 2)
+        store = {"sv_count": np.array([1, 1, 1]), "sv_index": np.array([0, 1, 2]),
+                 "sv_coef": np.array([0.5, -0.5, 1.0]), "biases": np.zeros(3)}
+        knn = KnnModel(vectors, ["a", "b", "c"])
+        svm = SvmModel(("a", "b", "c"), vectors, **store, degree=1, c=1.0, offset=1.0, tol=1e-3)
+        for model, supplied in ((knn, {"vectors": vectors}), (svm, {"vectors": vectors, **store})):
+            for name, array in supplied.items():
+                assert not np.shares_memory(getattr(model, name), array), name
+                assert array.flags.writeable and not getattr(model, name).flags.writeable, name
+
+    def test_svm_train_keeps_the_matrix_it_stacks(self, monkeypatch):
+        handed, fit = [], classify._svm_fit
+
+        def spy(vectors, *rest):
+            handed.append(vectors)
+            return fit(vectors, *rest)
+
+        monkeypatch.setattr(classify, "_svm_fit", spy)
+        train = samples([([0.0, 1.0], "a"), ([1.0, 0.0], "b"), ([2.0, 2.0], "b")])
+        model = svm_train(train)
+        assert np.shares_memory(model.vectors, handed[0])
+        assert not any(np.shares_memory(model.vectors, s.vector) for s in train)
+        assert not any(getattr(model, name).flags.writeable for name in ("vectors", *STORE))
+
+    def test_svm_fit_freezes_the_array_it_is_handed(self):
+        vectors = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        model = _svm_fit(vectors, ["a", "b", "b"], 1, 1.0, 1.0, 1e-3)
+        assert np.shares_memory(model.vectors, vectors) and not vectors.flags.writeable
+        assert not any(getattr(model, name).flags.writeable for name in ("vectors", *STORE))
+
+    @pytest.mark.parametrize("zscore", [False, True])
+    def test_evaluate_trains_on_one_copy_of_the_training_rows(self, monkeypatch, zscore):
+        fitted, fit = [], evaluation._svm_fit
+
+        def spy(vectors, *rest):
+            fitted.append((vectors, fit(vectors, *rest)))
+            return fitted[-1][1]
+
+        monkeypatch.setattr(evaluation, "_svm_fit", spy)
+        rng = np.random.default_rng(19)
+        vectors = rng.normal(size=(12, 3)) + np.repeat(np.eye(3), 4, axis=0)
+        labels = [f"c{i // 4}" for i in range(12)]
+        evaluate(vectors, labels, [0, 1, 4, 5, 8, 9], [2, 3, 6, 7, 10, 11], ClassifierConfig(kind="svm", zscore=zscore))
+        (handed, model), = fitted
+        assert np.shares_memory(model.vectors, handed) and not np.shares_memory(model.vectors, vectors)
+        assert vectors.flags.writeable and not model.vectors.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_load_model_keeps_the_arrays_it_decodes(self, tmp_path, kind):
+        train = samples([([0.0, 1.0], "a"), ([1.0, 0.0], "b"), ([2.0, 2.0], "c")])
+        path = tmp_path / "m.model"
+        save_model(knn_model(train) if kind == "knn" else svm_train(train), path)
+        loaded = load_model(path)
+        for name in ("vectors",) if kind == "knn" else ("vectors", *STORE):
+            array = getattr(loaded, name)
+            assert isinstance(_memory_owner(array), bytes) and not array.flags.writeable, name
+
+
+def _benchmark_sized(kind):
+    """A model over 280 training rows of 441 features in 40 classes, as the benchmark's svm workload trains."""
+    rng = np.random.default_rng(20)
+    train = samples([(rng.normal(k % 40, 6.0, size=441), f"s{k % 40:02d}") for k in range(280)])
+    return knn_model(train) if kind == "knn" else svm_train(train)
+
+
 class TestModelSerialization:
     def test_knn_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -750,7 +842,7 @@ class TestModelSerialization:
         )
 
     def test_save_holds_the_vectors_record_once(self, tmp_path):
-        # the benchmark's 280 x 441 training set; a str of the record beside its bytes doubles the peak
+        # the benchmark's 280 x 441 training set, encoded in pieces: the 1.3 MB record never exists whole
         model = KnnModel(np.random.default_rng(4).random((280, 441)), [f"c{i % 40}" for i in range(280)])
         path = tmp_path / "knn.model"
         tracemalloc.start()
@@ -761,7 +853,72 @@ class TestModelSerialization:
             tracemalloc.stop()
         name, _, record = path.read_bytes().splitlines()[-1].partition(b"\t")
         assert name == b"vectors" and len(record) == 4 * 280 * 441 * 8 // 3
-        assert peak < 2 * len(record)
+        assert peak < len(record) // 6
+
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_load_holds_the_file_and_its_arrays_once(self, tmp_path, kind):
+        # records are decoded from slices of the file's bytes into the model's arrays, with no copy between
+        path = tmp_path / "m.model"
+        save_model(_benchmark_sized(kind), path)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = sum(getattr(loaded, name).nbytes for name in (("vectors",) if kind == "knn" else ("vectors", *STORE)))
+        assert arrays >= 280 * 441 * 8
+        assert peak < path.stat().st_size + 1.5 * arrays
+
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_a_long_file_is_refused_on_its_first_lines(self, tmp_path, kind):
+        # a model file has at most 13 lines: the loader splits the first 16 of a longer one and never the rest
+        pairs = [([0.0], "a"), ([1.0], "b")]
+        path = tmp_path / "m.model"
+        save_model(knn_model(samples(pairs)) if kind == "knn" else svm_train(samples(pairs)), path)
+        saved = path.read_bytes()
+        for data, message in ((saved + b"\n" * 100_000, "must end with the records"),
+                              (saved.replace(b"\n", b"\nx 1" * 100_000 + b"\n", 1), "setting 'x' is named twice")):
+            path.write_bytes(data)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=message):
+                    load_model(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * path.stat().st_size
+
+    @pytest.mark.parametrize("edit", ["crlf", "no final line end"])
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_line_ends_that_load_to_the_same_model(self, tmp_path, kind, edit):
+        rng = np.random.default_rng(18)
+        train = samples([(rng.normal(i % 3, 0.8, size=4), f"c {i % 3}") for i in range(18)])
+        model = knn_model(train, neighbors_k=2, distance="euclidean") if kind == "knn" else svm_train(train, degree=2)
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        saved = path.read_bytes()
+        path.write_bytes(saved.replace(b"\n", b"\r\n") if edit == "crlf" else saved[:-1])
+        loaded = load_model(path)
+        if kind == "knn":
+            assert (loaded.labels, loaded.neighbors_k, loaded.distance) == (model.labels, 2, "euclidean")
+            assert loaded.vectors.tobytes() == model.vectors.tobytes()
+        else:
+            assert (loaded.classes, loaded.degree, loaded.c, loaded.offset) == (model.classes, 2, 1.0, 1.0)
+            assert_same_svm(model, loaded)
+        save_model(loaded, path)
+        assert path.read_bytes() == saved
+
+    @pytest.mark.parametrize("separator", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_lf_and_crlf_end_a_line(self, tmp_path, separator):
+        # str.splitlines ends a line at each of these; the loader reads the file's bytes and ends one only at "\n"
+        path = tmp_path / "m.model"
+        save_model(knn_model(samples([([0.0], "a"), ([1.0], "b")])), path)
+        path.write_bytes(path.read_bytes().replace(b"kind knn\n", ("kind knn" + separator).encode("utf-8")))
+        kind = "knn" + separator + "neighbors_k 1"
+        with pytest.raises(ValueError, match=re.escape(f"unknown model kind {kind!r}")) as err:
+            load_model(path)
+        assert type(err.value) is ValueError
 
     def test_refuses_a_format_2_file(self, tmp_path):
         path = tmp_path / "old.model"
