@@ -429,15 +429,21 @@ def load_model(path) -> KnnModel | SvmModel:
     bytes, so memory is about the file plus the model's arrays."""
     from base64 import b64decode
     from binascii import a2b_base64
+    from codecs import getincrementaldecoder
 
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.isascii():  # only labels may hold other characters: an ASCII file needs no decode
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path} is not UTF-8 text: {err}") from None
     view, lines, start = memoryview(data), [], 0
+    if not data.isascii():  # only labels may hold other characters: check _PIECE bytes at a time, no whole str
+        check = getincrementaldecoder("utf-8")().decode
+        try:
+            for at in range(0, len(data), _PIECE):
+                check(view[at:at + _PIECE], at + _PIECE >= len(data))
+        except UnicodeDecodeError:
+            try:  # once whole, so the message gives the offset in the file
+                data.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path} is not UTF-8 text: {err}") from None
     while start < len(data) and len(lines) < 16:  # a model has at most 13 lines: a longer file is refused on 16
         end = data.find(b"\n", start)
         end = len(data) if end < 0 else end

@@ -10,21 +10,20 @@ pass check_svm_settings. Every run drops a config.json echo next to its
 CSV so it can be reproduced exactly. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 internal error.
 
-This module imports no numpy, so --help and every usage error answer
-before numpy loads. It also holds what the pipeline shares with the
-command line: the choice lists, the resize, label and SVM settings
-rules and the data errors. main imports the command implementations
-(nblgc.cli) only once a config has merged cleanly, and pins glibc's
-heap for the rest of the process (_pin_heap) just before.
+This module imports no numpy, and json and traceback only where used,
+so --help and usage errors import only argparse. It also holds what the
+pipeline shares with the command line: the choice lists, the resize,
+label and SVM settings rules and the data errors. main imports the
+command implementations (nblgc.cli) once a config has merged cleanly,
+and pins glibc's heap for the rest of the process (_pin_heap) first.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import sys
-import traceback
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -266,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: Path) -> dict:
+    import json
     if not path.is_file():
         raise UsageError(f"config file {path} not found")
     try:
@@ -354,6 +354,7 @@ def main(argv=None) -> int:
 
         cfg.out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[cfg.command](cfg)
+        import json
         echo = json.dumps(_config_echo(cfg), indent=2, sort_keys=True, default=str)
         (cfg.out / "config.json").write_text(echo + "\n", encoding="utf-8")
         return EXIT_OK
@@ -364,10 +365,18 @@ def main(argv=None) -> int:
         print(f"nblgc: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except Exception:
+        import traceback
         print("nblgc: internal error", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
 
 
 def run() -> None:
-    sys.exit(main())
+    """Run main and exit with its code, freezing the collector first (also
+    on argparse's SystemExit) so shutdown skips full collections over all
+    numpy and the pipeline loaded. main alone, in-process, does not freeze."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)

@@ -870,6 +870,41 @@ class TestModelSerialization:
         assert arrays >= 280 * 441 * 8
         assert peak < path.stat().st_size + 1.5 * arrays
 
+    def test_a_non_ascii_label_costs_no_str_of_the_file(self, tmp_path):
+        # a file that is not all ASCII is checked as UTF-8 a slice at a time: decoded whole, the 2.4 MB file
+        # became a str of twice its size next to it
+        model = _benchmark_sized("knn")
+        peaks = {}
+        for first in ("s00", "脸 00"):
+            path = tmp_path / "m.model"
+            save_model(KnnModel(model.vectors, (first, *model.labels[1:])), path)
+            tracemalloc.start()
+            try:
+                loaded = load_model(path)
+                _, peaks[first] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert loaded.labels[0] == first
+        assert peaks["脸 00"] < peaks["s00"] + 4 * classify._PIECE
+
+    def test_utf8_is_checked_across_slice_ends(self, tmp_path):
+        # a label's 3-byte character split between two slices loads; a bad byte past the first slice is
+        # reported at its offset in the whole file
+        path = tmp_path / "m.model"
+        save_model(knn_model(samples([([0.0], "a"), ([1.0], "b")])), path)
+        start = path.read_bytes().index(b"\ta\t") + 1
+        split = "x" * (classify._PIECE - 1 - start) + "脸"
+        save_model(knn_model(samples([([0.0], split), ([1.0], "b")])), path)
+        saved = path.read_bytes()
+        assert saved[classify._PIECE - 1:classify._PIECE + 2] == "脸".encode("utf-8")
+        assert load_model(path).labels == (split, "b")
+        path.write_bytes(saved.replace(b"\tb\n", b"\t\xe9\n", 1))
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        reason = pytest.raises(UnicodeDecodeError, path.read_bytes().decode, "utf-8").value
+        assert reason.start > classify._PIECE
+        assert str(err.value) == f"{path} is not UTF-8 text: {reason}"
+
     @pytest.mark.parametrize("kind", ["knn", "svm"])
     def test_a_long_file_is_refused_on_its_first_lines(self, tmp_path, kind):
         # a model file has at most 13 lines: the loader splits the first 16 of a longer one and never the rest

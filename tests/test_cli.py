@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -286,7 +287,9 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._COMMANDS, "extract", boom)
         assert run_cli(extract_args(small_tree, tmp_path / "out")) == 3
-        assert "internal error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert "Traceback" in err and "RuntimeError: synthetic failure" in err  # traceback loads on this path only
 
 
 class TestHelp:
@@ -548,10 +551,11 @@ def test_module_entry_point(small_tree, tmp_path):
     assert (out / "features.csv").is_file()
 
 
-# runs `python -m nblgc ARGS` and, at exit, says whether numpy and ctypes (the heap pin's) were imported
-NUMPY_AT_EXIT = ("import atexit, runpy, sys; "
-                 "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, "
-                 "'ctypes loaded:', 'ctypes' in sys.modules)); "
+# runs `python -m nblgc ARGS` and, at exit, says whether numpy, ctypes (the heap pin's), json and traceback
+# were imported and whether the garbage collector was frozen
+NUMPY_AT_EXIT = ("import atexit, gc, runpy, sys; "
+                 "atexit.register(lambda: print(*(f'{m} loaded: {m in sys.modules}' for m in "
+                 "('numpy', 'ctypes', 'json', 'traceback')), 'frozen:', gc.get_freeze_count() > 0)); "
                  "runpy.run_module('nblgc', run_name='__main__', alter_sys=True)")
 
 
@@ -566,13 +570,24 @@ class TestStartup:
     def test_help_and_usage_errors_load_no_numpy(self, small_tree, argv, code):
         proc = run_python("-c", NUMPY_AT_EXIT, *(a.format(data=small_tree) for a in argv))
         assert proc.returncode == code, proc.stderr
-        assert proc.stdout.endswith("numpy loaded: False ctypes loaded: False\n")
+        assert proc.stdout.endswith("numpy loaded: False ctypes loaded: False json loaded: False "
+                                    "traceback loaded: False frozen: True\n")
 
     def test_a_run_loads_numpy(self, small_tree, tmp_path):
-        # the probe above can see numpy: a real command imports it
+        # the probe above can see numpy and json: a real command imports them, and it too ends frozen
         proc = run_python("-c", NUMPY_AT_EXIT, *extract_args(small_tree, tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.endswith("numpy loaded: True ctypes loaded: True\n")
+        first, _, probe = proc.stdout.partition("\n")
+        assert first == f"wrote 24 feature rows to {tmp_path / 'out' / 'features.csv'}"
+        assert probe.startswith("numpy loaded: True ctypes loaded: True json loaded: True ")
+        assert probe.endswith(" frozen: True\n")
+
+    def test_main_in_process_leaves_the_collector_alone(self, small_tree, tmp_path):
+        # only run, which ends the process, freezes: a program that calls main keeps collecting
+        before = gc.get_freeze_count()
+        assert run_cli(extract_args(small_tree, tmp_path / "out")) == 0
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled()
 
     def test_threaded_kfold_loads_no_process_pool(self, small_tree, tmp_path):
         # a process pool's imports cost about 24 ms a run; the distance threads need neither module
