@@ -17,7 +17,6 @@ array the model holds, so no prediction changes.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain, combinations, takewhile
 from typing import Sequence
@@ -86,9 +85,22 @@ def check_knn_settings(n_train: int, neighbors_k: int, distance: str) -> None:
         raise ValueError(f"unknown distance {distance!r}")
 
 
+def _matrix(vectors, labels: Sequence[str], take=np.ascontiguousarray) -> np.ndarray:
+    """take(vectors) as float64, by default C-ordered (a copy only if it is not), so each distance sums its
+    terms in knn_predict's order. Raises ValueError unless it is a finite 2-D array with one row per label."""
+    try:
+        matrix = take(vectors, dtype=np.float64)
+    except ValueError as err:  # rows of several lengths
+        raise ValueError(f"vectors must share one dimension: {err}") from None
+    if matrix.ndim != 2 or len(matrix) != len(labels) or not np.isfinite(matrix).all():
+        raise ValueError(f"vectors must be a finite 2-D array with one row per label ({len(labels)})")
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class KnnModel:
-    """The training vectors as rows, one label each, the vote size and the distance; built as SvmModel is."""
+    """The training vectors as rows, one label each, the vote size and the distance; built as SvmModel is,
+    it raises ValueError on the vectors _matrix refuses and the settings check_knn_settings refuses."""
 
     vectors: np.ndarray  # (n_train, dim)
     labels: tuple[str, ...]
@@ -96,14 +108,9 @@ class KnnModel:
     distance: str = "log"
 
     def __post_init__(self, take=np.array):  # np.array copies: the caller's array stays writeable; see _owned
-        try:
-            vectors = take(self.vectors, dtype=np.float64)
-        except ValueError as err:  # rows of several lengths
-            raise ValueError(f"training vectors must share one dimension: {err}") from None
         labels = tuple(self.labels)
+        vectors = _matrix(self.vectors, labels, take)
         check_knn_settings(len(labels), self.neighbors_k, self.distance)
-        if vectors.ndim != 2 or len(vectors) != len(labels) or not np.isfinite(vectors).all():
-            raise ValueError(f"vectors must be a finite 2-D array with one row per label ({len(labels)})")
         vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
@@ -425,33 +432,35 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
 
 def load_model(path) -> KnnModel | SvmModel:
     """Read a model that save_model wrote; raises ValueError on any
-    malformed file. Each array is decoded from its slice of the file's
-    bytes, so memory is about the file plus the model's arrays."""
-    from base64 import b64decode
+    malformed file. Only the text before each line's first tab and the
+    names record are decoded as UTF-8; each array is decoded as strict
+    base64 from its slice of the file's bytes, so memory is about the
+    file plus the model's arrays."""
     from binascii import a2b_base64
-    from codecs import getincrementaldecoder
 
     with open(path, "rb") as fh:
         data = fh.read()
     view, lines, start = memoryview(data), [], 0
-    if not data.isascii():  # only labels may hold other characters: check _PIECE bytes at a time, no whole str
-        check = getincrementaldecoder("utf-8")().decode
+
+    def text(a: int, b: int) -> str:
+        # each slice starts after and ends before an ASCII byte, so it fails only where the whole file fails
         try:
-            for at in range(0, len(data), _PIECE):
-                check(view[at:at + _PIECE], at + _PIECE >= len(data))
-        except UnicodeDecodeError:
-            try:  # once whole, so the message gives the offset in the file
+            return str(view[a:b], "utf-8")
+        except UnicodeDecodeError as err:
+            try:  # decoded whole, so the message gives the offset in the file
                 data.decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise ValueError(f"{path} is not UTF-8 text: {err}") from None
+            except UnicodeDecodeError as whole:
+                err = whole
+            raise ValueError(f"{path} is not UTF-8 text: {err}") from None
+
     while start < len(data) and len(lines) < 16:  # a model has at most 13 lines: a longer file is refused on 16
         end = data.find(b"\n", start)
         end = len(data) if end < 0 else end
         stop, tab = end - data.endswith(b"\r", start, end), data.find(b"\t", start, end)
-        tab = stop if tab < 0 else tab  # each line without "\n" or "\r\n": text before any tab, tabs, view after it
-        lines.append((data[start:tab].decode("utf-8"), data.count(b"\t", start, stop), view[tab + 1:stop]))
+        tab = stop if tab < 0 else tab  # each line without "\n" or "\r\n": text before any tab, tabs, span after it
+        lines.append((text(start, tab), data.count(b"\t", start, stop), (tab + 1, stop)))
         start = end + 1
-    head = [text for text, _, _ in takewhile(lambda line: not line[1], lines)]
+    head = [line for line, _, _ in takewhile(lambda line: not line[1], lines)]
     if not head or head[0] != MODEL_FORMAT:
         raise ValueError(f"{path} is not a recognized model file")
     settings: dict[str, str] = {}
@@ -468,10 +477,11 @@ def load_model(path) -> KnnModel | SvmModel:
     order = ["labels" if kind == "knn" else "classes", *_ARRAYS[kind]]
     if [name for name, _, _ in records] != order or any(tabs != 1 for _, tabs, _ in records[1:]):
         raise ValueError(f"{kind} model must end with the records " + ", ".join(order) + ", each array one field")
+    names = text(*records[0][2]).split("\t")  # before any array: a file with a bad label is refused as not UTF-8
     arrays = {}
-    for (name, _, text), dtype in zip(records[1:], _ARRAYS[kind].values()):
-        try:  # b64decode(validate=True)'s strict check, on the view itself from Python 3.11, on a copy before it
-            raw = a2b_base64(text, strict_mode=True) if sys.version_info >= (3, 11) else b64decode(text, validate=True)
+    for (name, _, (a, b)), dtype in zip(records[1:], _ARRAYS[kind].values()):
+        try:  # strict: any byte outside the alphabet, non-ASCII ones included, and misplaced padding are refused
+            raw = a2b_base64(view[a:b], strict_mode=True)
         except ValueError as err:  # binascii.Error
             raise ValueError(f"{name} record is not base64: {err}") from None
         if len(raw) % 8:
@@ -482,7 +492,6 @@ def load_model(path) -> KnnModel | SvmModel:
         if dim < 1 or size % dim:
             raise ValueError(f"vectors record holds {size} values, not whole rows of dim {dim} >= 1")
         arrays["vectors"] = arrays["vectors"].reshape(-1, dim)
-        names = str(records[0][2], "utf-8").split("\t")
         if kind == "knn":
             return _owned(KnnModel, arrays["vectors"], names, int(settings["neighbors_k"]), settings["distance"])
         return _owned(SvmModel, names, degree=int(settings["degree"]), c=float(settings["C"]),

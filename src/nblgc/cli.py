@@ -23,8 +23,7 @@ from .evaluation import (
     write_roc_csv,
 )
 from .features import extract_dataset, write_features_csv
-from .options import ContourVariant, FuzzifierRef, _config_echo
-from .options import main, run  # noqa: F401  (nblgc.cli.main and nblgc.cli:run stay entry points)
+from .options import ContourVariant, FuzzifierRef, _config_echo, main  # noqa: F401  (for in-process callers)
 
 
 def _size(cfg: argparse.Namespace) -> tuple[int, int]:
@@ -88,7 +87,3 @@ def cmd_roc(cfg: argparse.Namespace) -> None:
 
 
 _COMMANDS = {"extract": cmd_extract, "evaluate": cmd_evaluate, "kfold": cmd_kfold, "roc": cmd_roc}
-
-
-if __name__ == "__main__":
-    run()

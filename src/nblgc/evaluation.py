@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .classify import LabeledSample, _knn_votes, _svm_fit, check_knn_settings, distance_rows, svm_predict
+from .classify import LabeledSample, _knn_votes, _matrix, _svm_fit, check_knn_settings, distance_rows, svm_predict
 
 REPORT_DIGITS = 6  # significant digits in report/fold/ROC CSVs
 
@@ -105,15 +105,6 @@ def split_per_class(data: Sequence[LabeledSample], spec: SplitSpec) -> tuple[lis
     return [data[i] for i in train], [data[i] for i in test]
 
 
-def _checked(vectors, labels: Sequence[str]) -> np.ndarray:
-    """vectors as a C-ordered float64 array (a copy only if it is not one),
-    so each distance sums its terms in the order knn_predict's do."""
-    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or len(vectors) != len(labels) or not np.isfinite(vectors).all():
-        raise ValueError(f"vectors must be a finite 2-D array with one row per label ({len(labels)})")
-    return vectors
-
-
 def _predict_all(vectors: np.ndarray, labels: Sequence[str], train_rows, test_rows, cfg: ClassifierConfig) -> list[str]:
     if cfg.zscore:  # the training rows' statistics, applied to every row
         mean, std = vectors[train_rows].mean(axis=0), vectors[train_rows].std(axis=0)
@@ -145,7 +136,7 @@ def evaluate(
 ) -> EvalReport:
     """Train on the train rows of the (n, dim) vectors, predict the test
     rows, count hits per class; labels holds one label per row."""
-    vectors = _checked(vectors, labels)
+    vectors = _matrix(vectors, labels)
     if not len(train_rows) or not len(test_rows):
         raise ValueError("train and test sets must both be non-empty")
     return _count([labels[i] for i in test_rows], _predict_all(vectors, labels, train_rows, test_rows, cfg))
@@ -188,7 +179,7 @@ def kfold(
     pair once (_knn_cross_guesses), on up to workers threads; others
     train once per fold, serially.
     """
-    vectors = _checked(vectors, labels)
+    vectors = _matrix(vectors, labels)
     if k < 2:
         raise ValueError("k must be at least 2")
     if len(labels) < k:
@@ -265,7 +256,7 @@ def roc_far_gar(
     scores are column minima of the one test × train table,
     _cross_distances, whose training rows run on up to workers threads.
     """
-    vectors = _checked(vectors, labels)
+    vectors = _matrix(vectors, labels)
     if not len(train_rows) or not len(test_rows):
         raise ValueError("train and test sets must both be non-empty")
     table = _cross_distances(vectors, train_rows, test_rows, distance, workers)

@@ -170,7 +170,7 @@ def _p2_values(text: bytes, start: int, count: int, max_gray: int) -> np.ndarray
         return None
     length = last - before
     longest = int(length.max())
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # int()'s digit limit; 0: none, as before 3.10.7
+    limit = sys.get_int_max_str_digits()  # int()'s digit limit; 0: none
     if limit and longest > limit:
         return None
     if longest > 5:  # a nonzero digit before a token's last five makes it >= 100000 > MAX_GRAY_LIMIT

@@ -223,7 +223,8 @@ OPTIONS = (
     Option("ref", _choice(*(r.value for r in FuzzifierRef)), "avg", _ALL,
            "fuzzifier reference statistic: avg, max or min"),
     Option("out", _path, "out", _ALL, "output directory"),
-    Option("workers", _count(1), 1, _ALL, "threads for the kfold and roc distances"),
+    Option("workers", _count(1), 1, _ALL,
+           "threads for roc's distances and kfold's KNN walk without --zscore; all else runs on one"),
     Option("skip_errors", _switch, False, _ALL, "warn and skip unreadable dataset files instead of aborting"),
     Option("classifier", _choice("knn", "svm"), "knn", _FIT, "classifier: knn or svm"),
     Option("k", _count(1), 1, _FIT, "KNN neighbor count", "knn"),
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"nblgc: error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, PgmParseError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # DatasetError and PgmParseError are ValueErrors
         print(f"nblgc: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except Exception:

@@ -988,6 +988,36 @@ class TestModelSerialization:
             load_model(path)
         assert type(err.value) is ValueError
 
+    def test_a_bad_header_byte_is_reported_at_its_offset_in_the_file(self, tmp_path):
+        # the header is decoded a line at a time; the message gives the whole file's reason
+        path = tmp_path / "bad.model"
+        save_model(knn_model(samples([([0.0], "a"), ([1.0], "b")])), path)
+        path.write_bytes(path.read_bytes().replace(b"distance log", b"distance l\xe9g", 1))
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        reason = pytest.raises(UnicodeDecodeError, path.read_bytes().decode, "utf-8").value
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"{path} is not UTF-8 text: {reason}"
+
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_a_non_ascii_byte_in_an_array_record_is_not_base64(self, tmp_path, kind):
+        # array records are never decoded as text: strict base64 refuses every byte outside its alphabet
+        pairs = [([0.0], "a"), ([1.0], "b")]
+        path = tmp_path / "bad.model"
+        save_model(knn_model(samples(pairs)) if kind == "knn" else svm_train(samples(pairs)), path)
+        path.write_bytes(path.read_bytes().replace(b"vectors\tA", b"vectors\t\xe9", 1))
+        with pytest.raises(ValueError, match="^vectors record is not base64: ") as err:
+            load_model(path)
+        assert type(err.value) is ValueError
+
+    def test_names_are_decoded_before_any_array(self, tmp_path):
+        # a bad label byte and a broken vectors record: the label is read first
+        path = tmp_path / "bad.model"
+        save_model(knn_model(samples([([0.0], "a"), ([1.0], "b")])), path)
+        path.write_bytes(path.read_bytes().replace(b"\tb\n", b"\t\xe9\n", 1).replace(b"vectors\tA", b"vectors\t!", 1))
+        with pytest.raises(ValueError, match="bad.model is not UTF-8 text"):
+            load_model(path)
+
 
 # 17-digit ties: each value's exact decimal expansion has 18 significant digits, the last a 5
 _TIES = [m / 4 for m in (5_000_000_000_000_001, 5_000_000_000_000_003, 7_777_777_777_777_779, 9_007_199_254_740_991)]

@@ -185,11 +185,14 @@ class TestEvaluate:
         assert got[0] == "ValueError" and message in got[1]
 
 
-@pytest.mark.parametrize("run", [
+_EVERY_EVALUATION = pytest.mark.parametrize("run", [
     lambda vectors, labels: evaluate(vectors, labels, [0, 1], [2, 3]),
     lambda vectors, labels: kfold(vectors, labels, 2),
     lambda vectors, labels: roc_far_gar(vectors, labels, [0, 1], [2, 3]),
 ], ids=["evaluate", "kfold", "roc_far_gar"])
+
+
+@_EVERY_EVALUATION
 @pytest.mark.parametrize("vectors", [
     np.arange(4.0),  # 1-D
     np.zeros((3, 2)),  # a row short
@@ -200,6 +203,16 @@ class TestEvaluate:
 def test_vectors_must_be_one_finite_row_per_label(run, vectors):
     with pytest.raises(ValueError, match=r"finite 2-D array with one row per label \(4\)"):
         run(vectors, ["a", "b", "a", "b"])
+
+
+@_EVERY_EVALUATION
+def test_ragged_rows_get_the_knn_model_message(run):
+    # the one matrix rule: rows of several lengths are refused as KnnModel refuses them
+    ragged = [[0.0, 1.0], [1.0], [2.0, 3.0], [3.0, 4.0]]
+    for build in (run, KnnModel):
+        with pytest.raises(ValueError, match="^vectors must share one dimension: ") as err:
+            build(ragged, ["a", "b", "a", "b"])
+        assert type(err.value) is ValueError
 
 
 class TestKfold:
