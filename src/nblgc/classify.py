@@ -87,11 +87,13 @@ def check_knn_settings(n_train: int, neighbors_k: int, distance: str) -> None:
 
 def _matrix(vectors, labels: Sequence[str], take=np.ascontiguousarray) -> np.ndarray:
     """take(vectors) as float64, by default C-ordered (a copy only if it is not), so each distance sums its
-    terms in knn_predict's order. Raises ValueError unless it is a finite 2-D array with one row per label."""
+    terms in knn_predict's order. Raises ValueError unless it is a finite 2-D array of numbers with one row
+    per label; rows of several lengths and values that are not numbers each have their own message."""
     try:
         matrix = take(vectors, dtype=np.float64)
-    except ValueError as err:  # rows of several lengths
-        raise ValueError(f"vectors must share one dimension: {err}") from None
+    except (TypeError, ValueError) as err:  # numpy >= 1.23 starts its message so for rows of several lengths
+        ragged = str(err).startswith("setting an array element with a sequence")
+        raise ValueError(f"vectors must {'share one dimension' if ragged else 'hold only numbers'}: {err}") from None
     if matrix.ndim != 2 or len(matrix) != len(labels) or not np.isfinite(matrix).all():
         raise ValueError(f"vectors must be a finite 2-D array with one row per label ({len(labels)})")
     return matrix
@@ -404,7 +406,8 @@ def svm_predict(model: SvmModel, query) -> str:
 _ARRAYS = {"knn": {"vectors": "<f8"},
            "svm": {"vectors": "<f8", "biases": "<f8", "sv_coef": "<f8", "sv_count": "<i8", "sv_index": "<i8"}}
 _SETTINGS = {"knn": {"kind", "neighbors_k", "distance", "dim"}, "svm": {"kind", "degree", "C", "offset", "tol", "dim"}}
-_PIECE = 3 << 14  # array bytes base64-encoded at once: a multiple of 3, so the pieces join with no padding
+_PIECE = 3 << 14  # array bytes encoded, file bytes read and base64 characters decoded at once: a multiple of 3 and 4,
+#                   so pieces of bytes join with no padding and pieces of characters hold whole 4-character groups
 
 
 def save_model(model: KnnModel | SvmModel, path) -> None:
@@ -430,71 +433,112 @@ def save_model(model: KnnModel | SvmModel, path) -> None:
             fh.writelines(chain([name.encode("ascii"), b"\t"], pieces, [b"\n"]))
 
 
-def load_model(path) -> KnnModel | SvmModel:
-    """Read a model that save_model wrote; raises ValueError on any
-    malformed file. Only the text before each line's first tab and the
-    names record are decoded as UTF-8; each array is decoded as strict
-    base64 from its slice of the file's bytes, so memory is about the
-    file plus the model's arrays."""
+def _lines(fh) -> list[tuple[bytes, int, tuple[int, int]]]:
+    """The first 16 lines of the open file fh, read at most _PIECE bytes at a time. For each line, without its
+    "\n" or "\r\n": its bytes before its first tab (all of them without a tab), its tab count and the span
+    of the file after that tab. Only the bytes before a line's first tab are kept."""
+    lines, at = [], 0
+    while len(lines) < 16 and (piece := fh.readline(_PIECE)):
+        start, head, tabs, tab, tail = at, [], 0, -1, b""
+        while piece:
+            if tab < 0:
+                cut = piece.find(b"\t")
+                head.append(piece if cut < 0 else piece[:cut])
+                tab = -1 if cut < 0 else at + cut
+            tabs, at, tail = tabs + piece.count(b"\t"), at + len(piece), (tail + piece[-2:])[-2:]
+            piece = b"" if piece.endswith(b"\n") else fh.readline(_PIECE)
+        stop = at - tail.endswith(b"\n") - tail.removesuffix(b"\n").endswith(b"\r")
+        tab = stop if tab < 0 else tab
+        lines.append((b"".join(head)[:tab - start], tabs, (tab + 1, stop)))
+    return lines
+
+
+def _decoded(fh, name: str, a: int, b: int) -> np.ndarray:
+    """The bytes that the base64 in bytes a:b of the open file fh stands for, in one read-only buffer of exactly
+    their size, decoded as strict a2b_base64 decodes the whole record. The last piece of _PIECE characters is
+    decoded first, which gives the size, then the others in order. A record that this cannot decode (a "=" before
+    the last piece, or a bad character) is decoded whole, so the verdict and its message are the whole record's."""
     from binascii import a2b_base64
 
-    with open(path, "rb") as fh:
-        data = fh.read()
-    view, lines, start = memoryview(data), [], 0
-
-    def text(a: int, b: int) -> str:
-        # each slice starts after and ends before an ASCII byte, so it fails only where the whole file fails
-        try:
-            return str(view[a:b], "utf-8")
-        except UnicodeDecodeError as err:
-            try:  # decoded whole, so the message gives the offset in the file
-                data.decode("utf-8")
-            except UnicodeDecodeError as whole:
-                err = whole
-            raise ValueError(f"{path} is not UTF-8 text: {err}") from None
-
-    while start < len(data) and len(lines) < 16:  # a model has at most 13 lines: a longer file is refused on 16
-        end = data.find(b"\n", start)
-        end = len(data) if end < 0 else end
-        stop, tab = end - data.endswith(b"\r", start, end), data.find(b"\t", start, end)
-        tab = stop if tab < 0 else tab  # each line without "\n" or "\r\n": text before any tab, tabs, span after it
-        lines.append((text(start, tab), data.count(b"\t", start, stop), (tab + 1, stop)))
-        start = end + 1
-    head = [line for line, _, _ in takewhile(lambda line: not line[1], lines)]
-    if not head or head[0] != MODEL_FORMAT:
-        raise ValueError(f"{path} is not a recognized model file")
-    settings: dict[str, str] = {}
-    for name, _, value in (line.partition(" ") for line in head[1:]):  # "name value" lines
-        if name in settings:
-            raise ValueError(f"{path}: setting {name!r} is named twice")
-        settings[name] = value
-    kind, records = settings.get("kind"), lines[len(head):]
-    if kind not in _ARRAYS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    unknown = sorted(settings.keys() - _SETTINGS[kind])
-    if unknown:
-        raise ValueError(f"{path}: {kind} models have no setting {unknown[0]!r}")
-    order = ["labels" if kind == "knn" else "classes", *_ARRAYS[kind]]
-    if [name for name, _, _ in records] != order or any(tabs != 1 for _, tabs, _ in records[1:]):
-        raise ValueError(f"{kind} model must end with the records " + ", ".join(order) + ", each array one field")
-    names = text(*records[0][2]).split("\t")  # before any array: a file with a bad label is refused as not UTF-8
-    arrays = {}
-    for (name, _, (a, b)), dtype in zip(records[1:], _ARRAYS[kind].values()):
-        try:  # strict: any byte outside the alphabet, non-ASCII ones included, and misplaced padding are refused
-            raw = a2b_base64(view[a:b], strict_mode=True)
-        except ValueError as err:  # binascii.Error
-            raise ValueError(f"{name} record is not base64: {err}") from None
-        if len(raw) % 8:
-            raise ValueError(f"{name} record holds {len(raw)} bytes, not whole 8-byte values")
-        arrays[name] = np.frombuffer(raw, dtype=dtype)  # read-only, over the decoded bytes
+    last, step = a + max(0, b - a - 1) // _PIECE * _PIECE, _PIECE // 4 * 3
     try:
-        dim, size = int(settings["dim"]), arrays["vectors"].size
-        if dim < 1 or size % dim:
-            raise ValueError(f"vectors record holds {size} values, not whole rows of dim {dim} >= 1")
-        arrays["vectors"] = arrays["vectors"].reshape(-1, dim)
-        if kind == "knn":
-            return _owned(KnnModel, arrays["vectors"], names, int(settings["neighbors_k"]), settings["distance"])
-        return _owned(SvmModel, names, degree=int(settings["degree"]), c=float(settings["C"]),
-                      offset=float(settings["offset"]), tol=float(settings["tol"]), **arrays)
-    except KeyError as err:
-        raise ValueError(f"{path}: missing setting {err}") from None
+        fh.seek(last)
+        tail = a2b_base64(fh.read(b - last), strict_mode=True)
+        out = np.empty((last - a) // 4 * 3 + len(tail), np.uint8)
+        view = memoryview(out)
+        view[len(out) - len(tail):] = tail
+        fh.seek(a)
+        for at in range(0, len(out) - len(tail), step):
+            # a ValueError unless the piece fills its slice: a short read, or a "=" that the whole may decode otherwise
+            view[at:at + step] = a2b_base64(fh.read(_PIECE), strict_mode=True)
+    except ValueError:  # binascii.Error
+        fh.seek(a)
+        try:
+            out = np.frombuffer(a2b_base64(fh.read(b - a), strict_mode=True), np.uint8)
+        except ValueError as err:
+            raise ValueError(f"{name} record is not base64: {err}") from None
+    out.flags.writeable = False
+    return out
+
+
+def load_model(path) -> KnnModel | SvmModel:
+    """Read a model that save_model wrote; raises ValueError on any
+    malformed file. The file is read twice, _PIECE bytes at a time:
+    once to find its lines and tabs (_lines), then to decode the names
+    record and each array record, as strict base64, into the one buffer
+    that becomes the model's array (_decoded). Only the text before each
+    line's first tab and the names record are decoded as UTF-8. So
+    memory is about the model's arrays plus a few pieces: only the names
+    record and a record that does not decode in pieces are read whole."""
+    with open(path, "rb", buffering=_PIECE) as fh:  # a line of any length is found in reads of _PIECE bytes
+
+        def text(raw: bytes) -> str:
+            # each text starts after and ends before an ASCII byte, so it fails only where the whole file fails
+            try:
+                return str(raw, "utf-8")
+            except UnicodeDecodeError as err:
+                fh.seek(0)
+                try:  # decoded whole, so the message gives the offset in the file
+                    fh.read().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    err = whole
+                raise ValueError(f"{path} is not UTF-8 text: {err}") from None
+
+        lines = [(text(head), tabs, span) for head, tabs, span in _lines(fh)]  # a model has at most 13 lines
+        head = [line for line, _, _ in takewhile(lambda line: not line[1], lines)]
+        if not head or head[0] != MODEL_FORMAT:
+            raise ValueError(f"{path} is not a recognized model file")
+        settings: dict[str, str] = {}
+        for name, _, value in (line.partition(" ") for line in head[1:]):  # "name value" lines
+            if name in settings:
+                raise ValueError(f"{path}: setting {name!r} is named twice")
+            settings[name] = value
+        kind, records = settings.get("kind"), lines[len(head):]
+        if kind not in _ARRAYS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        unknown = sorted(settings.keys() - _SETTINGS[kind])
+        if unknown:
+            raise ValueError(f"{path}: {kind} models have no setting {unknown[0]!r}")
+        order = ["labels" if kind == "knn" else "classes", *_ARRAYS[kind]]
+        if [name for name, _, _ in records] != order or any(tabs != 1 for _, tabs, _ in records[1:]):
+            raise ValueError(f"{kind} model must end with the records " + ", ".join(order) + ", each array one field")
+        a, b = records[0][2]
+        fh.seek(a)
+        names = text(fh.read(b - a)).split("\t")  # before any array: a file with a bad label is refused as not UTF-8
+        arrays = {}
+        for (name, _, span), dtype in zip(records[1:], _ARRAYS[kind].values()):
+            raw = _decoded(fh, name, *span)
+            if raw.size % 8:
+                raise ValueError(f"{name} record holds {raw.size} bytes, not whole 8-byte values")
+            arrays[name] = raw.view(dtype)  # read-only, over the decode buffer
+        try:
+            dim, size = int(settings["dim"]), arrays["vectors"].size
+            if dim < 1 or size % dim:
+                raise ValueError(f"vectors record holds {size} values, not whole rows of dim {dim} >= 1")
+            arrays["vectors"] = arrays["vectors"].reshape(-1, dim)
+            if kind == "knn":
+                return _owned(KnnModel, arrays["vectors"], names, int(settings["neighbors_k"]), settings["distance"])
+            return _owned(SvmModel, names, degree=int(settings["degree"]), c=float(settings["C"]),
+                          offset=float(settings["offset"]), tol=float(settings["tol"]), **arrays)
+        except KeyError as err:
+            raise ValueError(f"{path}: missing setting {err}") from None

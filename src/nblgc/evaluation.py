@@ -13,6 +13,7 @@ import csv
 import itertools
 import os
 import random
+import threading  # numpy has imported it: free here, unlike concurrent.futures
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -156,12 +157,22 @@ def _striped_map(fn: Callable, items: Sequence, workers: int) -> list:
     w = pool_size(workers, len(items))
     if w <= 1:
         return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # imported only when a thread starts
+    out, errors = [None] * len(items), [None] * w
 
-    out = [None] * len(items)
-    with ThreadPoolExecutor(w) as pool:
-        for t, results in enumerate(pool.map(lambda t: [fn(x) for x in items[t::w]], range(w))):
-            out[t::w] = results
+    def stripe(t: int) -> None:
+        try:
+            out[t::w] = [fn(x) for x in items[t::w]]
+        except BaseException as err:  # raised below, on the calling thread
+            errors[t] = err
+
+    threads = [threading.Thread(target=stripe, args=(t,)) for t in range(w)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    failed = next((err for err in errors if err is not None), None)
+    if failed is not None:
+        raise failed
     return out
 
 

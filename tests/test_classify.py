@@ -1,4 +1,5 @@
 import base64
+import binascii
 import math
 import re
 import tracemalloc
@@ -718,8 +719,10 @@ class TestModelOwnership:
         save_model(knn_model(train) if kind == "knn" else svm_train(train), path)
         loaded = load_model(path)
         for name in ("vectors",) if kind == "knn" else ("vectors", *STORE):
-            array = getattr(loaded, name)
-            assert isinstance(_memory_owner(array), bytes) and not array.flags.writeable, name
+            array, owner = getattr(loaded, name), _memory_owner(getattr(loaded, name))
+            # the one buffer each record is decoded into, of exactly its size: not a bytes object beside it
+            assert isinstance(owner, np.ndarray) and owner.dtype == np.uint8 and owner.nbytes == array.nbytes, name
+            assert not owner.flags.writeable and not array.flags.writeable, name
 
 
 def _benchmark_sized(kind):
@@ -857,7 +860,8 @@ class TestModelSerialization:
 
     @pytest.mark.parametrize("kind", ["knn", "svm"])
     def test_load_holds_the_file_and_its_arrays_once(self, tmp_path, kind):
-        # records are decoded from slices of the file's bytes into the model's arrays, with no copy between
+        # the file is read and each record decoded a piece at a time into the model's arrays: the 1.3-1.5 MB
+        # file is never held whole, so the peak is the arrays and a few pieces of the file and of their bytes
         path = tmp_path / "m.model"
         save_model(_benchmark_sized(kind), path)
         tracemalloc.start()
@@ -867,8 +871,8 @@ class TestModelSerialization:
         finally:
             tracemalloc.stop()
         arrays = sum(getattr(loaded, name).nbytes for name in (("vectors",) if kind == "knn" else ("vectors", *STORE)))
-        assert arrays >= 280 * 441 * 8
-        assert peak < path.stat().st_size + 1.5 * arrays
+        assert arrays >= 280 * 441 * 8 and path.stat().st_size > 4 * arrays // 3
+        assert peak < arrays + 6 * classify._PIECE
 
     def test_a_non_ascii_label_costs_no_str_of_the_file(self, tmp_path):
         # a file that is not all ASCII is checked as UTF-8 a slice at a time: decoded whole, the 2.4 MB file
@@ -1009,6 +1013,54 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="^vectors record is not base64: ") as err:
             load_model(path)
         assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("at, padding", [(0, "=="), (0, "="), (1, "==")])
+    def test_padding_at_the_end_of_a_piece_is_refused(self, tmp_path, at, padding):
+        # each piece alone is strict base64, but "=" ends only the whole record: the message is the whole record's
+        path = tmp_path / "m.model"
+        save_model(KnnModel(np.arange(3 * 4608.0).reshape(3, 4608), ["a", "b", "c"]), path)
+        saved = path.read_bytes()
+        end = saved.index(b"vectors\t") + len(b"vectors\t") + (at + 1) * classify._PIECE
+        path.write_bytes(saved[:end - len(padding)] + padding.encode("ascii") + saved[end:])
+        record = path.read_bytes().splitlines()[-1].partition(b"\t")[2]
+        assert base64.b64decode(record[:(at + 1) * classify._PIECE], validate=True)  # the piece alone decodes
+        reason = pytest.raises(ValueError, binascii.a2b_base64, record, strict_mode=True).value
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert type(err.value) is ValueError and str(err.value) == f"vectors record is not base64: {reason}"
+
+    @pytest.mark.parametrize("run", [1, 4, classify._PIECE + 1])
+    def test_padding_after_the_last_group_is_judged_as_the_whole_record(self, tmp_path, run):
+        # a run of "=" after a record's last whole group, over the piece end or not, gets the verdict that strict
+        # decoding of the whole record gives
+        model = KnnModel(np.arange(3 * 4608.0).reshape(3, 4608), ["a", "b", "c"])
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        saved = path.read_bytes()
+        path.write_bytes(saved[:-1] + b"=" * run + b"\n")
+        record = path.read_bytes().splitlines()[-1].partition(b"\t")[2]
+        try:
+            binascii.a2b_base64(record, strict_mode=True)
+        except ValueError as reason:
+            with pytest.raises(ValueError, match=re.escape(f"vectors record is not base64: {reason}")):
+                load_model(path)
+        else:
+            assert load_model(path).vectors.tobytes() == model.vectors.tobytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("dim", [4607, 4608, 4609, 2 * 4608])
+    def test_records_and_line_ends_on_a_piece_boundary_load_the_same(self, tmp_path, dim, end):
+        # 4607 values: the vectors line's text ends a piece of it, before its line end. 4608 values: the record
+        # fills its piece. The label puts the "\r" of a "\r\n" last in a piece and its "\n" first in the next
+        label = "x" * (classify._PIECE - len("labels\t") - 1)
+        model = KnnModel(np.random.default_rng(21).normal(size=(1, dim)), [label])
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        saved = path.read_bytes().replace(b"\n", end.encode("ascii"))
+        path.write_bytes(saved)
+        assert len(saved.split(b"\n")[-3]) == classify._PIECE - 2 + len(end)  # the labels line, with any "\r"
+        loaded = load_model(path)
+        assert loaded.labels == model.labels and loaded.vectors.tobytes() == model.vectors.tobytes()
 
     def test_names_are_decoded_before_any_array(self, tmp_path):
         # a bad label byte and a broken vectors record: the label is read first

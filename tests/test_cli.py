@@ -590,14 +590,14 @@ class TestStartup:
         assert gc.isenabled()
 
     def test_threaded_kfold_loads_no_process_pool(self, small_tree, tmp_path):
-        # a process pool's imports cost about 24 ms a run; the distance threads need neither module
+        # a process pool's imports cost about 24 ms a run, and concurrent.futures' own 5-8 ms: the distance
+        # threads are plain threading.Threads, which numpy has imported already
         script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; import nblgc.cli; "
                   "code = nblgc.cli.main(sys.argv[1:]); "
-                  "print(code, [m for m in ('multiprocessing', 'concurrent.futures.process', "
-                  "'concurrent.futures.thread') if m in sys.modules])")
+                  "print(code, [m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent')])")
         proc = run_python("-c", script, "kfold", "--data", str(small_tree), "--resize", "9x9",
                           "--folds", "3", "--out", str(tmp_path / "out"), "--workers", "2")
-        assert proc.stdout.endswith("0 ['concurrent.futures.thread']\n"), proc.stderr
+        assert proc.stdout.endswith("0 []\n"), proc.stderr
 
     def test_cli_import_loads_every_layer(self):
         # the benchmark's tracer finds each layer in sys.modules after `import nblgc.cli`

@@ -215,6 +215,32 @@ def test_ragged_rows_get_the_knn_model_message(run):
         assert type(err.value) is ValueError
 
 
+@_EVERY_EVALUATION
+@pytest.mark.parametrize("value", ["x", {}, 1j], ids=["str", "dict", "complex"])
+def test_a_value_that_is_not_a_number_gets_its_own_message(run, value):
+    # the rows share one length: only the value is wrong, and the message says so
+    vectors = [[0.0, 1.0], [1.0, value], [2.0, 3.0], [3.0, 4.0]]
+    for build in (run, KnnModel):
+        with pytest.raises(ValueError, match="^vectors must hold only numbers: ") as err:
+            build(vectors, ["a", "b", "a", "b"])
+        assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("reason, message", [
+    ("setting an array element with a sequence.", "share one dimension"),  # numpy 1.23's whole message
+    ("setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 dimensions.",
+     "share one dimension"),
+    ("could not convert string to float: 'x'", "hold only numbers"),
+])
+def test_the_matrix_message_follows_numpys_reason(reason, message):
+    def take(vectors, dtype):
+        raise ValueError(reason)
+
+    with pytest.raises(ValueError) as err:
+        evaluation._matrix([[0.0]], ["a"], take)
+    assert str(err.value) == f"vectors must {message}: {reason}"
+
+
 class TestKfold:
     def test_each_sample_tested_once(self):
         rng = np.random.default_rng(3)
@@ -280,6 +306,18 @@ class TestKfold:
             assert sorted(rows, reverse=True) == list(range(len(labels) - 1, 0, -1))
             if workers == 1:
                 assert rows == list(range(len(labels) - 1, 0, -1))
+
+    def test_the_first_failed_stripe_raises(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+        def fail_off_stripe_0(x):
+            if x % 3:
+                raise ValueError(f"stripe {x % 3}")
+            return x
+
+        with pytest.raises(ValueError, match="^stripe 1$"):
+            evaluation._striped_map(fail_off_stripe_0, range(9), 3)
+        assert evaluation._striped_map(lambda x: x * x, range(10), 3) == [x * x for x in range(10)]
 
     def test_more_threads_than_cores_agree_with_one(self, monkeypatch):
         # 8 stripes on however many cores, switching threads every microsecond: a lost or misplaced row shows
@@ -504,6 +542,18 @@ class TestRoc:
         with pytest.raises(ValueError, match="euclidean distance overflows"):
             roc_far_gar(*data, distance="euclidean")
         assert all(not math.isnan(p.threshold) for p in roc_far_gar(*data, distance="log"))
+
+    def test_an_overflow_in_the_second_stripe_raises_as_on_one_thread(self, monkeypatch):
+        # training row 1, alone in stripe 1 of 2 to fail, is 1e200 from every test row: its distances overflow
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)  # 2 threads on 1 core too
+        vectors = np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.5, 0.0]])
+        labels = ["a", "a", "b", "b", "a", "b"]
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(ValueError) as err:
+                roc_far_gar(vectors, labels, [0, 1, 2, 3], [4, 5], "euclidean", workers=workers)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] == (ValueError, "euclidean distance overflows: vectors too far apart")
 
     def test_threads_give_the_same_points(self, monkeypatch):
         # one distance_rows call per training sample, the training rows striped over two threads
